@@ -39,6 +39,16 @@ def _parse_seed(text):
     return value
 
 
+def _parse_threads(text):
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError("threads must be an integer")
+    if value < 1:
+        raise argparse.ArgumentTypeError("threads must be >= 1")
+    return value
+
+
 def _default_threads():
     return os.cpu_count() or 1
 
@@ -55,9 +65,9 @@ class _UsageError(Exception):
     pass
 
 
-def _add_seed_threads(p):
+def _add_seed_threads(p, threads_help="worker processes (results do not depend on it)"):
     p.add_argument("--seed", type=_parse_seed, default=0, help="RNG seed (or 'random')")
-    p.add_argument("--threads", type=int, default=_default_threads())
+    p.add_argument("--threads", type=_parse_threads, default=_default_threads(), help=threads_help)
 
 
 def _add_json(p):
@@ -92,7 +102,7 @@ def _build_parser():
     p.add_argument("--tol", type=float, default=1e-9)
     p.add_argument("--max-depth", type=int, default=1 << 16)
     p.add_argument("--envs", type=int, default=100)
-    _add_seed_threads(p)
+    _add_seed_threads(p, "no effect: extinction runs in one process")
     _add_json(p)
 
     p = sub.add_parser("simulate", help="population simulation and survival estimate")
@@ -214,7 +224,6 @@ def _cmd_extinction(args):
         tol=args.tol,
         max_depth=args.max_depth,
         seed=args.seed,
-        workers=args.threads,
     )
     return params, {"mean_q": [float(v) for v in mean_q], "share_converged": share}
 
@@ -230,16 +239,17 @@ def _cmd_simulate(args):
         "growth": args.growth,
         "threads": args.threads,
     }
-    est, hw = extinction.survival_probability_mc(
+    if args.growth:
+        extinction._check_growth_horizon(args.horizon)
+    # one pass of trials serves both estimates
+    outcomes = extinction._trial_outcomes(
         model, args.start_type, args.trials, args.horizon,
-        cap=args.cap, seed=args.seed, workers=args.threads,
+        args.cap, args.seed, args.threads,
     )
+    est, hw = extinction._survival_estimate(outcomes)
     result = {"survival": est, "half_width": hw}
     if args.growth:
-        rate, rate_hw, nsurv = extinction.growth_rate_conditioned(
-            model, args.start_type, args.trials, args.horizon,
-            cap=args.cap, seed=args.seed, workers=args.threads,
-        )
+        rate, rate_hw, nsurv = extinction._growth_estimate(outcomes, args.horizon)
         result.update(
             {"growth_rate": rate, "growth_half_width": rate_hw, "surviving_trials": nsurv}
         )

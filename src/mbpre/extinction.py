@@ -16,11 +16,14 @@ from functools import partial
 import numpy as np
 
 from ._parallel import parallel_map
-from .errors import NoSurvivorsError
+from .errors import BudgetError, NoSurvivorsError
 
 _Z95 = 1.96
 # First depth probed by the doubling convergence loop.
 _DEPTH0 = 64
+# Most environment letters the depth-doubling loop may hold at once
+# (n_envs x max_depth), one byte each for alphabets of up to 256 letters.
+LETTER_BUDGET = 1 << 26
 
 
 @dataclass(frozen=True)
@@ -58,62 +61,79 @@ class SimulationResult:
         return self.states[-1]
 
 
+def _compose(table, words, s):
+    """Backward pgf composition along each row of ``words``, starting at ``s``.
+
+    ``table`` is ``ModelSpec.pgf_table``, ``words`` an (E, d) array of letter
+    indices and ``s`` an (E, N) array in [0, 1]^N. Row e of the result is
+    f_{w_0} o ... o f_{w_{d-1}}(s_e) for that row's word w; outputs are
+    clipped to [0, 1], so every step's argument stays in range.
+    """
+    exps, masses = table
+    for j in range(words.shape[1] - 1, -1, -1):
+        idx = words[:, j]
+        # (E, 1, 1, N) ** (E, N, K, N) -> monomials (E, N, K). A batched
+        # matmul, not .sum(-1), takes the same dot product as OffspringLaw.pgf,
+        # so laws of the largest support size give identical bits.
+        v = np.prod(s[:, None, None, :] ** exps[idx], axis=-1)
+        s = np.clip((v[..., None, :] @ masses[idx][..., :, None])[..., 0, 0], 0.0, 1.0)
+    return s
+
+
 def extinction_fixed_env(model, word):
     """Backward pgf composition at 0 along a fixed environment word."""
-    word = np.asarray(word, dtype=np.intp)
-    if word.size == 0:
-        raise ValueError("word must be non-empty")
-    s = np.zeros(model.n_types)
-    for idx in word[::-1]:
-        s = model.letters[idx].pgf_vector(s)
-    return ExtinctionVector(s, int(word.size))
+    word = np.asarray(word)
+    if word.ndim != 1 or word.size == 0:
+        raise ValueError("word must be a non-empty sequence of letter indices")
+    if not np.issubdtype(word.dtype, np.integer) or np.any((word < 0) | (word >= model.n_letters)):
+        raise ValueError(f"word letters must be integers in [0, {model.n_letters})")
+    q = _compose(model.pgf_table, word[None, :], np.zeros((1, model.n_types)))
+    return ExtinctionVector(q[0], int(word.size))
 
 
-def _extend_word(env, word, n, rng):
-    """Grow an environment word to length ``n``, continuing the letter process."""
-    have = len(word)
-    if have >= n:
-        return word
-    if env.kind == "iid":
-        ext = rng.choice(env.n_letters, size=n - have, p=env.probs)
-    else:
-        ext = np.empty(n - have, dtype=np.int64)
-        cdfs = np.cumsum(env.transition, axis=1)
-        pos = 0
-        if have == 0:
-            state = int(np.searchsorted(np.cumsum(env.initial), rng.random(), side="right"))
-            state = min(state, env.n_letters - 1)
-            ext[0] = state
-            pos = 1
-        else:
-            state = int(word[-1])
-        u = rng.random(len(ext) - pos)
-        for j in range(pos, len(ext)):
-            state = min(
-                int(np.searchsorted(cdfs[state], u[j - pos], side="right")),
-                env.n_letters - 1,
-            )
-            ext[j] = state
-    return np.concatenate([np.asarray(word, dtype=np.int64), ext])
+def _converge(model, rngs, tol, max_depth):
+    """Depth doubling for one environment per generator, all in lockstep.
 
-
-def _converged_with_rng(model, rng, tol, max_depth):
-    word = np.empty(0, dtype=np.int64)
+    Each environment extends its own word from its own generator, so row e
+    of the result equals a run of ``rngs[e]`` alone. Returns the (E, N)
+    extinction vectors, the depth each row stopped at and whether it met
+    ``tol``.
+    """
+    if tol <= 0:
+        raise ValueError("tol must be positive")
+    if max_depth < 2:
+        raise ValueError("max_depth must be >= 2")
+    n_envs = len(rngs)
+    if n_envs * max_depth > LETTER_BUDGET:
+        raise BudgetError(
+            f"{n_envs} environments x max_depth {max_depth} exceeds the budget of "
+            f"{LETTER_BUDGET} stored letters"
+        )
+    env, table = model.environment, model.pgf_table
+    q = np.zeros((n_envs, model.n_types))
+    depth = np.zeros(n_envs, dtype=np.int64)
+    converged = np.zeros(n_envs, dtype=bool)
+    active = np.arange(n_envs)
+    words = np.empty((n_envs, 0), dtype=np.min_scalar_type(model.n_letters - 1))
     prev = None
-    depth = _DEPTH0
-    while True:
-        depth = min(depth, max_depth)
-        word = _extend_word(model.environment, word, depth, rng)
-        cur = extinction_fixed_env(model, word[:depth]).q
-        if np.all(cur == 1.0):
-            # 1 is absorbing for pgf compositions: deeper words cannot move it.
-            return ExtinctionVector(cur, depth, True)
-        if prev is not None and np.max(np.abs(cur - prev)) < tol:
-            return ExtinctionVector(cur, depth, True)
-        if depth >= max_depth:
-            return ExtinctionVector(cur, depth, False)
-        prev = cur
-        depth *= 2
+    d = _DEPTH0
+    while active.size:
+        d = min(d, max_depth)
+        grown = np.empty((active.size, d), dtype=words.dtype)
+        for row, e in enumerate(active):
+            grown[row] = env.sample_word(d, rngs[e], prefix=words[row])
+        words = grown
+        cur = _compose(table, words, np.zeros((active.size, model.n_types)))
+        # 1 is absorbing for pgf compositions: deeper words cannot move it
+        done = np.all(cur == 1.0, axis=1)
+        if prev is not None:
+            done |= np.max(np.abs(cur - prev), axis=1) < tol
+        q[active], depth[active], converged[active] = cur, d, done
+        if d >= max_depth:
+            break
+        active, words, prev = active[~done], words[~done], cur[~done]
+        d *= 2
+    return q, depth, converged
 
 
 def extinction_converged(model, seed, tol=1e-9, max_depth=1 << 16):
@@ -124,32 +144,24 @@ def extinction_converged(model, seed, tol=1e-9, max_depth=1 << 16):
     ``max_depth`` first returns the last vector with ``converged=False``
     rather than raising: near-critical models legitimately converge slowly.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    if max_depth < 2:
-        raise ValueError("max_depth must be >= 2")
-    return _converged_with_rng(model, np.random.default_rng(seed), tol, max_depth)
+    q, depth, converged = _converge(model, [np.random.default_rng(seed)], tol, max_depth)
+    return ExtinctionVector(q[0], int(depth[0]), bool(converged[0]))
 
 
-def _annealed_task(model, tol, max_depth, child_seed):
-    res = _converged_with_rng(model, np.random.default_rng(child_seed), tol, max_depth)
-    return res.q, res.converged
-
-
-def annealed_extinction(model, n_envs, tol=1e-9, max_depth=1 << 16, seed=0, workers=1):
+def annealed_extinction(model, n_envs, tol=1e-9, max_depth=1 << 16, seed=0):
     """Mean extinction vector over independent environment realizations.
 
-    Returns ``(mean_q, share_converged)`` where the share counts
-    realizations whose depth-doubling loop met ``tol``.
+    Environment e samples its word from child e of ``SeedSequence(seed)``;
+    all environments advance together in one process. Returns
+    ``(mean_q, share_converged)`` where the share counts realizations whose
+    depth-doubling loop met ``tol``. ``n_envs * max_depth`` may not exceed
+    ``LETTER_BUDGET`` (:class:`BudgetError`).
     """
     if n_envs < 1:
         raise ValueError("n_envs must be >= 1")
-    children = np.random.SeedSequence(seed).spawn(n_envs)
-    task = partial(_annealed_task, model, tol, max_depth)
-    results = parallel_map(task, children, workers)
-    qs = np.array([q for q, _ in results])
-    share = sum(1.0 for _, ok in results if ok) / n_envs
-    return qs.mean(axis=0), share
+    rngs = [np.random.default_rng(c) for c in np.random.SeedSequence(seed).spawn(n_envs)]
+    q, _, converged = _converge(model, rngs, tol, max_depth)
+    return q.mean(axis=0), float(np.count_nonzero(converged)) / n_envs
 
 
 def simulate_generations(model, word, z0, horizon=None, cap=10**6, rng=None):
@@ -205,6 +217,45 @@ def _wilson_half_width(successes, n):
     return z * math.sqrt(phat * (1.0 - phat) / n + z * z / (4.0 * n * n)) / denom
 
 
+def _trial_outcomes(model, start_type, trials, horizon, cap, seed, workers):
+    """``(outcome, generation, final total)`` of each trial, in trial order.
+
+    Trial t runs in a fresh environment realization drawn from child t of
+    ``SeedSequence(seed)``, so the outcomes do not depend on ``workers``.
+    """
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    children = np.random.SeedSequence(seed).spawn(trials)
+    task = partial(_run_trial, model, start_type, horizon, cap)
+    return parallel_map(task, children, workers)
+
+
+def _survival_estimate(outcomes):
+    survived = sum(1 for outcome, _, _ in outcomes if outcome != "extinct")
+    return survived / len(outcomes), _wilson_half_width(survived, len(outcomes))
+
+
+def _check_growth_horizon(horizon):
+    if horizon < 20:
+        raise ValueError("horizon must be >= 20")
+
+
+def _growth_estimate(outcomes, horizon):
+    rates = [
+        math.log(total) / gen
+        for outcome, gen, total in outcomes
+        if outcome != "extinct"
+    ]
+    if not rates:
+        raise NoSurvivorsError(
+            f"no trial of {len(outcomes)} survived to generation {horizon}"
+        )
+    rates = np.array(rates)
+    est = float(rates.mean())
+    hw = float(_Z95 * rates.std(ddof=1) / math.sqrt(len(rates))) if len(rates) > 1 else 0.0
+    return est, hw, len(rates)
+
+
 def survival_probability_mc(model, start_type, trials, horizon, cap=10**6, seed=0, workers=1):
     """Fraction of trials alive (or capped) at the horizon, with Wilson half-width.
 
@@ -212,13 +263,8 @@ def survival_probability_mc(model, start_type, trials, horizon, cap=10**6, seed=
     counts as survival, which for supercritical populations misclassifies
     with probability vanishing in the cap.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    children = np.random.SeedSequence(seed).spawn(trials)
-    task = partial(_run_trial, model, start_type, horizon, cap)
-    outcomes = parallel_map(task, children, workers)
-    survived = sum(1 for outcome, _, _ in outcomes if outcome != "extinct")
-    return survived / trials, _wilson_half_width(survived, trials)
+    outcomes = _trial_outcomes(model, start_type, trials, horizon, cap, seed, workers)
+    return _survival_estimate(outcomes)
 
 
 def growth_rate_conditioned(model, start_type, trials, horizon, cap=10**6, seed=0, workers=1):
@@ -227,23 +273,9 @@ def growth_rate_conditioned(model, start_type, trials, horizon, cap=10**6, seed=
     ``n*`` is the last simulated generation: the horizon, or the
     cap-crossing generation for capped trials (treated as alive). Returns
     ``(estimate, half_width, surviving_trials)``; raises
-    :class:`NoSurvivorsError` when nothing survives.
+    :class:`NoSurvivorsError` when nothing survives. The trials are those
+    of :func:`survival_probability_mc` with the same arguments.
     """
-    if horizon < 20:
-        raise ValueError("horizon must be >= 20")
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    children = np.random.SeedSequence(seed).spawn(trials)
-    task = partial(_run_trial, model, start_type, horizon, cap)
-    outcomes = parallel_map(task, children, workers)
-    rates = [
-        math.log(total) / gen
-        for outcome, gen, total in outcomes
-        if outcome != "extinct"
-    ]
-    if not rates:
-        raise NoSurvivorsError(f"no trial of {trials} survived to generation {horizon}")
-    rates = np.array(rates)
-    est = float(rates.mean())
-    hw = float(_Z95 * rates.std(ddof=1) / math.sqrt(len(rates))) if len(rates) > 1 else 0.0
-    return est, hw, len(rates)
+    _check_growth_horizon(horizon)
+    outcomes = _trial_outcomes(model, start_type, trials, horizon, cap, seed, workers)
+    return _growth_estimate(outcomes, horizon)

@@ -197,8 +197,14 @@ class IidEnvironment:
         """Per-letter stationary probability."""
         return self.probs
 
-    def sample_word(self, n, rng):
-        return rng.choice(self.n_letters, size=n, p=self.probs)
+    def sample_word(self, n, rng, prefix=()):
+        """Length-``n`` word of letter indices that continues ``prefix``.
+
+        Resuming draws the same random numbers as one call for the whole
+        word, so a word sampled in pieces equals one sampled whole.
+        """
+        ext = rng.choice(self.n_letters, size=n - len(prefix), p=self.probs)
+        return np.concatenate([np.asarray(prefix, dtype=np.int64), ext])
 
     def cylinder_probability(self, word):
         return float(np.prod(self.probs[np.asarray(word, dtype=np.intp)]))
@@ -254,16 +260,26 @@ class MarkovEnvironment:
     def letter_mass(self):
         return self.initial
 
-    def sample_word(self, n, rng):
+    def sample_word(self, n, rng, prefix=()):
+        """Length-``n`` word of letter indices that continues ``prefix``.
+
+        The chain resumes from the last letter of ``prefix``; an empty
+        prefix draws the first letter from the initial vector. Resuming
+        draws the same random numbers as one call for the whole word.
+        """
+        have = len(prefix)
         word = np.empty(n, dtype=np.int64)
+        word[:have] = prefix
+        if have == 0:
+            state = int(np.searchsorted(np.cumsum(self.initial), rng.random(), side="right"))
+            word[0] = min(state, self.n_letters - 1)
+            have = 1
         cdfs = np.cumsum(self.transition, axis=1)
-        state = int(np.searchsorted(np.cumsum(self.initial), rng.random(), side="right"))
-        state = min(state, self.n_letters - 1)
-        word[0] = state
-        u = rng.random(n - 1) if n > 1 else ()
-        for k in range(1, n):
+        state = int(word[have - 1])
+        u = rng.random(n - have)
+        for k in range(have, n):
             state = min(
-                int(np.searchsorted(cdfs[state], u[k - 1], side="right")),
+                int(np.searchsorted(cdfs[state], u[k - have], side="right")),
                 self.n_letters - 1,
             )
             word[k] = state
@@ -312,6 +328,24 @@ class ModelSpec:
     @property
     def n_letters(self):
         return len(self.letters)
+
+    @cached_property
+    def pgf_table(self):
+        """Every letter's pgfs as one padded monomial table, built on first use.
+
+        Returns ``(C, P)``: exponents ``C`` of shape (L, N, K, N) and masses
+        ``P`` of shape (L, N, K), where K is the largest support size. Padding
+        atoms have exponent 0 and mass 0, so they add exactly 0 to a pgf value.
+        """
+        laws = [law for letter in self.letters for law in letter.laws]
+        k_max = max(law.probs.size for law in laws)
+        exps = np.zeros((len(laws), k_max, self.n_types), dtype=np.int64)
+        masses = np.zeros((len(laws), k_max))
+        for i, law in enumerate(laws):
+            exps[i, : law.probs.size] = law.counts
+            masses[i, : law.probs.size] = law.probs
+        shape = (self.n_letters, self.n_types, k_max)
+        return _readonly(exps.reshape(shape + (self.n_types,))), _readonly(masses.reshape(shape))
 
     def expectation_matrices(self):
         return [letter.expectation for letter in self.letters]

@@ -86,6 +86,42 @@ def test_simulate_with_growth(carpet_p04_file):
     assert env["result"]["surviving_trials"] > 0
 
 
+def test_simulate_growth_runs_each_trial_once(carpet_p04_file, monkeypatch):
+    from mbpre import build_carpet_model, extinction
+
+    calls = []
+    run_trial = extinction._run_trial
+
+    def counting(*args):
+        calls.append(args)
+        return run_trial(*args)
+
+    monkeypatch.setattr(extinction, "_run_trial", counting)
+    env = run_json(
+        ["simulate", "--model", carpet_p04_file, "--trials", "200", "--horizon", "30",
+         "--cap", "100000", "--seed", "2", "--growth", "--threads", "1"]
+    )
+    assert len(calls) == 200
+    model = build_carpet_model(0.4).model
+    est, hw = extinction.survival_probability_mc(model, 0, 200, 30, cap=10**5, seed=2)
+    rate, rate_hw, nsurv = extinction.growth_rate_conditioned(
+        model, 0, 200, 30, cap=10**5, seed=2
+    )
+    assert env["result"] == {
+        "survival": est, "half_width": hw,
+        "growth_rate": rate, "growth_half_width": rate_hw, "surviving_trials": nsurv,
+    }
+
+
+def test_simulate_growth_short_horizon_is_usage_error(carpet_p04_file):
+    code, _, err = run_cli(
+        ["simulate", "--model", carpet_p04_file, "--trials", "10", "--horizon", "10",
+         "--growth", "--threads", "1"]
+    )
+    assert code == 2
+    assert "horizon" in err
+
+
 def test_classify_verdict(carpet_p04_file, carpet_p015_file):
     env = run_json(
         ["classify", "--model", carpet_p04_file, "--steps", "5000",
@@ -169,6 +205,16 @@ def test_exit_code_usage():
     assert code == 2  # nonexistent model path is a usage problem
 
 
+def test_threads_below_one_is_usage_error(carpet_p1_file):
+    for threads in ("0", "-3"):
+        code, _, err = run_cli(
+            ["lyapunov", "--model", carpet_p1_file, "--steps", "1000",
+             "--batches", "4", "--threads", threads]
+        )
+        assert code == 2
+        assert "threads" in err
+
+
 def test_exit_code_model_invariant(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text(
@@ -204,6 +250,16 @@ def test_exit_code_budget():
          "--seed", "0", "--json"]
     )
     assert code == 4
+
+
+def test_annealed_letter_budget_exit_code(carpet_p04_file):
+    code, out, err = run_cli(
+        ["extinction", "--model", carpet_p04_file, "--mode", "annealed",
+         "--envs", "2000", "--max-depth", "65536", "--threads", "1"]
+    )
+    assert code == 4
+    assert out == ""
+    assert "budget" in err
 
 
 def test_console_entry_point(carpet_p1_file):

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from mbpre import (
+    BudgetError,
     EnvironmentLetter,
     IidEnvironment,
+    MarkovEnvironment,
     ModelSpec,
     NoSurvivorsError,
     OffspringLaw,
@@ -17,8 +19,42 @@ from mbpre import (
     simulate_generations,
     survival_probability_mc,
 )
+from mbpre.extinction import LETTER_BUDGET, _compose, _converge
 from conftest import make_point_mass_model
 from oracles import extinction_by_enumeration, random_model
+
+
+def _with_markov_environment(model, rng):
+    """The same letters under a doubly stochastic chain (uniform is stationary)."""
+    n = model.n_letters
+    weights = rng.random(n) + 0.1
+    weights /= weights.sum()
+    transition = sum(w * np.roll(np.eye(n), k, axis=1) for k, w in enumerate(weights))
+    return ModelSpec(
+        model.n_types, model.letters, MarkovEnvironment(np.full(n, 1.0 / n), transition)
+    )
+
+
+def _line_law(parent, p_zero):
+    z = [0, 0]
+    z[parent] = 2
+    return OffspringLaw.from_pairs([((0, 0), p_zero), (tuple(z), 1.0 - p_zero)])
+
+
+def _mixed_model():
+    """Rare total death, a supercritical letter and one subcritical for type 1.
+
+    Environments that meet the dead letter hit the absorbing vector 1 at the
+    depth where it first appears; the rest converge at various depths, or
+    not at all by a small ``max_depth``.
+    """
+    dead = OffspringLaw.from_pairs([((0, 0), 1.0)])
+    letters = (
+        EnvironmentLetter("dead", (dead, dead)),
+        EnvironmentLetter("good", (_line_law(0, 0.25), _line_law(1, 0.25))),
+        EnvironmentLetter("bad", (_line_law(0, 0.25), _line_law(1, 0.6))),
+    )
+    return ModelSpec(2, letters, IidEnvironment([0.003, 0.5, 0.497]))
 
 
 class TestFixedEnvironment:
@@ -91,6 +127,76 @@ class TestConverged:
         res = extinction_converged(critical, seed=3, tol=1e-9, max_depth=128)
         assert not res.converged
         assert res.depth == 128
+
+
+class TestKernel:
+    @pytest.mark.parametrize("environment", ["iid", "markov"])
+    def test_matches_fold_of_pgf_vector(self, environment):
+        # random laws have 1 to 9 support atoms, so the table is padded
+        rng = np.random.default_rng(30)
+        for _ in range(15):
+            model = random_model(rng, n_types=int(rng.integers(2, 4)), max_letters=4)
+            if environment == "markov":
+                model = _with_markov_environment(model, rng)
+            sizes = {law.probs.size for letter in model.letters for law in letter.laws}
+            words = np.stack(
+                [model.environment.sample_word(20, rng) for _ in range(4)]
+            )
+            s0 = rng.random((4, model.n_types))
+            got = _compose(model.pgf_table, words, s0)
+            for row, word in enumerate(words):
+                want = s0[row]
+                for idx in word[::-1]:
+                    want = model.letters[idx].pgf_vector(want)
+                assert np.max(np.abs(got[row] - want)) <= 1e-15, sizes
+
+    def test_rows_equal_single_environment_runs(self):
+        model = _mixed_model()
+        tol, max_depth = 1e-7, 512
+        children = np.random.SeedSequence(7).spawn(24)
+        singles = [extinction_converged(model, c, tol=tol, max_depth=max_depth) for c in children]
+        depths = {r.depth for r in singles}
+        hit_one = [r for r in singles if np.all(r.q == 1.0)]
+        below_one = [r for r in singles if r.converged and np.any(r.q < 1.0)]
+        # the mix this test exists for
+        assert len({r.depth for r in hit_one}) >= 3 and len(depths) >= 4
+        assert below_one and any(r.depth < max_depth for r in below_one)
+        assert any(not r.converged and r.depth == max_depth for r in singles)
+
+        rngs = [np.random.default_rng(c) for c in children]
+        q, depth, converged = _converge(model, rngs, tol, max_depth)
+        for row, single in enumerate(singles):
+            assert np.array_equal(q[row], single.q)
+            assert depth[row] == single.depth
+            assert converged[row] == single.converged
+        mean_q, share = annealed_extinction(model, 24, tol=tol, max_depth=max_depth, seed=7)
+        assert np.array_equal(mean_q, np.array([r.q for r in singles]).mean(axis=0))
+        assert share == sum(r.converged for r in singles) / 24
+
+    def test_markov_rows_equal_single_environment_runs(self):
+        rng = np.random.default_rng(31)
+        model = _with_markov_environment(random_model(rng, max_letters=3), rng)
+        children = np.random.SeedSequence(8).spawn(6)
+        q, depth, converged = _converge(
+            model, [np.random.default_rng(c) for c in children], 1e-9, 256
+        )
+        for row, child in enumerate(children):
+            single = extinction_converged(model, child, tol=1e-9, max_depth=256)
+            assert np.array_equal(q[row], single.q)
+            assert (depth[row], converged[row]) == (single.depth, single.converged)
+
+    def test_letter_budget(self, decoupled_supercritical):
+        max_depth = 1 << 16
+        n_envs = LETTER_BUDGET // max_depth + 1
+        with pytest.raises(BudgetError):
+            annealed_extinction(decoupled_supercritical, n_envs, max_depth=max_depth)
+        with pytest.raises(BudgetError):
+            extinction_converged(decoupled_supercritical, 0, max_depth=LETTER_BUDGET + 1)
+
+    def test_fixed_word_letters_validated(self, decoupled_supercritical):
+        for word in ([], [0, 1], [-1], [0.5]):
+            with pytest.raises(ValueError):
+                extinction_fixed_env(decoupled_supercritical, word)
 
 
 class TestAnnealed:

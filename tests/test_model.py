@@ -220,6 +220,27 @@ class TestEnvironmentSampling:
         word = env.sample_word(20, np.random.default_rng(6))
         assert np.all(word == 1)
 
+    @pytest.mark.parametrize(
+        "env",
+        [
+            IidEnvironment(np.array([0.2, 0.3, 0.5])),
+            MarkovEnvironment(
+                np.full(3, 1 / 3), np.array([[0.1, 0.6, 0.3], [0.5, 0.2, 0.3], [0.4, 0.2, 0.4]])
+            ),
+        ],
+        ids=["iid", "markov"],
+    )
+    def test_word_sampled_in_pieces_equals_whole(self, env):
+        rng = np.random.default_rng(7)
+        whole = env.sample_word(300, rng)
+        after_whole = rng.random()
+        rng = np.random.default_rng(7)
+        word = np.empty(0, dtype=np.uint8)
+        for n in (1, 2, 64, 65, 300):
+            word = env.sample_word(n, rng, prefix=word).astype(np.uint8)
+        assert np.array_equal(word, whole)
+        assert rng.random() == after_whole
+
     def test_markov_requires_stationary_initial(self):
         with pytest.raises(InvariantError):
             MarkovEnvironment(np.array([1.0, 0.0]), np.array([[0.5, 0.5], [0.5, 0.5]]))

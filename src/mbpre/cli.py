@@ -112,7 +112,7 @@ def _build_parser():
     p.add_argument("--horizon", type=int, default=100)
     p.add_argument("--cap", type=int, default=10**6)
     p.add_argument("--growth", action="store_true", help="also estimate the conditioned growth rate")
-    _add_seed_threads(p)
+    _add_seed_threads(p, "no effect: simulate runs in one process")
     _add_json(p)
 
     p = sub.add_parser("classify", help="survival/extinction verdict for a model")
@@ -141,7 +141,8 @@ def _build_parser():
     p.add_argument("--horizon", type=int, default=200)
     p.add_argument("--cap", type=int, default=10**6)
     p.add_argument("--iterations", type=int, default=12)
-    _add_seed_threads(p)
+    _add_seed_threads(p, "worker processes for the exponent batches (results do not depend "
+                      "on it); no effect with --bisect, which runs in one process")
     _add_json(p)
 
     p = csub.add_parser("project", help="sample carpets and measure their projections")
@@ -243,8 +244,7 @@ def _cmd_simulate(args):
         extinction._check_growth_horizon(args.horizon)
     # one pass of trials serves both estimates
     outcomes = extinction._trial_outcomes(
-        model, args.start_type, args.trials, args.horizon,
-        args.cap, args.seed, args.threads,
+        model, args.start_type, args.trials, args.horizon, args.cap, args.seed
     )
     est, hw = extinction._survival_estimate(outcomes)
     result = {"survival": est, "half_width": hw}
@@ -293,8 +293,7 @@ def _bisect_critical(args):
         model = carpet.build_carpet_model(mid).model
         seed = int(child.generate_state(1)[0])
         surv, _ = extinction.survival_probability_mc(
-            model, 0, args.trials, args.horizon,
-            cap=args.cap, seed=seed, workers=args.threads,
+            model, 0, args.trials, args.horizon, cap=args.cap, seed=seed
         )
         if surv > 0:
             hi = mid

@@ -169,6 +169,14 @@ class EnvironmentLetter:
         return _readonly(np.stack([law.mean for law in self.laws]))
 
 
+def _word_buffer(n, prefix, rows):
+    """An int64 word of ``n`` letters (a (rows, n) block with ``rows``) holding ``prefix``."""
+    word = np.empty((n,) if rows is None else (rows, n), dtype=np.int64)
+    have = np.shape(prefix)[-1]
+    word[..., :have] = prefix
+    return word, have
+
+
 @dataclass(frozen=True)
 class IidEnvironment:
     """Letters drawn independently with fixed probabilities."""
@@ -197,14 +205,18 @@ class IidEnvironment:
         """Per-letter stationary probability."""
         return self.probs
 
-    def sample_word(self, n, rng, prefix=()):
+    def sample_word(self, n, rng, prefix=(), rows=None):
         """Length-``n`` word of letter indices that continues ``prefix``.
 
         Resuming draws the same random numbers as one call for the whole
-        word, so a word sampled in pieces equals one sampled whole.
+        word, so a word sampled in pieces equals one sampled whole. With
+        ``rows`` the result is a (rows, n) block of independent words, drawn
+        together, and ``prefix`` has shape (rows, have) or is shared by
+        every row.
         """
-        ext = rng.choice(self.n_letters, size=n - len(prefix), p=self.probs)
-        return np.concatenate([np.asarray(prefix, dtype=np.int64), ext])
+        word, have = _word_buffer(n, prefix, rows)
+        word[..., have:] = rng.choice(self.n_letters, size=word[..., have:].shape, p=self.probs)
+        return word
 
     def cylinder_probability(self, word):
         return float(np.prod(self.probs[np.asarray(word, dtype=np.intp)]))
@@ -260,29 +272,44 @@ class MarkovEnvironment:
     def letter_mass(self):
         return self.initial
 
-    def sample_word(self, n, rng, prefix=()):
+    def sample_word(self, n, rng, prefix=(), rows=None):
         """Length-``n`` word of letter indices that continues ``prefix``.
 
         The chain resumes from the last letter of ``prefix``; an empty
         prefix draws the first letter from the initial vector. Resuming
-        draws the same random numbers as one call for the whole word.
+        draws the same random numbers as one call for the whole word. With
+        ``rows`` the result is a (rows, n) block of independent words, drawn
+        together, and ``prefix`` has shape (rows, have) or is shared by
+        every row.
+
+        All uniforms are drawn at once and mapped, for every state, to that
+        state's successor by one ``searchsorted``; the word then walks this
+        successor table, letter by letter in plain Python for one word and
+        column by column for a block.
         """
-        have = len(prefix)
-        word = np.empty(n, dtype=np.int64)
-        word[:have] = prefix
+        word, have = _word_buffer(n, prefix, rows)
+        last = self.n_letters - 1
         if have == 0:
-            state = int(np.searchsorted(np.cumsum(self.initial), rng.random(), side="right"))
-            word[0] = min(state, self.n_letters - 1)
+            first = np.searchsorted(np.cumsum(self.initial), rng.random(rows), side="right")
+            word[..., 0] = np.minimum(first, last)
             have = 1
+        u = rng.random(word[..., have:].shape)
         cdfs = np.cumsum(self.transition, axis=1)
-        state = int(word[have - 1])
-        u = rng.random(n - have)
-        for k in range(have, n):
-            state = min(
-                int(np.searchsorted(cdfs[state], u[k - have], side="right")),
-                self.n_letters - 1,
-            )
-            word[k] = state
+        # succ[s, ..., k]: the letter after s at position have + k
+        succ = np.minimum([np.searchsorted(cdf, u, side="right") for cdf in cdfs], last)
+        if rows is None:
+            m = n - have
+            flat = memoryview(succ.reshape(-1))
+            state = int(word[have - 1])
+            path = []
+            for k in range(m):
+                state = flat[state * m + k]
+                path.append(state)
+            word[have:] = path
+        else:
+            r = np.arange(rows)
+            for k in range(have, n):
+                word[:, k] = succ[word[:, k - 1], r, k - have]
         return word
 
     def cylinder_probability(self, word):

@@ -142,3 +142,28 @@ def mean_exponent_brackets(matrices, depth):
 
     rec(np.eye(mats[0].shape[0]), 0, 0.0)
     return tot[0] / tot[2] / depth, tot[1] / tot[2] / depth
+
+
+def markov_word_per_letter(env, n, rng, prefix=()):
+    """A Markov environment word drawn one ``searchsorted`` call per letter.
+
+    This is the sampler's original letter-by-letter loop, kept as the
+    reference its words must equal, random draws included.
+    """
+    have = len(prefix)
+    word = np.empty(n, dtype=np.int64)
+    word[:have] = prefix
+    if have == 0:
+        state = int(np.searchsorted(np.cumsum(env.initial), rng.random(), side="right"))
+        word[0] = min(state, env.n_letters - 1)
+        have = 1
+    cdfs = np.cumsum(env.transition, axis=1)
+    state = int(word[have - 1])
+    u = rng.random(n - have)
+    for k in range(have, n):
+        state = min(
+            int(np.searchsorted(cdfs[state], u[k - have], side="right")),
+            env.n_letters - 1,
+        )
+        word[k] = state
+    return word

@@ -89,19 +89,21 @@ def test_simulate_with_growth(carpet_p04_file):
 def test_simulate_growth_runs_each_trial_once(carpet_p04_file, monkeypatch):
     from mbpre import build_carpet_model, extinction
 
-    calls = []
-    run_trial = extinction._run_trial
+    # chunks of 64: 200 trials run as 64 + 64 + 64 + 8 rows
+    monkeypatch.setattr(extinction, "_CHUNK", 64)
+    rows = []
+    chunk_outcomes = extinction._chunk_outcomes
 
-    def counting(*args):
-        calls.append(args)
-        return run_trial(*args)
+    def counting(model, start_type, n_rows, *args):
+        rows.append(n_rows)
+        return chunk_outcomes(model, start_type, n_rows, *args)
 
-    monkeypatch.setattr(extinction, "_run_trial", counting)
+    monkeypatch.setattr(extinction, "_chunk_outcomes", counting)
     env = run_json(
         ["simulate", "--model", carpet_p04_file, "--trials", "200", "--horizon", "30",
          "--cap", "100000", "--seed", "2", "--growth", "--threads", "1"]
     )
-    assert len(calls) == 200
+    assert rows == [64, 64, 64, 8]
     model = build_carpet_model(0.4).model
     est, hw = extinction.survival_probability_mc(model, 0, 200, 30, cap=10**5, seed=2)
     rate, rate_hw, nsurv = extinction.growth_rate_conditioned(
@@ -111,6 +113,42 @@ def test_simulate_growth_runs_each_trial_once(carpet_p04_file, monkeypatch):
         "survival": est, "half_width": hw,
         "growth_rate": rate, "growth_half_width": rate_hw, "surviving_trials": nsurv,
     }
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--model", "P04", "--trials", "300", "--horizon", "30",
+         "--cap", "100000", "--seed", "4", "--growth"],
+        ["carpet", "critical", "--bisect", "--iterations", "4", "--trials", "100",
+         "--horizon", "60", "--seed", "4"],
+    ],
+    ids=["simulate", "bisect"],
+)
+def test_trial_results_independent_of_threads(carpet_p04_file, argv):
+    argv = [carpet_p04_file if a == "P04" else a for a in argv]
+    one = run_json(argv + ["--threads", "1"])
+    two = run_json(argv + ["--threads", "2"])
+    assert json.dumps(one["result"]) == json.dumps(two["result"])
+
+
+def test_simulate_horizon_over_budget_is_budget_error(carpet_p04_file, monkeypatch):
+    from mbpre import extinction
+
+    monkeypatch.setattr(extinction, "LETTER_BUDGET", 1000)
+    # 10 trials x (99 + 1) generations fit the budget, 10 x (100 + 1) do not
+    code, _, err = run_cli(
+        ["simulate", "--model", carpet_p04_file, "--trials", "10", "--horizon", "99",
+         "--threads", "1"]
+    )
+    assert code == 0, err
+    for argv in (
+        ["simulate", "--model", carpet_p04_file, "--trials", "10", "--horizon", "100"],
+        ["carpet", "critical", "--bisect", "--trials", "10", "--horizon", "100"],
+    ):
+        code, _, err = run_cli(argv + ["--threads", "1"])
+        assert code == 4
+        assert "budget" in err
 
 
 def test_simulate_growth_short_horizon_is_usage_error(carpet_p04_file):

@@ -19,7 +19,8 @@ from mbpre import (
     simulate_generations,
     survival_probability_mc,
 )
-from mbpre.extinction import LETTER_BUDGET, _compose, _converge
+from mbpre import extinction
+from mbpre.extinction import LETTER_BUDGET, _chunk_outcomes, _compose, _converge, _trial_outcomes
 from conftest import make_point_mass_model
 from oracles import extinction_by_enumeration, random_model
 
@@ -267,6 +268,104 @@ class TestSimulate:
             extinct += res.outcome == "extinct"
         q = extinction_fixed_env(decoupled_supercritical, [0] * 60).q[0]
         assert abs(extinct / trials - q) < 0.02
+
+
+def _grow_kill_stay_model(environment):
+    """Point masses: letter 0 doubles the population, 1 kills it, 2 keeps it."""
+    def letter(name, vectors):
+        return EnvironmentLetter(
+            name, tuple(OffspringLaw.from_pairs([(v, 1.0)]) for v in vectors)
+        )
+
+    letters = (
+        letter("grow", [(1, 1), (1, 1)]),
+        letter("kill", [(0, 0), (0, 0)]),
+        letter("stay", [(1, 0), (0, 1)]),
+    )
+    return ModelSpec(2, letters, environment)
+
+
+def _stationary(transition):
+    vals, vecs = np.linalg.eig(transition.T)
+    v = np.real(vecs[:, np.argmin(np.abs(vals - 1.0))])
+    return v / v.sum()
+
+
+_KILL_RARELY = np.array([[0.5, 0.02, 0.48], [0.5, 0.0, 0.5], [0.4, 0.02, 0.58]])
+
+
+class TestTrialKernel:
+    @pytest.mark.parametrize(
+        "environment",
+        [
+            IidEnvironment([0.45, 0.02, 0.53]),
+            MarkovEnvironment(_stationary(_KILL_RARELY), _KILL_RARELY),
+        ],
+        ids=["iid", "markov"],
+    )
+    def test_rows_equal_per_trajectory_reference(self, environment):
+        # on point masses a trial is fixed by its word, so every row must
+        # equal simulate_generations along the word the chunk drew first
+        model = _grow_kill_stay_model(environment)
+        rows, horizon, cap = 400, 30, 1 << 10
+        words = environment.sample_word(horizon, np.random.default_rng(7), rows=rows)
+        gen, total, half = _chunk_outcomes(
+            model, 1, rows, horizon, cap, np.random.default_rng(7)
+        )
+        outcomes = []
+        for r in range(rows):
+            res = simulate_generations(
+                model, words[r], [0, 1], cap=cap, rng=np.random.default_rng(0)
+            )
+            want = (res.generation, res.final.sum(), res.states[res.generation // 2].sum())
+            assert (gen[r], total[r], half[r]) == want
+            outcomes.append(res.outcome)
+        # dead at the first "kill"; capped at the 11th "grow"; else alive
+        assert set(outcomes) == {"extinct", "alive", "cap_exceeded"}
+        capped = total > cap
+        assert np.all(total[capped] == 2048)
+        assert np.all(gen[(total > 0) & ~capped] == horizon)
+        assert len(set(gen[capped].tolist())) > 1
+
+    def test_chunk_boundary(self):
+        model = build_carpet_model(0.5).model
+        chunk = extinction._CHUNK
+        more = _trial_outcomes(model, 0, chunk + 1, 20, 10**6, 3)
+        exact = _trial_outcomes(model, 0, chunk, 20, 10**6, 3)
+        for field_more, field_exact in zip(more, exact):
+            assert field_more.shape == (chunk + 1,)
+            assert np.array_equal(field_more[:chunk], field_exact)
+        # the lone trial of the second chunk comes from the second child
+        child = np.random.SeedSequence(3).spawn(2)[1]
+        last = _chunk_outcomes(model, 0, 1, 20, 10**6, np.random.default_rng(child))
+        assert [field[-1] for field in more] == [field[0] for field in last]
+
+    def test_budget_raises_before_any_draw(self, monkeypatch):
+        model = build_carpet_model(0.5).model
+        monkeypatch.setattr(extinction, "LETTER_BUDGET", 2048)
+        # 10 trials x (203 + 1) entries fit; one more generation does not.
+        # The chunk size bounds the rows, however many trials follow.
+        assert _trial_outcomes(model, 0, 10, 203, 10**6, 0)[0].shape == (10,)
+        assert _trial_outcomes(model, 0, 3000, 1, 10**6, 0)[0].shape == (3000,)
+
+        def no_draw(*args, **kwargs):
+            raise AssertionError("sampled a word over the budget")
+
+        monkeypatch.setattr(IidEnvironment, "sample_word", no_draw)
+        with pytest.raises(BudgetError):
+            _trial_outcomes(model, 0, 10, 204, 10**6, 0)
+        with pytest.raises(BudgetError):
+            survival_probability_mc(model, 0, 10**6, 2, seed=0)
+
+    @pytest.mark.parametrize(
+        "args",
+        [(0, 0, 20, 10), (2, 5, 20, 10), (-1, 5, 20, 10), (0, 5, 0, 10), (0, 5, 20, 0)],
+        ids=["no-trials", "type-too-big", "type-negative", "no-horizon", "no-cap"],
+    )
+    def test_rejects_bad_arguments(self, args):
+        start_type, trials, horizon, cap = args
+        with pytest.raises(ValueError):
+            _trial_outcomes(build_carpet_model(0.5).model, start_type, trials, horizon, cap, 0)
 
 
 class TestSurvival:

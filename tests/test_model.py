@@ -26,7 +26,14 @@ from mbpre import (
     uniform_allowability_alpha,
     write_model,
 )
-from oracles import convolve_dicts, law_as_dict, pgf_of_dict, random_law, random_model
+from oracles import (
+    convolve_dicts,
+    law_as_dict,
+    markov_word_per_letter,
+    pgf_of_dict,
+    random_law,
+    random_model,
+)
 
 
 def law(pairs):
@@ -203,6 +210,9 @@ class TestSampling:
         assert np.all(np.abs(total / 200_000 - l.mean) < 0.01)
 
 
+_MARKOV3 = np.array([[0.1, 0.6, 0.3], [0.5, 0.2, 0.3], [0.4, 0.2, 0.4]])
+
+
 class TestEnvironmentSampling:
     def test_degenerate_iid(self):
         model = random_model(np.random.default_rng(4), max_letters=1)
@@ -240,6 +250,60 @@ class TestEnvironmentSampling:
             word = env.sample_word(n, rng, prefix=word).astype(np.uint8)
         assert np.array_equal(word, whole)
         assert rng.random() == after_whole
+
+    @pytest.mark.parametrize(
+        "n, prefix", [(1, ()), (2, ()), (500, ()), (500, [2]), (500, [0, 1, 2])]
+    )
+    def test_markov_word_equals_per_letter_reference(self, n, prefix):
+        env = MarkovEnvironment(np.full(3, 1 / 3), _MARKOV3)
+        rng, ref_rng = np.random.default_rng(8), np.random.default_rng(8)
+        word = env.sample_word(n, rng, prefix=prefix)
+        assert word.dtype == np.int64
+        assert np.array_equal(word, markov_word_per_letter(env, n, ref_rng, prefix))
+        assert rng.random() == ref_rng.random()
+
+    def test_iid_word_keeps_its_draws(self):
+        env = IidEnvironment(np.array([0.2, 0.3, 0.5]))
+        rng, ref_rng = np.random.default_rng(9), np.random.default_rng(9)
+        word = env.sample_word(50, rng, prefix=[1, 1])
+        ref = np.concatenate([[1, 1], ref_rng.choice(3, size=48, p=env.probs)])
+        assert np.array_equal(word, ref)
+        assert rng.random() == ref_rng.random()
+
+    def test_markov_block_rows_walk_their_own_draws(self):
+        # row r: first letter from the r-th initial uniform, then the chain
+        # driven by row r of the (rows, n - 1) uniforms
+        env = MarkovEnvironment(np.full(3, 1 / 3), _MARKOV3)
+        block = env.sample_word(40, np.random.default_rng(10), rows=6)
+        ref_rng = np.random.default_rng(10)
+        first, u = ref_rng.random(6), ref_rng.random((6, 39))
+        cdfs = np.cumsum(env.transition, axis=1)
+        for r in range(6):
+            state = int(np.searchsorted(np.cumsum(env.initial), first[r], side="right"))
+            want = [state]
+            for k in range(39):
+                state = int(np.searchsorted(cdfs[state], u[r, k], side="right"))
+                want.append(state)
+            assert block[r].tolist() == want
+
+    def test_markov_block_uses_allowed_transitions_only(self):
+        # a zero entry forbids that step; letter 0 is never first-chosen
+        transition = np.array([[0.0, 0.5, 0.5], [0.5, 0.0, 0.5], [0.5, 0.5, 0.0]])
+        env = MarkovEnvironment(np.full(3, 1 / 3), transition)
+        block = env.sample_word(60, np.random.default_rng(11), rows=300)
+        assert block.shape == (300, 60)
+        assert np.all(transition[block[:, :-1], block[:, 1:]] > 0)
+        for k in range(3):
+            assert abs((block == k).mean() - 1 / 3) < 0.01
+        pinned = env.sample_word(5, np.random.default_rng(12), prefix=[[2]] * 300, rows=300)
+        assert np.all(pinned[:, 0] == 2)
+        assert np.all(transition[pinned[:, :-1], pinned[:, 1:]] > 0)
+
+    def test_iid_block_shape_and_frequencies(self):
+        env = IidEnvironment(np.array([0.2, 0.3, 0.5]))
+        block = env.sample_word(100, np.random.default_rng(13), rows=500)
+        assert block.shape == (500, 100)
+        assert np.allclose([(block == k).mean() for k in range(3)], env.probs, atol=0.01)
 
     def test_markov_requires_stationary_initial(self):
         with pytest.raises(InvariantError):

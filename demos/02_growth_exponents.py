@@ -23,10 +23,6 @@ word = np.random.default_rng(0).integers(0, 3, size=10_000)
 val = exponent_along_word(COLUMN_MATRICES, word, "sum")
 print(f"(1/n) log ||product|| along one 10k-letter word: {val:.5f}")
 
-# Renormalization cadence does not matter (up to rounding).
-val10 = exponent_along_word(COLUMN_MATRICES, word, "sum", renorm_every=10)
-print(f"same word, rescaling every 10 steps:             {val10:.5f}")
-
 # Monte Carlo estimate with a 95% batch-means interval.
 for kind in ("sum", "colmin", "rowmin"):
     est = estimate_exponent(

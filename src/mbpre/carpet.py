@@ -125,7 +125,7 @@ def build_carpet_model(p):
     return CarpetModel(p, ModelSpec(2, tuple(letters), _UNIFORM3))
 
 
-def lambda_b(steps_per_batch, batches, seed, workers=1):
+def lambda_b(steps_per_batch, batches, seed):
     """Monte Carlo estimate of the growth exponent of the p = 1 matrices."""
     return estimate_exponent(
         COLUMN_MATRICES,
@@ -134,7 +134,6 @@ def lambda_b(steps_per_batch, batches, seed, workers=1):
         steps_per_batch=steps_per_batch,
         batches=batches,
         seed=seed,
-        workers=workers,
     )
 
 

@@ -65,9 +65,14 @@ class _UsageError(Exception):
     pass
 
 
-def _add_seed_threads(p, threads_help="worker processes (results do not depend on it)"):
+def _add_seed_threads(p):
     p.add_argument("--seed", type=_parse_seed, default=0, help="RNG seed (or 'random')")
-    p.add_argument("--threads", type=_parse_threads, default=_default_threads(), help=threads_help)
+    p.add_argument(
+        "--threads",
+        type=_parse_threads,
+        default=_default_threads(),
+        help="no effect: runs in one process",
+    )
 
 
 def _add_json(p):
@@ -102,7 +107,7 @@ def _build_parser():
     p.add_argument("--tol", type=float, default=1e-9)
     p.add_argument("--max-depth", type=int, default=1 << 16)
     p.add_argument("--envs", type=int, default=100)
-    _add_seed_threads(p, "no effect: extinction runs in one process")
+    _add_seed_threads(p)
     _add_json(p)
 
     p = sub.add_parser("simulate", help="population simulation and survival estimate")
@@ -112,7 +117,7 @@ def _build_parser():
     p.add_argument("--horizon", type=int, default=100)
     p.add_argument("--cap", type=int, default=10**6)
     p.add_argument("--growth", action="store_true", help="also estimate the conditioned growth rate")
-    _add_seed_threads(p, "no effect: simulate runs in one process")
+    _add_seed_threads(p)
     _add_json(p)
 
     p = sub.add_parser("classify", help="survival/extinction verdict for a model")
@@ -141,8 +146,7 @@ def _build_parser():
     p.add_argument("--horizon", type=int, default=200)
     p.add_argument("--cap", type=int, default=10**6)
     p.add_argument("--iterations", type=int, default=12)
-    _add_seed_threads(p, "worker processes for the exponent batches (results do not depend "
-                      "on it); no effect with --bisect, which runs in one process")
+    _add_seed_threads(p)
     _add_json(p)
 
     p = csub.add_parser("project", help="sample carpets and measure their projections")
@@ -185,7 +189,6 @@ def _cmd_lyapunov(args):
         steps_per_batch=args.steps,
         batches=args.batches,
         seed=args.seed,
-        workers=args.threads,
     )
     params = {
         "model": args.model,
@@ -265,7 +268,6 @@ def _cmd_classify(args):
         steps_per_batch=args.steps,
         batches=args.batches,
         seed=args.seed,
-        workers=args.threads,
     )
     verdict = classify(model, report, est)
     params = {
@@ -280,7 +282,7 @@ def _cmd_classify(args):
 
 
 def _cmd_carpet_lambda_b(args):
-    est = carpet.lambda_b(args.steps, args.batches, args.seed, workers=args.threads)
+    est = carpet.lambda_b(args.steps, args.batches, args.seed)
     params = {"steps": args.steps, "batches": args.batches, "threads": args.threads}
     return params, est.to_dict()
 
@@ -320,7 +322,7 @@ def _cmd_carpet_critical(args):
         )
         lo, hi = _bisect_critical(args)
         return params, {"p_low": lo, "p_high": hi, "method": "bisect"}
-    est = carpet.lambda_b(args.steps, args.batches, args.seed, workers=args.threads)
+    est = carpet.lambda_b(args.steps, args.batches, args.seed)
     lo, hi = carpet.critical_p(est)
     return params, {"p_low": lo, "p_high": hi, "method": "ci", "lambda_b": est.to_dict()}
 

@@ -4,25 +4,37 @@ The exponent along a word is (1/n) log of a scalar reduction of the matrix
 product: the entry sum ("sum"), the minimum column sum ("colmin"), or the
 minimum row sum ("rowmin"). For a good family all three share one almost
 sure limit, estimated here by Monte Carlo with batch-means confidence
-intervals. Products are accumulated in log space: the running product is
-divided by its entry sum at renormalization points and the logs of the
-divisors are summed, so words up to 1e7 steps neither overflow nor
-underflow.
+intervals.
+
+One kernel serves every matrix size. The word is read in chunks of
+``_CHUNK`` letters. A chunk's matrices are gathered into one (C, N, N)
+stack and multiplied as a pairwise tree, adjacent pairs in order; at each
+level every product is divided by its entry sum and the logs of the
+divisors are summed. Each chunk's product is folded into one running
+product, renormalized the same way, so words of 1e7 steps neither overflow
+nor underflow. Products of allowable matrices are allowable, so an
+allowable family needs no step checks. For any other family the positivity
+patterns of all prefixes are scanned first, and the first step at which a
+reduction of the prefix is zero raises :class:`DegenerateProductError`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
-from ._parallel import parallel_map
 from .errors import DegenerateProductError
+from .matcore import boolean_product, col_min, is_allowable, norm_sum, row_min
 from .model import ModelSpec
 
 KINDS = ("sum", "colmin", "rowmin")
+_REDUCTIONS = {"sum": norm_sum, "colmin": col_min, "rowmin": row_min}
+
+# Letters per gathered chunk: (C, N, N) floats stay small, and a chunk is
+# long enough that the per-level numpy calls are amortized.
+_CHUNK = 4096
 
 # 95% normal quantile for the batch-means interval; batches are i.i.d. by
 # construction, the normal approximation is a documented heuristic.
@@ -58,107 +70,82 @@ def _check_kind(kind):
         raise ValueError(f"kind must be one of {KINDS}, got {kind!r}")
 
 
-def _reduce(p, kind):
-    if kind == "sum":
-        return float(p.sum())
-    if kind == "colmin":
-        return float(p.sum(axis=0).min())
-    return float(p.sum(axis=1).min())
-
-
-def _exponent_2x2(mats, word, kind, renorm_every):
-    # Scalar inner loop: for 2x2 products the numpy call overhead dominates,
-    # and exponent estimation multiplies matrices millions of times.
-    flat = [(float(m[0, 0]), float(m[0, 1]), float(m[1, 0]), float(m[1, 1])) for m in mats]
-    a, b, c, d = 1.0, 0.0, 0.0, 1.0
-    acc = 0.0
-    pending = 0
-    step = 0
-    log = math.log
-    for idx in word:
-        m0, m1, m2, m3 = flat[idx]
-        a, b = a * m0 + b * m2, a * m1 + b * m3
-        c, d = c * m0 + d * m2, c * m1 + d * m3
-        step += 1
-        pending += 1
-        if pending == renorm_every:
-            s = a + b + c + d
-            if s <= 0.0:
-                raise DegenerateProductError(step, "sum")
-            if kind == "colmin" and min(a + c, b + d) <= 0.0:
-                raise DegenerateProductError(step, kind)
-            if kind == "rowmin" and min(a + b, c + d) <= 0.0:
-                raise DegenerateProductError(step, kind)
-            a /= s
-            b /= s
-            c /= s
-            d /= s
-            acc += log(s)
-            pending = 0
-    if kind == "sum":
-        r = a + b + c + d
-    elif kind == "colmin":
-        r = min(a + c, b + d)
-    else:
-        r = min(a + b, c + d)
-    if r <= 0.0:
-        raise DegenerateProductError(step, kind)
-    return (acc + log(r)) / step
-
-
-def _exponent_general(mats, word, kind, renorm_every):
-    p = np.eye(mats[0].shape[0])
-    acc = 0.0
-    pending = 0
-    step = 0
-    for idx in word:
-        p = p @ mats[idx]
-        step += 1
-        pending += 1
-        if pending == renorm_every:
-            s = p.sum()
-            if s <= 0.0:
-                raise DegenerateProductError(step, "sum")
-            if kind != "sum" and _reduce(p, kind) <= 0.0:
-                raise DegenerateProductError(step, kind)
-            p /= s
-            acc += math.log(s)
-            pending = 0
-    r = _reduce(p, kind)
-    if r <= 0.0:
-        raise DegenerateProductError(step, kind)
-    return (acc + math.log(r)) / step
-
-
-def exponent_along_word(matrices, word, kind="sum", renorm_every=1):
-    """(1/n) log reduction of the matrix product along a non-empty word.
-
-    ``renorm_every`` controls how often the running product is rescaled; any
-    value gives the same answer up to rounding, provided intermediate
-    products stay within floating-point range (entry sums of the letter
-    matrices bounded by B allow roughly 700/log10(B) steps between rescales).
-    A reduction hitting exactly zero, which a word of allowable matrices
-    cannot produce, raises :class:`DegenerateProductError` naming the step.
-    """
-    _check_kind(kind)
-    if len(word) == 0:
-        raise ValueError("word must be non-empty")
-    if renorm_every < 1:
-        raise ValueError("renorm_every must be >= 1")
+def _family(matrices):
+    """The letter matrices as one (L, N, N) float array."""
     mats = [np.asarray(m, dtype=float) for m in matrices]
     n = mats[0].shape[0]
     if any(m.shape != (n, n) for m in mats):
         raise ValueError("matrices must share one square shape")
-    word = word.tolist() if isinstance(word, np.ndarray) else list(word)
-    if n == 2:
-        return _exponent_2x2(mats, word, kind, renorm_every)
-    return _exponent_general(mats, word, kind, renorm_every)
+    return np.stack(mats)
 
 
-def _batch_value(matrices, environment, steps, kind, child_seed):
-    rng = np.random.default_rng(child_seed)
-    word = environment.sample_word(steps, rng)
-    return exponent_along_word(matrices, word, kind)
+def _check_word(word, n_letters):
+    word = np.asarray(word)
+    if word.ndim != 1 or word.size == 0:
+        raise ValueError("word must be a non-empty sequence of letter indices")
+    if not np.issubdtype(word.dtype, np.integer) or word.min() < 0 or word.max() >= n_letters:
+        raise ValueError(f"word letters must be integers in [0, {n_letters})")
+    return word
+
+
+def _scan_prefixes(carry, patterns, kind, offset):
+    """Prefix patterns of one chunk, continuing ``carry``; returns the last.
+
+    A doubling scan: after the pass with shift s, entry i holds the product
+    of letters i-2s+1..i. The first prefix whose entry sum, or whose
+    ``kind`` reduction, is zero raises at its step, counted from 1.
+    """
+    shift = 1
+    while shift < len(patterns):
+        patterns[shift:] = boolean_product(patterns[:-shift], patterns[shift:])
+        shift *= 2
+    patterns = boolean_product(carry, patterns)
+    dead = ~patterns.any(axis=(1, 2))
+    bad = dead
+    if kind != "sum":
+        bad = (~patterns.any(axis=1 if kind == "colmin" else 2)).any(axis=1)
+    if bad.any():
+        k = int(bad.argmax())
+        raise DegenerateProductError(offset + k + 1, "sum" if dead[k] else kind)
+    return patterns[-1]
+
+
+def exponent_along_word(matrices, word, kind="sum"):
+    """(1/n) log reduction of the matrix product along a non-empty word.
+
+    Letters must be integers in [0, len(matrices)). A reduction of a prefix
+    product hitting zero, which a word of allowable matrices cannot
+    produce, raises :class:`DegenerateProductError` naming the first such
+    step. A product that is not zero but underflows to zero in floating
+    point raises too, naming the last step of the chunk where it shows.
+    """
+    _check_kind(kind)
+    mats = _family(matrices)
+    word = _check_word(word, len(mats))
+    n = mats.shape[1]
+    check_steps = not all(is_allowable(m) for m in mats)
+    eye = np.eye(n)[None]
+    run, pattern, log_scale = np.eye(n), np.eye(n, dtype=bool), 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for start in range(0, word.size, _CHUNK):
+            block = mats[word[start : start + _CHUNK]]
+            end = start + len(block)
+            if check_steps:
+                pattern = _scan_prefixes(pattern, block > 0, kind, start)
+            while len(block) > 1:
+                if len(block) % 2:
+                    block = np.concatenate((block, eye))
+                block = block[0::2] @ block[1::2]
+                sums = np.einsum("kij->k", block)
+                block /= sums[:, None, None]
+                log_scale += float(np.log(sums).sum())
+            run = run @ block[0]
+            s = float(run.sum())
+            if not _REDUCTIONS[kind](run) > 0.0:
+                raise DegenerateProductError(end, kind if s > 0.0 else "sum")
+            run /= s
+            log_scale += math.log(s)
+    return (log_scale + math.log(_REDUCTIONS[kind](run))) / word.size
 
 
 def estimate_exponent(
@@ -169,16 +156,14 @@ def estimate_exponent(
     steps_per_batch,
     batches,
     seed,
-    workers=1,
 ):
     """Batch-means Monte Carlo estimate of the exponent.
 
     Accepts either a :class:`ModelSpec` (expectation matrices and its own
     environment) or an explicit matrix family plus an environment
-    distribution. Batch ``b`` samples an independent environment word of
-    ``steps_per_batch`` letters from a child generator derived from
-    ``(seed, b)``, so results are reproducible bit-for-bit regardless of
-    ``workers``.
+    distribution over as many letters. Batch ``b`` samples an independent
+    environment word of ``steps_per_batch`` letters from child ``b`` of
+    ``SeedSequence(seed)``, so results are reproducible bit-for-bit.
     """
     _check_kind(kind)
     if steps_per_batch < 100:
@@ -191,14 +176,25 @@ def estimate_exponent(
         if environment is None:
             environment = model.environment
     else:
-        matrices = [np.asarray(m, dtype=float) for m in matrices_or_model]
+        matrices = matrices_or_model
         if environment is None:
             raise ValueError("an environment distribution is required with raw matrices")
+    matrices = _family(matrices)
+    if len(matrices) != environment.n_letters:
+        raise ValueError(
+            f"{len(matrices)} matrices for an environment over {environment.n_letters} letters"
+        )
 
-    children = np.random.SeedSequence(seed).spawn(batches)
-    task = partial(_batch_value, matrices, environment, steps_per_batch, kind)
-    values = parallel_map(task, children, workers)
-    values = np.array(values, dtype=float)
+    values = np.array(
+        [
+            exponent_along_word(
+                matrices,
+                environment.sample_word(steps_per_batch, np.random.default_rng(child)),
+                kind,
+            )
+            for child in np.random.SeedSequence(seed).spawn(batches)
+        ]
+    )
     point = float(values.mean())
     half_width = float(_Z95 * values.std(ddof=1) / math.sqrt(batches))
     return LyapunovEstimate(kind, point, half_width, steps_per_batch, batches)

@@ -9,7 +9,13 @@ import math
 
 import numpy as np
 
-from mbpre import EnvironmentLetter, IidEnvironment, ModelSpec, OffspringLaw
+from mbpre import (
+    DegenerateProductError,
+    EnvironmentLetter,
+    IidEnvironment,
+    ModelSpec,
+    OffspringLaw,
+)
 
 
 def law_as_dict(law):
@@ -167,3 +173,32 @@ def markov_word_per_letter(env, n, rng, prefix=()):
         )
         word[k] = state
     return word
+
+
+def exponent_sequential(matrices, word, kind="sum"):
+    """(1/n) log reduction of the product, one letter multiplied per step.
+
+    This is the exponent kernel's original per-step loop, kept as the
+    reference the pairwise-tree kernel must equal within rounding: the
+    running product is divided by its entry sum after every step, and the
+    first step whose entry sum or ``kind`` reduction is zero raises
+    :class:`DegenerateProductError`.
+    """
+    reduce = {
+        "sum": lambda p: p.sum(),
+        "colmin": lambda p: p.sum(axis=0).min(),
+        "rowmin": lambda p: p.sum(axis=1).min(),
+    }[kind]
+    mats = [np.asarray(m, dtype=float) for m in matrices]
+    p = np.eye(mats[0].shape[0])
+    log_scale = 0.0
+    for step, idx in enumerate(word, start=1):
+        p = p @ mats[idx]
+        s = p.sum()
+        if s <= 0.0:
+            raise DegenerateProductError(step, "sum")
+        if kind != "sum" and reduce(p) <= 0.0:
+            raise DegenerateProductError(step, kind)
+        p /= s
+        log_scale += math.log(s)
+    return (log_scale + math.log(reduce(p))) / len(word)

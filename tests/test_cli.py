@@ -122,8 +122,12 @@ def test_simulate_growth_runs_each_trial_once(carpet_p04_file, monkeypatch):
          "--cap", "100000", "--seed", "4", "--growth"],
         ["carpet", "critical", "--bisect", "--iterations", "4", "--trials", "100",
          "--horizon", "60", "--seed", "4"],
+        ["lyapunov", "--model", "P04", "--kind", "colmin", "--steps", "5000",
+         "--batches", "4", "--seed", "4"],
+        ["classify", "--model", "P04", "--steps", "5000", "--batches", "4", "--seed", "4"],
+        ["carpet", "critical", "--steps", "5000", "--batches", "4", "--seed", "4"],
     ],
-    ids=["simulate", "bisect"],
+    ids=["simulate", "bisect", "lyapunov", "classify", "critical"],
 )
 def test_trial_results_independent_of_threads(carpet_p04_file, argv):
     argv = [carpet_p04_file if a == "P04" else a for a in argv]

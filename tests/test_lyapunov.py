@@ -11,9 +11,16 @@ from mbpre import (
     exponent_along_word,
 )
 from mbpre.carpet import COLUMN_MATRICES
-from oracles import mean_exponent_brackets, random_allowable_matrix
+from mbpre.lyapunov import _CHUNK, KINDS
+from oracles import exponent_sequential, mean_exponent_brackets, random_allowable_matrix
 
 UNIFORM3 = IidEnvironment(np.array([1.0, 1.0, 1.0]) / 3)
+STICKY3 = MarkovEnvironment(
+    np.array([1.0, 1.0, 1.0]) / 3,
+    np.array([[0.8, 0.1, 0.1], [0.1, 0.8, 0.1], [0.1, 0.1, 0.8]]),
+)
+# around and across the chunk boundaries of the tree kernel
+WORD_LENGTHS = (1, 2, 3, _CHUNK - 1, _CHUNK, _CHUNK + 1, 3 * _CHUNK + 5)
 
 
 class TestExponentAlongWord:
@@ -74,11 +81,13 @@ class TestExponentAlongWord:
             assert lo <= hi + 1e-12  # (B)_* <= ||B||_1
 
     def test_renormalization_invariance(self):
+        # renormalizing per tree level agrees with renormalizing per step
         rng = np.random.default_rng(3)
         word = rng.integers(0, 3, size=10_000)
-        a = exponent_along_word(COLUMN_MATRICES, word, "sum", renorm_every=1)
-        b = exponent_along_word(COLUMN_MATRICES, word, "sum", renorm_every=10)
-        assert a == pytest.approx(b, abs=1e-9)
+        for kind in KINDS:
+            assert exponent_along_word(COLUMN_MATRICES, word, kind) == pytest.approx(
+                exponent_sequential(COLUMN_MATRICES, word, kind), abs=1e-12
+            )
 
     def test_general_path_matches_fast_path(self):
         # embed the 2x2 family in 3x3 block form and compare exponents
@@ -107,6 +116,96 @@ class TestExponentAlongWord:
     def test_empty_word_rejected(self):
         with pytest.raises(ValueError):
             exponent_along_word(COLUMN_MATRICES, [])
+
+    @pytest.mark.parametrize(
+        "mats, word",
+        [
+            (COLUMN_MATRICES, [-1]),
+            ([np.eye(3), 2 * np.eye(3)], [0, -1, 1]),
+            (COLUMN_MATRICES, [0, 3]),
+            (COLUMN_MATRICES, [0.0, 1.0]),
+        ],
+        ids=["negative", "negative-3x3", "past-end", "float"],
+    )
+    def test_bad_letters_rejected(self, mats, word):
+        with pytest.raises(ValueError, match="letters must be integers"):
+            exponent_along_word(mats, word)
+
+
+def _outcome(fn, mats, word, kind):
+    try:
+        return fn(mats, word, kind)
+    except DegenerateProductError as err:
+        return (err.step, err.kind)
+
+
+class TestTreeKernel:
+    """The pairwise-tree kernel against the per-step reference."""
+
+    @pytest.mark.parametrize("env", [UNIFORM3, STICKY3], ids=["iid", "markov"])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_matches_sequential_reference(self, n, env):
+        rng = np.random.default_rng(100 + n)
+        mats = [random_allowable_matrix(rng, n=n) for _ in range(3)]
+        for length in WORD_LENGTHS:
+            word = env.sample_word(length, rng)
+            for kind in KINDS:
+                assert exponent_along_word(mats, word, kind) == pytest.approx(
+                    exponent_sequential(mats, word, kind), abs=1e-12
+                ), (length, kind)
+
+    def test_long_carpet_word(self):
+        word = UNIFORM3.sample_word(100_000, np.random.default_rng(12))
+        assert exponent_along_word(COLUMN_MATRICES, word) == pytest.approx(
+            exponent_sequential(COLUMN_MATRICES, word), abs=1e-12
+        )
+
+    def test_degenerate_step_matches_reference(self):
+        # one sparse letter with a zero column among allowable ones: the
+        # colmin reduction dies at its step, in either chunk, and the other
+        # kinds may or may not
+        rng = np.random.default_rng(13)
+        length = 2 * _CHUNK + 5
+        for n, at in zip((2, 3) * 3, (0, 7, _CHUNK - 1, _CHUNK, _CHUNK + 1, length - 1)):
+            sparse = rng.random((n, n)) * (rng.random((n, n)) > 0.5)
+            sparse[:, rng.integers(n)] = 0.0
+            mats = [random_allowable_matrix(rng, n=n, sparsity=0.0) for _ in range(2)]
+            mats.append(sparse)
+            word = rng.integers(0, 2, size=length)
+            word[at] = 2
+            for kind in KINDS:
+                want = _outcome(exponent_sequential, mats, word, kind)
+                got = _outcome(exponent_along_word, mats, word, kind)
+                if isinstance(want, tuple):
+                    assert got == want
+                else:
+                    assert got == pytest.approx(want, abs=1e-12)
+                if kind == "colmin":
+                    assert want[0] == at + 1
+
+    def test_underflow_raises(self):
+        # the (0, 0) entry of the renormalized product falls like 2^-n and
+        # underflows near step 1075, though the exact column minimum is 1
+        mats = [np.array([[1.0, 1.0], [0.0, 2.0]])]
+        assert exponent_along_word(mats, [0] * 2000, "sum") == pytest.approx(
+            math.log(2), abs=1e-3
+        )
+        with pytest.raises(DegenerateProductError) as err:
+            exponent_along_word(mats, [0] * 2000, "colmin")
+        assert (err.value.step, err.value.kind) == (2000, "colmin")
+
+    def test_degenerate_across_chunk_boundary(self):
+        # x keeps only type 0 and y only type 1: neither is zero, but the
+        # prefix dies where y follows x across the chunk boundary
+        x = np.array([[1.0, 0.0], [0.0, 0.0]])
+        y = np.array([[0.0, 0.0], [0.0, 1.0]])
+        word = [0] * (_CHUNK - 1) + [1] + [0] * 5 + [2, 0]
+        want = {"sum": (_CHUNK + 6, "sum"), "colmin": (_CHUNK, "colmin"),
+                "rowmin": (_CHUNK, "rowmin")}
+        for kind in KINDS:
+            with pytest.raises(DegenerateProductError) as err:
+                exponent_along_word([np.eye(2), x, y], word, kind)
+            assert (err.value.step, err.value.kind) == want[kind]
 
 
 def _colmax_exp(mats, word):
@@ -167,12 +266,6 @@ class TestEstimateExponent:
         b = estimate_exponent(COLUMN_MATRICES, UNIFORM3, **kwargs)
         assert a == b
 
-    def test_workers_do_not_change_results(self):
-        kwargs = dict(kind="sum", steps_per_batch=500, batches=8, seed=10)
-        serial = estimate_exponent(COLUMN_MATRICES, UNIFORM3, **kwargs, workers=1)
-        parallel = estimate_exponent(COLUMN_MATRICES, UNIFORM3, **kwargs, workers=4)
-        assert serial == parallel
-
     def test_model_input_with_markov_environment(self):
         env = MarkovEnvironment(
             np.array([0.5, 0.5]), np.array([[0.9, 0.1], [0.1, 0.9]])
@@ -200,3 +293,18 @@ class TestEstimateExponent:
             estimate_exponent(
                 COLUMN_MATRICES, UNIFORM3, kind="spectral", steps_per_batch=100, batches=2, seed=0
             )
+
+    @pytest.mark.parametrize(
+        "mats, probs",
+        [(COLUMN_MATRICES, [0.5, 0.5]), (COLUMN_MATRICES[:2], [1 / 3] * 3)],
+        ids=["3-matrices-2-letters", "2-matrices-3-letters"],
+    )
+    def test_family_must_match_environment(self, monkeypatch, mats, probs):
+        env = IidEnvironment(np.array(probs))
+
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("a word was sampled before the family was checked")
+
+        monkeypatch.setattr(IidEnvironment, "sample_word", no_sampling)
+        with pytest.raises(ValueError, match="letters"):
+            estimate_exponent(mats, env, kind="sum", steps_per_batch=100, batches=2, seed=0)

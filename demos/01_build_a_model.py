@@ -16,10 +16,7 @@ from mbpre import (
     IidEnvironment,
     ModelSpec,
     OffspringLaw,
-    expectation_matrix,
     parse_model,
-    pgf_eval,
-    sample_offspring,
     second_moment_bound,
     uniform_allowability_alpha,
     write_model,
@@ -46,12 +43,12 @@ model = ModelSpec(2, (boom, bust), IidEnvironment([0.5, 0.5]))
 # The pgf of a law evaluated at s = 0 is its chance of producing nothing;
 # at s = 1 it must return the total mass.
 law = boom.laws[0]
-print("boom/type-0 law: P(no children) =", pgf_eval(law, [0.0, 0.0]))
-print("boom/type-0 law: pgf at 1      =", pgf_eval(law, [1.0, 1.0]))
+print("boom/type-0 law: P(no children) =", law.pgf([0.0, 0.0]))
+print("boom/type-0 law: pgf at 1      =", law.pgf([1.0, 1.0]))
 
 # Expectation matrices collect mean counts by (parent, child) type.
 for letter in model.letters:
-    print(f"M[{letter.name}] =\n{expectation_matrix(letter)}")
+    print(f"M[{letter.name}] =\n{letter.expectation}")
 
 # Two scalars the survival theory cares about: a uniform lower bound on the
 # mass behind every positive mean entry, and an upper bound on second
@@ -61,7 +58,7 @@ print("second moment bound:       ", second_moment_bound(model))
 
 # Sampling uses an explicit seeded generator.
 rng = np.random.default_rng(7)
-draws = np.stack([sample_offspring(law, rng) for _ in range(5)])
+draws = np.stack([law.sample(rng) for _ in range(5)])
 print("five draws from boom/type-0:\n", draws)
 
 # The JSON codec round-trips exactly; unknown keys are rejected on parse.

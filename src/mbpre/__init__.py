@@ -37,6 +37,7 @@ from .extinction import (
     extinction_fixed_env,
     growth_rate_conditioned,
     simulate_generations,
+    survival_and_growth,
     survival_probability_mc,
 )
 from .lyapunov import LyapunovEstimate, estimate_exponent, exponent_along_word
@@ -44,7 +45,6 @@ from .matcore import (
     col_min,
     find_positive_product_word,
     is_allowable,
-    norm_col_max,
     norm_sum,
     positivity_pattern,
     product_along_word,
@@ -57,12 +57,7 @@ from .model import (
     ModelSpec,
     OffspringLaw,
     cylinder_probability,
-    expectation_matrix,
-    models_equal,
     parse_model,
-    pgf_eval,
-    sample_environment,
-    sample_offspring,
     second_moment_bound,
     uniform_allowability_alpha,
     write_model,

@@ -12,15 +12,14 @@ estimate.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BudgetError, NotAllowableError
+from .errors import NotAllowableError
 from .matcore import (
-    MAX_PATTERN_STATES,
     boolean_product,
+    find_positive_product_word,
     positivity_pattern,
     product_along_word,
 )
@@ -71,59 +70,6 @@ class Verdict:
         }
 
 
-def _positive_cylinder_word(model, max_word_len, max_states):
-    """Shortest positive-probability word with strictly positive pattern product.
-
-    Breadth-first search over (pattern, last letter) states restricted to
-    steps of positive probability, so the witness automatically has a
-    positive cylinder. Returns None when the reachable set closes without a
-    witness; raises :class:`BudgetError` past ``max_states``.
-    """
-    env = model.environment
-    mass = env.letter_mass
-    pats = [positivity_pattern(m) for m in model.expectation_matrices()]
-    L = len(pats)
-    if max_states is None:
-        max_states = min(2 ** (model.n_types**2) * L, MAX_PATTERN_STATES)
-
-    def step_ok(last, nxt):
-        if env.kind == "iid":
-            return mass[nxt] > 0
-        return env.transition[last, nxt] > 0
-
-    seen = set()
-    queue = deque()
-
-    def visit(pattern, word):
-        key = (pattern.tobytes(), word[-1])
-        if key in seen:
-            return None
-        seen.add(key)
-        if len(seen) > max_states:
-            raise BudgetError(
-                f"positive-word search exceeded {max_states} explored states"
-            )
-        if pattern.all():
-            return word
-        if max_word_len is None or len(word) < max_word_len:
-            queue.append((pattern, word))
-        return None
-
-    for i in range(L):
-        if mass[i] > 0:
-            hit = visit(pats[i], [i])
-            if hit is not None:
-                return hit
-    while queue:
-        pattern, word = queue.popleft()
-        for i in range(L):
-            if step_ok(word[-1], i):
-                hit = visit(boolean_product(pattern, pats[i]), word + [i])
-                if hit is not None:
-                    return hit
-    return None
-
-
 def _markov_irreducible(transition):
     pat = transition > 0
     n = pat.shape[0]
@@ -150,10 +96,23 @@ def check_conditions(model, max_word_len=None, max_states=None):
                 offenders.append({"letter": letter.name, "axis": "column", "index": j})
     allowable_ok = not offenders
 
+    env = model.environment
     word = None
     word_prob = None
     if allowable_ok:
-        found = _positive_cylinder_word(model, max_word_len, max_states)
+        # only steps of positive probability, so a witness has a positive cylinder
+        start = env.letter_mass > 0
+        if env.kind == "iid":
+            allowed = np.broadcast_to(start, (start.size, start.size))
+        else:
+            allowed = env.transition > 0
+        found = find_positive_product_word(
+            [positivity_pattern(m) for m in model.expectation_matrices()],
+            start,
+            allowed,
+            max_word_len,
+            max_states,
+        )
         if found is not None:
             prod = product_along_word(model.expectation_matrices(), found)
             prob = cylinder_probability(model, found)
@@ -168,13 +127,12 @@ def check_conditions(model, max_word_len=None, max_states=None):
 
     witness = None
     for i, letter in enumerate(model.letters):
-        if model.environment.letter_mass[i] <= 0:
+        if env.letter_mass[i] <= 0:
             continue
         if all(law.low_offspring_mass() < 1.0 for law in letter.laws):
             witness = letter.name
             break
 
-    env = model.environment
     ergodic = True if env.kind == "iid" else _markov_irreducible(env.transition)
 
     return ConditionReport(

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import secrets
 import sys
 
@@ -49,10 +48,6 @@ def _parse_threads(text):
     return value
 
 
-def _default_threads():
-    return os.cpu_count() or 1
-
-
 def _load_model(path):
     try:
         with open(path, "rb") as fh:
@@ -70,7 +65,7 @@ def _add_seed_threads(p):
     p.add_argument(
         "--threads",
         type=_parse_threads,
-        default=_default_threads(),
+        default=1,
         help="no effect: runs in one process",
     )
 
@@ -243,20 +238,18 @@ def _cmd_simulate(args):
         "growth": args.growth,
         "threads": args.threads,
     }
-    if args.growth:
-        extinction._check_growth_horizon(args.horizon)
-    # one pass of trials serves both estimates
-    outcomes = extinction._trial_outcomes(
-        model, args.start_type, args.trials, args.horizon, args.cap, args.seed
-    )
-    est, hw = extinction._survival_estimate(outcomes)
-    result = {"survival": est, "half_width": hw}
-    if args.growth:
-        rate, rate_hw, nsurv = extinction._growth_estimate(outcomes, args.horizon)
-        result.update(
-            {"growth_rate": rate, "growth_half_width": rate_hw, "surviving_trials": nsurv}
-        )
-    return params, result
+    trial_args = (model, args.start_type, args.trials, args.horizon, args.cap, args.seed)
+    if not args.growth:
+        est, hw = extinction.survival_probability_mc(*trial_args)
+        return params, {"survival": est, "half_width": hw}
+    est, hw, rate, rate_hw, nsurv = extinction.survival_and_growth(*trial_args)
+    return params, {
+        "survival": est,
+        "half_width": hw,
+        "growth_rate": rate,
+        "growth_half_width": rate_hw,
+        "surviving_trials": nsurv,
+    }
 
 
 def _cmd_classify(args):

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BudgetError, NoSurvivorsError
+from .model import check_word
 
 _Z95 = 1.96
 # First depth probed by the doubling convergence loop.
@@ -39,7 +40,7 @@ class ExtinctionVector:
         q = np.asarray(self.q, dtype=float)
         q.setflags(write=False)
         object.__setattr__(self, "q", q)
-        if np.any(q < 0) or np.any(q > 1):
+        if not np.all((q >= 0) & (q <= 1)):
             raise ValueError("extinction probabilities must lie in [0, 1]")
 
 
@@ -83,11 +84,7 @@ def _compose(table, words, s):
 
 def extinction_fixed_env(model, word):
     """Backward pgf composition at 0 along a fixed environment word."""
-    word = np.asarray(word)
-    if word.ndim != 1 or word.size == 0:
-        raise ValueError("word must be a non-empty sequence of letter indices")
-    if not np.issubdtype(word.dtype, np.integer) or np.any((word < 0) | (word >= model.n_letters)):
-        raise ValueError(f"word letters must be integers in [0, {model.n_letters})")
+    word = check_word(word, model.n_letters)
     q = _compose(model.pgf_table, word[None, :], np.zeros((1, model.n_types)))
     return ExtinctionVector(q[0], int(word.size))
 
@@ -165,6 +162,22 @@ def annealed_extinction(model, n_envs, tol=1e-9, max_depth=1 << 16, seed=0):
     return q.mean(axis=0), float(np.count_nonzero(converged)) / n_envs
 
 
+def _check_cap(model, cap):
+    """Require ``cap`` >= 1 and int64 room for a generation drawn from ``cap`` parents.
+
+    A simulation stops once the total population exceeds ``cap``, so a
+    generation drawn from at most ``cap`` parents has at most ``cap`` times
+    the largest atom total of any law.
+    """
+    if cap < 1:
+        raise ValueError("cap must be >= 1")
+    largest = int(model.pgf_table[0].sum(axis=-1).max())
+    if cap * largest > np.iinfo(np.int64).max:
+        raise ValueError(
+            f"cap {cap} x largest offspring total {largest} overflows int64 counts"
+        )
+
+
 def simulate_generations(model, word, z0, horizon=None, cap=10**6, rng=None):
     """Simulate the population generation by generation along ``word``.
 
@@ -178,8 +191,7 @@ def simulate_generations(model, word, z0, horizon=None, cap=10**6, rng=None):
     z = np.asarray(z0, dtype=np.int64).copy()
     if z.sum() < 1:
         raise ValueError("initial population must be non-empty")
-    if cap < 1:
-        raise ValueError("cap must be >= 1")
+    _check_cap(model, cap)
     word = np.asarray(word, dtype=np.intp)
     if horizon is None:
         horizon = len(word)
@@ -202,11 +214,12 @@ def simulate_generations(model, word, z0, horizon=None, cap=10**6, rng=None):
     return SimulationResult(states, "alive", horizon)
 
 
-def _wilson_half_width(successes, n):
+def _wilson(successes, n):
+    """Share of successes among ``n`` and its Wilson 95% half-width."""
     z = _Z95
     phat = successes / n
     denom = 1.0 + z * z / n
-    return z * math.sqrt(phat * (1.0 - phat) / n + z * z / (4.0 * n * n)) / denom
+    return phat, z * math.sqrt(phat * (1.0 - phat) / n + z * z / (4.0 * n * n)) / denom
 
 
 def _chunk_outcomes(model, start_type, rows, horizon, cap, rng):
@@ -256,8 +269,7 @@ def _trial_outcomes(model, start_type, trials, horizon, cap, seed):
         raise ValueError("trials must be >= 1")
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
-    if cap < 1:
-        raise ValueError("cap must be >= 1")
+    _check_cap(model, cap)
     if not 0 <= start_type < model.n_types:
         raise ValueError(f"start_type must be in [0, {model.n_types})")
     rows = min(trials, _CHUNK)
@@ -277,19 +289,30 @@ def _trial_outcomes(model, start_type, trials, horizon, cap, seed):
     return tuple(np.concatenate(field) for field in zip(*parts))
 
 
-def _survival_estimate(outcomes):
-    total = outcomes[1]
-    survived = int(np.count_nonzero(total))
-    return survived / total.size, _wilson_half_width(survived, total.size)
+def survival_probability_mc(model, start_type, trials, horizon, cap=10**6, seed=0):
+    """Fraction of trials alive (or capped) at the horizon, with Wilson half-width.
+
+    Each trial runs in a fresh environment realization; exceeding the cap
+    counts as survival, which for supercritical populations misclassifies
+    with probability vanishing in the cap.
+    """
+    total = _trial_outcomes(model, start_type, trials, horizon, cap, seed)[1]
+    return _wilson(int(np.count_nonzero(total)), total.size)
 
 
-def _check_growth_horizon(horizon):
+def survival_and_growth(model, start_type, trials, horizon, cap=10**6, seed=0):
+    """Survival share and conditioned growth rate from one pass of trials.
+
+    Returns ``(survival, half_width, growth_rate, growth_half_width,
+    surviving_trials)``: the first two as :func:`survival_probability_mc`
+    and the last three as :func:`growth_rate_conditioned` with the same
+    arguments, each trial simulated once. ``horizon`` must be at least 20,
+    which is checked before anything is drawn. Raises
+    :class:`NoSurvivorsError` when nothing survives.
+    """
     if horizon < 20:
         raise ValueError("horizon must be >= 20")
-
-
-def _growth_estimate(outcomes, horizon):
-    gen, total, half_total = outcomes
+    gen, total, half_total = _trial_outcomes(model, start_type, trials, horizon, cap, seed)
     alive = total > 0
     if not alive.any():
         raise NoSurvivorsError(
@@ -299,18 +322,7 @@ def _growth_estimate(outcomes, horizon):
     rates = (np.log(total[alive]) - np.log(half_total[alive])) / (gen - gen // 2)
     est = float(rates.mean())
     hw = float(_Z95 * rates.std(ddof=1) / math.sqrt(rates.size)) if rates.size > 1 else 0.0
-    return est, hw, int(rates.size)
-
-
-def survival_probability_mc(model, start_type, trials, horizon, cap=10**6, seed=0):
-    """Fraction of trials alive (or capped) at the horizon, with Wilson half-width.
-
-    Each trial runs in a fresh environment realization; exceeding the cap
-    counts as survival, which for supercritical populations misclassifies
-    with probability vanishing in the cap.
-    """
-    outcomes = _trial_outcomes(model, start_type, trials, horizon, cap, seed)
-    return _survival_estimate(outcomes)
+    return (*_wilson(int(rates.size), total.size), est, hw, int(rates.size))
 
 
 def growth_rate_conditioned(model, start_type, trials, horizon, cap=10**6, seed=0):
@@ -327,11 +339,10 @@ def growth_rate_conditioned(model, start_type, trials, horizon, cap=10**6, seed=
     and 4-6% below at horizon 80. At horizon 40 and 20000 trials the 95%
     half-width (about 0.0019) does not cover that gap.
 
-    Returns ``(estimate, half_width, surviving_trials)``; the half-width
-    is 1.96 standard errors of the per-trial rates. Raises
-    :class:`NoSurvivorsError` when nothing survives. The trials are those
-    of :func:`survival_probability_mc` with the same arguments.
+    Returns ``(estimate, half_width, surviving_trials)``, the last three
+    fields of :func:`survival_and_growth`; the half-width is 1.96 standard
+    errors of the per-trial rates. Raises :class:`NoSurvivorsError` when
+    nothing survives. The trials are those of
+    :func:`survival_probability_mc` with the same arguments.
     """
-    _check_growth_horizon(horizon)
-    outcomes = _trial_outcomes(model, start_type, trials, horizon, cap, seed)
-    return _growth_estimate(outcomes, horizon)
+    return survival_and_growth(model, start_type, trials, horizon, cap, seed)[2:]

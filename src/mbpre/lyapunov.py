@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import DegenerateProductError
 from .matcore import boolean_product, col_min, is_allowable, norm_sum, row_min
-from .model import ModelSpec
+from .model import ModelSpec, check_word
 
 KINDS = ("sum", "colmin", "rowmin")
 _REDUCTIONS = {"sum": norm_sum, "colmin": col_min, "rowmin": row_min}
@@ -79,15 +79,6 @@ def _family(matrices):
     return np.stack(mats)
 
 
-def _check_word(word, n_letters):
-    word = np.asarray(word)
-    if word.ndim != 1 or word.size == 0:
-        raise ValueError("word must be a non-empty sequence of letter indices")
-    if not np.issubdtype(word.dtype, np.integer) or word.min() < 0 or word.max() >= n_letters:
-        raise ValueError(f"word letters must be integers in [0, {n_letters})")
-    return word
-
-
 def _scan_prefixes(carry, patterns, kind, offset):
     """Prefix patterns of one chunk, continuing ``carry``; returns the last.
 
@@ -121,7 +112,7 @@ def exponent_along_word(matrices, word, kind="sum"):
     """
     _check_kind(kind)
     mats = _family(matrices)
-    word = _check_word(word, len(mats))
+    word = check_word(word, len(mats))
     n = mats.shape[1]
     check_steps = not all(is_allowable(m) for m in mats)
     eye = np.eye(n)[None]

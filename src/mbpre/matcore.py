@@ -23,11 +23,6 @@ def norm_sum(b):
     return float(np.asarray(b, dtype=float).sum())
 
 
-def norm_col_max(b):
-    """Largest column sum."""
-    return float(np.asarray(b, dtype=float).sum(axis=0).max())
-
-
 def col_min(b):
     """Smallest column sum."""
     return float(np.asarray(b, dtype=float).sum(axis=0).min())
@@ -69,49 +64,58 @@ def boolean_product(p, q):
     return (p.astype(np.uint8) @ q.astype(np.uint8)) > 0
 
 
-def find_positive_product_word(patterns, max_states=None):
-    """Shortest word whose letter-pattern product is all-positive, or None.
+def find_positive_product_word(patterns, start, allowed, max_word_len=None, max_states=None):
+    """Shortest admissible word whose letter-pattern product is all-positive, or None.
 
-    Breadth-first search over the boolean semigroup generated by the given
-    patterns under right multiplication; among shortest witnesses the
-    lexicographically smallest word is returned. Exceeding ``max_states``
-    explored patterns raises :class:`BudgetError`, which is distinct from
-    the search closing without a witness (None).
+    A word is admissible when its first letter ``i`` has ``start[i]`` and each
+    step from letter ``a`` to letter ``b`` has ``allowed[a, b]``; ``start``
+    is an (L,) and ``allowed`` an (L, L) boolean array over the L patterns.
+    Breadth-first search over (pattern, last letter) states under right
+    multiplication; among shortest witnesses the lexicographically smallest
+    word is returned. Words longer than ``max_word_len`` are not explored.
+    Exceeding ``max_states`` explored states raises :class:`BudgetError`,
+    which is distinct from the search closing without a witness (None).
     """
     pats = [np.asarray(p, dtype=bool) for p in patterns]
-    n = pats[0].shape[0]
+    n, L = pats[0].shape[0], len(pats)
     if any(p.shape != (n, n) for p in pats):
         raise ValueError("patterns must share one square shape")
+    start = np.asarray(start, dtype=bool)
+    allowed = np.asarray(allowed, dtype=bool)
+    if start.shape != (L,) or allowed.shape != (L, L):
+        raise ValueError(f"start must have shape ({L},) and allowed shape ({L}, {L})")
     if max_states is None:
-        max_states = min(2 ** (n * n), MAX_PATTERN_STATES)
+        max_states = min(2 ** (n * n) * L, MAX_PATTERN_STATES)
     if max_states < 1:
         raise ValueError("max_states must be >= 1")
+    successors = [np.flatnonzero(row).tolist() for row in allowed]
 
     seen = set()
     queue = deque()
 
     def visit(pattern, word):
-        key = pattern.tobytes()
+        key = (pattern.tobytes(), word[-1])
         if key in seen:
             return None
         seen.add(key)
         if len(seen) > max_states:
             raise BudgetError(
-                f"positive-product search exceeded {max_states} explored patterns"
+                f"positive-word search exceeded {max_states} explored states"
             )
         if pattern.all():
             return word
-        queue.append((pattern, word))
+        if max_word_len is None or len(word) < max_word_len:
+            queue.append((pattern, word))
         return None
 
-    for i, p in enumerate(pats):
-        hit = visit(p, [i])
+    for i in np.flatnonzero(start).tolist():
+        hit = visit(pats[i], [i])
         if hit is not None:
             return hit
     while queue:
         pattern, word = queue.popleft()
-        for i, p in enumerate(pats):
-            hit = visit(boolean_product(pattern, p), word + [i])
+        for i in successors[word[-1]]:
+            hit = visit(boolean_product(pattern, pats[i]), word + [i])
             if hit is not None:
                 return hit
     return None

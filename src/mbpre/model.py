@@ -38,6 +38,25 @@ def _readonly(a):
     return a
 
 
+def _check_mass(probs, what):
+    """Require ``probs`` finite, non-negative and summing to 1 within ``MASS_TOL``."""
+    if not np.all(np.isfinite(probs)) or np.any(probs < 0):
+        raise InvariantError(f"{what}: masses must be finite and non-negative")
+    total = float(probs.sum())
+    if abs(total - 1.0) > MASS_TOL:
+        raise InvariantError(f"{what}: masses sum to {total!r}, not 1 within {MASS_TOL}")
+
+
+def check_word(word, n_letters):
+    """``word`` as an array, if it is a non-empty 1-D word of integers in [0, ``n_letters``)."""
+    word = np.asarray(word)
+    if word.ndim != 1 or word.size == 0:
+        raise ValueError("word must be a non-empty sequence of letter indices")
+    if not np.issubdtype(word.dtype, np.integer) or word.min() < 0 or word.max() >= n_letters:
+        raise ValueError(f"word letters must be integers in [0, {n_letters})")
+    return word
+
+
 def _check_svalue(s, n_types):
     """Validate and clip a pgf argument to [0, 1]^N (scalar batch ok)."""
     s = np.asarray(s, dtype=float)
@@ -74,12 +93,7 @@ class OffspringLaw:
             raise InvariantError("offspring support and probability lengths differ")
         if np.any(counts < 0):
             raise InvariantError("offspring counts must be non-negative")
-        if np.any(probs < 0):
-            raise InvariantError("offspring probabilities must be non-negative")
-        if abs(probs.sum() - 1.0) > MASS_TOL:
-            raise InvariantError(
-                f"offspring probabilities sum to {probs.sum()!r}, not 1 within {MASS_TOL}"
-            )
+        _check_mass(probs, "offspring probabilities")
         if len({tuple(z) for z in counts}) != counts.shape[0]:
             raise InvariantError("offspring support atoms must be pairwise distinct")
 
@@ -189,12 +203,7 @@ class IidEnvironment:
         object.__setattr__(self, "probs", _readonly(probs))
         if probs.size == 0:
             raise InvariantError("environment needs at least one letter")
-        if np.any(probs < 0):
-            raise InvariantError("environment probabilities must be non-negative")
-        if abs(probs.sum() - 1.0) > MASS_TOL:
-            raise InvariantError(
-                f"environment.probs sum to {probs.sum()!r}, not 1 within {MASS_TOL}"
-            )
+        _check_mass(probs, "environment.probs")
 
     @property
     def n_letters(self):
@@ -245,18 +254,9 @@ class MarkovEnvironment:
             raise InvariantError("environment needs at least one letter")
         if transition.shape != (L, L):
             raise InvariantError("transition matrix shape does not match initial vector")
-        if np.any(initial < 0) or np.any(transition < 0):
-            raise InvariantError("environment probabilities must be non-negative")
-        if abs(initial.sum() - 1.0) > MASS_TOL:
-            raise InvariantError(
-                f"environment.initial sums to {initial.sum()!r}, not 1 within {MASS_TOL}"
-            )
-        rows = transition.sum(axis=1)
-        if np.any(np.abs(rows - 1.0) > MASS_TOL):
-            bad = int(np.argmax(np.abs(rows - 1.0)))
-            raise InvariantError(
-                f"environment.transition row {bad} sums to {rows[bad]!r}, not 1 within {MASS_TOL}"
-            )
+        _check_mass(initial, "environment.initial")
+        for i, row in enumerate(transition):
+            _check_mass(row, f"environment.transition row {i}")
         drift = np.max(np.abs(initial @ transition - initial))
         if drift > STATIONARY_TOL:
             raise InvariantError(
@@ -382,16 +382,6 @@ class ModelSpec:
 # Operations
 
 
-def pgf_eval(law, s):
-    """Pgf of an offspring law at ``s`` in [0, 1]^N, with 0^0 = 1."""
-    return law.pgf(s)
-
-
-def expectation_matrix(letter):
-    """Expectation matrix of a letter, rows indexed by parent type."""
-    return letter.expectation
-
-
 def second_moment_bound(letter_or_model):
     """Largest second factorial moment E[z_i z_j] - delta_ij E[z_i] in the argument."""
     if isinstance(letter_or_model, ModelSpec):
@@ -424,18 +414,6 @@ def uniform_allowability_alpha(model):
                 if m[k, i] > 0:
                     best = min(best, law.mass_producing(i))
     return float(best)
-
-
-def sample_offspring(law, rng):
-    """One draw from an offspring law."""
-    return law.sample(rng)
-
-
-def sample_environment(model, n, rng):
-    """A length-``n`` environment word of letter indices."""
-    if n < 1:
-        raise ValueError("word length must be >= 1")
-    return model.environment.sample_word(n, rng)
 
 
 def cylinder_probability(model, word):
@@ -578,26 +556,3 @@ def model_to_dict(model):
 def write_model(model):
     """Serialize a model to JSON text; ``parse_model`` round-trips it exactly."""
     return json.dumps(model_to_dict(model), indent=2) + "\n"
-
-
-def models_equal(a, b):
-    """Field-for-field equality of two models."""
-    if a.n_types != b.n_types or a.n_letters != b.n_letters:
-        return False
-    for la, lb in zip(a.letters, b.letters):
-        if la.name != lb.name:
-            return False
-        for lawa, lawb in zip(la.laws, lb.laws):
-            if not (
-                np.array_equal(lawa.counts, lawb.counts)
-                and np.array_equal(lawa.probs, lawb.probs)
-            ):
-                return False
-    ea, eb = a.environment, b.environment
-    if ea.kind != eb.kind:
-        return False
-    if ea.kind == "iid":
-        return np.array_equal(ea.probs, eb.probs)
-    return np.array_equal(ea.initial, eb.initial) and np.array_equal(
-        ea.transition, eb.transition
-    )

@@ -95,7 +95,9 @@ class TestCheckConditions:
         from mbpre import find_positive_product_word, positivity_pattern
 
         unrestricted = find_positive_product_word(
-            [positivity_pattern(m) for m in model.expectation_matrices()]
+            [positivity_pattern(m) for m in model.expectation_matrices()],
+            np.ones(2, dtype=bool),
+            np.ones((2, 2), dtype=bool),
         )
         assert unrestricted is not None  # the patterns alone would admit one
 

@@ -278,6 +278,45 @@ def test_exit_code_model_invariant(tmp_path):
     assert "sum" in err
 
 
+def test_nan_mass_model_is_invariant_error(tmp_path):
+    # Python's json reads NaN; the mass check must still reject it
+    bad = tmp_path / "nan.json"
+    bad.write_text(
+        '{"n_types": 2, "letters": [{"name": "x", "laws": ['
+        '[{"z": [0, 0], "p": NaN}], [{"z": [0, 0], "p": 1.0}]]}], '
+        '"environment": {"kind": "iid", "probs": [1.0]}}'
+    )
+    code, out, err = run_cli(
+        ["extinction", "--model", str(bad), "--mode", "fixed", "--word", "0,0"]
+    )
+    assert code == 3
+    assert out == ""
+    assert "finite" in err
+
+
+def test_overflowing_cap_is_usage_error_before_any_draw(carpet_p1_file, monkeypatch):
+    from mbpre.model import IidEnvironment
+
+    def no_draw(*args, **kwargs):
+        raise AssertionError("sampled a word with an overflowing cap")
+
+    monkeypatch.setattr(IidEnvironment, "sample_word", no_draw)
+    for growth in ([], ["--growth"]):
+        code, out, err = run_cli(
+            ["simulate", "--model", carpet_p1_file, "--trials", "200", "--horizon", "80",
+             "--cap", str(2**62), "--threads", "1", *growth]
+        )
+        assert code == 2
+        assert out == ""
+        assert "cap" in err
+
+
+def test_threads_defaults_to_one(carpet_p04_file):
+    # the echoed default must not depend on the machine's CPU count
+    env = run_json(["extinction", "--model", carpet_p04_file, "--mode", "fixed", "--word", "0,1"])
+    assert env["params"]["threads"] == 1
+
+
 def test_exit_code_schema_violation(tmp_path):
     doc = tmp_path / "unknown.json"
     doc.write_text('{"n_types": 2, "letters": [], "environment": {}, "bogus": 1}')

@@ -17,6 +17,7 @@ from mbpre import (
     extinction_fixed_env,
     growth_rate_conditioned,
     simulate_generations,
+    survival_and_growth,
     survival_probability_mc,
 )
 from mbpre import extinction
@@ -256,6 +257,16 @@ class TestSimulate:
         assert res.outcome == "cap_exceeded"
         assert res.states[res.generation].sum() > 1000
 
+    def test_overflowing_cap_rejected(self):
+        # 3^40 parents overflow int64: the run must not go on to report a
+        # wrapped, negative or "extinct" population
+        model = build_carpet_model(1.0).model
+        with pytest.raises(ValueError, match="overflows"):
+            simulate_generations(
+                model, np.ones(80, dtype=np.intp), [1, 0], cap=2**62,
+                rng=np.random.default_rng(0),
+            )
+
     def test_agreement_with_pgf_extinction(self, decoupled_supercritical):
         # two independent estimators of q^(0) at depth 60
         trials = 4000
@@ -357,6 +368,20 @@ class TestTrialKernel:
         with pytest.raises(BudgetError):
             survival_probability_mc(model, 0, 10**6, 2, seed=0)
 
+    def test_cap_overflow_raises_before_any_draw(self, monkeypatch):
+        # at p = 1 the largest atom total is 4: cap x 4 must fit in int64
+        model = build_carpet_model(1.0).model
+
+        def no_draw(*args, **kwargs):
+            raise AssertionError("sampled a word with an overflowing cap")
+
+        monkeypatch.setattr(IidEnvironment, "sample_word", no_draw)
+        for cap in (2**62, (2**63 - 1) // 4 + 1):
+            with pytest.raises(ValueError, match="overflows"):
+                _trial_outcomes(model, 0, 200, 80, cap, 0)
+        monkeypatch.undo()
+        assert _trial_outcomes(model, 0, 2, 5, (2**63 - 1) // 4, 0)[0].shape == (2,)
+
     @pytest.mark.parametrize(
         "args",
         [(0, 0, 20, 10), (2, 5, 20, 10), (-1, 5, 20, 10), (0, 5, 0, 10), (0, 5, 20, 0)],
@@ -432,3 +457,17 @@ class TestGrowthRate:
     def test_no_survivors_error(self, die_out_model):
         with pytest.raises(NoSurvivorsError):
             growth_rate_conditioned(die_out_model, 0, 100, 30, seed=4)
+
+    def test_horizon_checked_before_any_draw(self, monkeypatch):
+        def no_draw(*args, **kwargs):
+            raise AssertionError("sampled a word for a rejected horizon")
+
+        monkeypatch.setattr(IidEnvironment, "sample_word", no_draw)
+        with pytest.raises(ValueError, match="horizon"):
+            survival_and_growth(build_carpet_model(0.5).model, 0, 10, 19)
+
+
+@pytest.mark.parametrize("q", [[np.nan, 0.5], [0.5, 1.5], [-0.1, 0.5]])
+def test_extinction_vector_rejects_values_outside_unit_interval(q):
+    with pytest.raises(ValueError, match=r"\[0, 1\]"):
+        extinction.ExtinctionVector(np.array(q), 1)

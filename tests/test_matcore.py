@@ -6,7 +6,6 @@ from mbpre import (
     col_min,
     find_positive_product_word,
     is_allowable,
-    norm_col_max,
     norm_sum,
     positivity_pattern,
     product_along_word,
@@ -20,29 +19,28 @@ from oracles import random_allowable_matrix
 class TestReductions:
     def test_identity(self):
         i2 = np.eye(2)
-        assert (norm_sum(i2), norm_col_max(i2), col_min(i2), row_min(i2)) == (2, 1, 1, 1)
+        assert (norm_sum(i2), col_min(i2), row_min(i2)) == (2, 1, 1)
 
     def test_hand_sums(self):
         b = np.array([[1.0, 0.0], [2.0, 2.0]])
         assert norm_sum(b) == 5
         assert col_min(b) == 2
-        assert norm_col_max(b) == 3
         assert row_min(b) == 1
 
     def test_zero_matrix(self):
         z = np.zeros((3, 3))
-        assert norm_sum(z) == col_min(z) == norm_col_max(z) == row_min(z) == 0
+        assert norm_sum(z) == col_min(z) == row_min(z) == 0
 
     def test_sandwich(self):
         rng = np.random.default_rng(0)
         for _ in range(100):
             b = random_allowable_matrix(rng, n=int(rng.integers(2, 5)))
             n = b.shape[0]
-            assert col_min(b) <= norm_col_max(b) + 1e-15
+            col_max = b.sum(axis=0).max()
+            assert col_min(b) <= col_max + 1e-15
             assert n * col_min(b) <= norm_sum(b) + 1e-12
-            assert norm_sum(b) <= n * norm_col_max(b) + 1e-12
+            assert norm_sum(b) <= n * col_max + 1e-12
             assert np.all(b.sum(axis=0) >= col_min(b) - 1e-15)
-            assert np.all(b.sum(axis=0) <= norm_col_max(b) + 1e-15)
 
     def test_multiplicativity(self):
         rng = np.random.default_rng(1)
@@ -51,7 +49,6 @@ class TestReductions:
             b = random_allowable_matrix(rng)
             ab = a @ b
             assert col_min(ab) >= col_min(a) * col_min(b) - 1e-12
-            assert norm_col_max(ab) <= norm_col_max(a) * norm_col_max(b) + 1e-12
 
 
 class TestProductAlongWord:
@@ -96,31 +93,59 @@ class TestPatterns:
             )
 
 
+def search(patterns, **kwargs):
+    """The positive-product search with every letter allowed at every step."""
+    n = len(patterns)
+    return find_positive_product_word(
+        patterns, np.ones(n, dtype=bool), np.ones((n, n), dtype=bool), **kwargs
+    )
+
+
+_UPPER = positivity_pattern(np.array([[1.0, 1.0], [0.0, 1.0]]))
+_LOWER = positivity_pattern(np.array([[1.0, 0.0], [1.0, 1.0]]))
+
+
 class TestPositiveProductWord:
     def test_carpet_single_letter_witness(self):
         pats = [positivity_pattern(m) for m in COLUMN_MATRICES]
-        assert find_positive_product_word(pats) == [1]
+        assert search(pats) == [1]
 
     def test_triangular_closed(self):
-        pat = positivity_pattern(np.array([[1.0, 0.0], [1.0, 1.0]]))
-        assert find_positive_product_word([pat]) is None
+        assert search([_LOWER]) is None
 
     def test_two_letter_witness_lexicographic(self):
-        pats = [
-            positivity_pattern(np.array([[1.0, 1.0], [0.0, 1.0]])),
-            positivity_pattern(np.array([[1.0, 0.0], [1.0, 1.0]])),
-        ]
-        assert find_positive_product_word(pats) == [0, 1]
+        assert search([_UPPER, _LOWER]) == [0, 1]
 
     def test_budget_error_distinct_from_absence(self):
-        pat = positivity_pattern(np.array([[1.0, 0.0], [1.0, 1.0]]))
         with pytest.raises(BudgetError):
-            find_positive_product_word([pat, pat.T], max_states=1)
+            search([_LOWER, _LOWER.T], max_states=1)
 
     def test_witness_product_is_strictly_positive(self):
         rng = np.random.default_rng(3)
         for _ in range(50):
             mats = [random_allowable_matrix(rng, n=3, sparsity=0.5) for _ in range(2)]
-            word = find_positive_product_word([positivity_pattern(m) for m in mats])
+            word = search([positivity_pattern(m) for m in mats])
             if word is not None:
                 assert product_along_word(mats, word).min() > 0
+
+    def test_start_mask(self):
+        # barred from starting with letter 0, the witness is [1, 0]
+        word = find_positive_product_word(
+            [_UPPER, _LOWER], np.array([False, True]), np.ones((2, 2), dtype=bool)
+        )
+        assert word == [1, 0]
+
+    def test_allowed_steps(self):
+        # no step leaves a letter, so no word mixes the two triangles
+        start = np.ones(2, dtype=bool)
+        assert find_positive_product_word([_UPPER, _LOWER], start, np.eye(2, dtype=bool)) is None
+        no_repeat = ~np.eye(2, dtype=bool)
+        assert find_positive_product_word([_UPPER, _LOWER], start, no_repeat) == [0, 1]
+
+    def test_max_word_len(self):
+        assert search([_UPPER, _LOWER], max_word_len=1) is None
+        assert search([_UPPER, _LOWER], max_word_len=2) == [0, 1]
+
+    def test_rejects_mask_shapes(self):
+        with pytest.raises(ValueError):
+            find_positive_product_word([_UPPER, _LOWER], np.ones(3, dtype=bool), np.ones((2, 2)))

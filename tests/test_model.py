@@ -16,12 +16,7 @@ from mbpre import (
     OffspringLaw,
     build_carpet_model,
     cylinder_probability,
-    expectation_matrix,
-    models_equal,
     parse_model,
-    pgf_eval,
-    sample_environment,
-    sample_offspring,
     second_moment_bound,
     uniform_allowability_alpha,
     write_model,
@@ -43,20 +38,20 @@ def law(pairs):
 class TestPgfEval:
     def test_at_ones_is_total_mass(self):
         l = law([((0, 0), 0.3), ((1, 2), 0.7)])
-        assert pgf_eval(l, [1.0, 1.0]) == pytest.approx(1.0, abs=1e-12)
+        assert l.pgf([1.0, 1.0]) == pytest.approx(1.0, abs=1e-12)
 
     def test_constant_zero_offspring(self):
         l = law([((0, 0), 1.0)])
-        assert pgf_eval(l, [0.3, 0.9]) == 1.0
+        assert l.pgf([0.3, 0.9]) == 1.0
 
     def test_hand_sum_at_zero(self):
         l = law([((0, 0), 0.75), ((1, 0), 0.25)])
-        assert pgf_eval(l, [0.0, 0.0]) == pytest.approx(0.75, abs=1e-15)
+        assert l.pgf([0.0, 0.0]) == pytest.approx(0.75, abs=1e-15)
 
     def test_dimension_mismatch(self):
         l = law([((0, 0), 1.0)])
         with pytest.raises(ValueError):
-            pgf_eval(l, [0.5, 0.5, 0.5])
+            l.pgf([0.5, 0.5, 0.5])
 
     def test_monotone_in_s(self):
         rng = np.random.default_rng(7)
@@ -64,14 +59,14 @@ class TestPgfEval:
             l = random_law(rng)
             s = rng.random(2)
             t = s + (1.0 - s) * rng.random(2)
-            assert pgf_eval(l, s) <= pgf_eval(l, t) + 1e-12
+            assert l.pgf(s) <= l.pgf(t) + 1e-12
 
     def test_matches_dict_oracle(self):
         rng = np.random.default_rng(8)
         for _ in range(50):
             l = random_law(rng)
             s = rng.random(2)
-            assert pgf_eval(l, s) == pytest.approx(
+            assert l.pgf(s) == pytest.approx(
                 pgf_of_dict(law_as_dict(l), s), abs=1e-12
             )
 
@@ -81,7 +76,7 @@ class TestPgfEval:
             a, b = random_law(rng), random_law(rng)
             conv = convolve_dicts(law_as_dict(a), law_as_dict(b))
             s = rng.random(2)
-            assert pgf_eval(a, s) * pgf_eval(b, s) == pytest.approx(
+            assert a.pgf(s) * b.pgf(s) == pytest.approx(
                 pgf_of_dict(conv, s), abs=1e-12
             )
 
@@ -90,32 +85,32 @@ class TestExpectationMatrix:
     def test_carpet_column0_at_quarter(self):
         letter = build_carpet_model(0.25).model.letters[0]
         assert np.allclose(
-            expectation_matrix(letter), [[0.25, 0.0], [0.5, 0.5]], atol=1e-15
+            letter.expectation, [[0.25, 0.0], [0.5, 0.5]], atol=1e-15
         )
 
     def test_zero_letter(self):
         zero = law([((0, 0), 1.0)])
         letter = EnvironmentLetter("z", (zero, zero))
-        assert np.array_equal(expectation_matrix(letter), np.zeros((2, 2)))
+        assert np.array_equal(letter.expectation, np.zeros((2, 2)))
 
     def test_deterministic_law(self):
         letter = EnvironmentLetter(
             "d", (law([((2, 1), 1.0)]), law([((0, 3), 1.0)]))
         )
-        assert np.array_equal(expectation_matrix(letter), [[2, 1], [0, 3]])
+        assert np.array_equal(letter.expectation, [[2, 1], [0, 3]])
 
     def test_matches_finite_difference_of_pgf(self):
         rng = np.random.default_rng(10)
         h = 1e-6
         for _ in range(20):
             letter = EnvironmentLetter("r", (random_law(rng), random_law(rng)))
-            m = expectation_matrix(letter)
+            m = letter.expectation
             bound = second_moment_bound(letter)
             for i, l in enumerate(letter.laws):
                 for k in range(2):
                     s = np.ones(2)
                     s[k] -= h
-                    fd = (pgf_eval(l, np.ones(2)) - pgf_eval(l, s)) / h
+                    fd = (l.pgf(np.ones(2)) - l.pgf(s)) / h
                     assert abs(fd - m[i, k]) <= h * max(bound, 1.0) + 1e-9
 
 
@@ -188,7 +183,7 @@ class TestSampling:
         l = law([((3, 1), 1.0)])
         rng = np.random.default_rng(0)
         for _ in range(10):
-            assert np.array_equal(sample_offspring(l, rng), [3, 1])
+            assert np.array_equal(l.sample(rng), [3, 1])
 
     def test_empirical_frequency(self):
         l = law([((0, 0), 0.5), ((1, 1), 0.5)])
@@ -216,7 +211,7 @@ _MARKOV3 = np.array([[0.1, 0.6, 0.3], [0.5, 0.2, 0.3], [0.4, 0.2, 0.4]])
 class TestEnvironmentSampling:
     def test_degenerate_iid(self):
         model = random_model(np.random.default_rng(4), max_letters=1)
-        word = sample_environment(model, 5, np.random.default_rng(0))
+        word = model.environment.sample_word(5, np.random.default_rng(0))
         assert np.array_equal(word, np.zeros(5))
 
     def test_uniform_frequencies(self):
@@ -342,7 +337,7 @@ class TestCodec:
         for _ in range(10):
             model = random_model(rng)
             again = parse_model(write_model(model))
-            assert models_equal(model, again)
+            assert write_model(again) == write_model(model)
 
     def test_carpet_round_trip_preserves_expectations(self):
         model = build_carpet_model(0.37).model
@@ -420,6 +415,28 @@ class TestInvariants:
         with pytest.raises(InvariantError, match="unique"):
             ModelSpec(2, (letter, letter), IidEnvironment([0.5, 0.5]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_offspring_mass_rejected(self, bad):
+        with pytest.raises(InvariantError, match="offspring probabilities.*finite"):
+            OffspringLaw(np.array([[0, 0], [1, 0]]), np.array([bad, 0.5]))
+
+    @pytest.mark.parametrize("probs", [[np.nan], [np.nan, 1.0], [np.inf, -np.inf]])
+    def test_non_finite_iid_mass_rejected(self, probs):
+        with pytest.raises(InvariantError, match="environment.probs.*finite"):
+            IidEnvironment(probs)
+
+    def test_non_finite_markov_mass_rejected(self):
+        with pytest.raises(InvariantError, match="environment.initial.*finite"):
+            MarkovEnvironment(np.array([np.nan, 0.5]), np.full((2, 2), 0.5))
+        transition = np.array([[0.5, 0.5], [np.nan, 1.0]])
+        with pytest.raises(InvariantError, match="transition row 1.*finite"):
+            MarkovEnvironment(np.array([0.5, 0.5]), transition)
+
+    def test_markov_row_mass_names_the_row(self):
+        transition = np.array([[0.5, 0.5], [0.5, 0.6]])
+        with pytest.raises(InvariantError, match="transition row 1.*sum to 1.1"):
+            MarkovEnvironment(np.array([0.5, 0.5]), transition)
+
 
 @settings(max_examples=50, deadline=None)
 @given(st.data())
@@ -434,5 +451,5 @@ def test_pgf_monotone_property(data):
     l = OffspringLaw(grid[picks], probs)
     s = rng.random(2)
     t = s + (1 - s) * rng.random(2)
-    assert pgf_eval(l, s) <= pgf_eval(l, t) + 1e-12
-    assert pgf_eval(l, np.ones(2)) == pytest.approx(1.0, abs=1e-12)
+    assert l.pgf(s) <= l.pgf(t) + 1e-12
+    assert l.pgf(np.ones(2)) == pytest.approx(1.0, abs=1e-12)

@@ -178,10 +178,11 @@ class SquareSet:
         return self.squares.shape[0]
 
 
-_CHILD_OFFSETS = np.array(
+# Digit offsets (di, dj) of the 8 non-middle children, in child order.
+_CHILD_DI, _CHILD_DJ = np.array(
     [(di, dj) for di in range(3) for dj in range(3) if (di, dj) != (1, 1)],
     dtype=np.int64,
-)
+).T
 
 
 def sample_carpet(p, depth, rng, max_squares=MAX_SQUARES):
@@ -201,18 +202,18 @@ def sample_carpet(p, depth, rng, max_squares=MAX_SQUARES):
             f"expected square count (8p)^depth = {(8.0 * p) ** depth:.3g} "
             f"exceeds the budget of {max_squares}"
         )
-    cur = np.zeros((1, 2), dtype=np.int64)
+    x = y = np.zeros(1, dtype=np.int64)
     for _ in range(depth):
-        if cur.shape[0] * 8 > max_squares:
+        if x.size * 8 > max_squares:
             raise BudgetError(
-                f"level population {cur.shape[0]} * 8 exceeds the budget of {max_squares}"
+                f"level population {x.size} * 8 exceeds the budget of {max_squares}"
             )
-        children = (3 * cur[:, None, :] + _CHILD_OFFSETS[None, :, :]).reshape(-1, 2)
-        keep = rng.random(children.shape[0]) < p
-        cur = children[keep]
-        if cur.shape[0] == 0:
+        keep = rng.random(x.size * 8) < p
+        x = (3 * x[:, None] + _CHILD_DI).ravel()[keep]
+        y = (3 * y[:, None] + _CHILD_DJ).ravel()[keep]
+        if x.size == 0:
             break
-    return SquareSet(depth, cur)
+    return SquareSet(depth, np.column_stack((x, y)))
 
 
 def projection_intervals(square_set):

@@ -5,21 +5,21 @@ stdout (JSON with --json, flat key = value lines otherwise) and
 diagnostics to stderr. Identical command lines produce byte-identical
 JSON. Exit codes: 0 success, 2 usage error, 3 model or invariant error,
 4 resource-budget error.
+
+Each handler imports the modules it runs, and numpy only where it uses it,
+so a launch loads only what its subcommand needs and ``--version`` loads
+no numpy.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import secrets
+import math
 import sys
 
-import numpy as np
-
-from . import __version__, carpet, extinction, lyapunov, proofkit
-from .classify import check_conditions, classify
-from .errors import BudgetError, InvariantError, ModelFormatError
-from .model import parse_model
+from . import __version__
+from .errors import KINDS, BudgetError, InvariantError, ModelFormatError
 
 _EXIT_USAGE = 2
 _EXIT_MODEL = 3
@@ -28,6 +28,8 @@ _EXIT_BUDGET = 4
 
 def _parse_seed(text):
     if text == "random":
+        import secrets
+
         return secrets.randbits(63)
     try:
         value = int(text)
@@ -48,7 +50,19 @@ def _parse_threads(text):
     return value
 
 
+def _parse_finite(text):
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}")
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
+    return value
+
+
 def _load_model(path):
+    from .model import parse_model
+
     try:
         with open(path, "rb") as fh:
             return parse_model(fh.read())
@@ -89,7 +103,7 @@ def _build_parser():
 
     p = sub.add_parser("lyapunov", help="estimate a growth exponent")
     p.add_argument("--model", required=True)
-    p.add_argument("--kind", choices=lyapunov.KINDS, default="sum")
+    p.add_argument("--kind", choices=KINDS, default="sum")
     p.add_argument("--steps", type=int, default=100_000)
     p.add_argument("--batches", type=int, default=32)
     _add_seed_threads(p)
@@ -99,7 +113,7 @@ def _build_parser():
     p.add_argument("--model", required=True)
     p.add_argument("--mode", choices=("fixed", "converged", "annealed"), default="converged")
     p.add_argument("--word", default=None, help="comma-separated letter indices (fixed mode)")
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=_parse_finite, default=1e-9)
     p.add_argument("--max-depth", type=int, default=1 << 16)
     p.add_argument("--envs", type=int, default=100)
     _add_seed_threads(p)
@@ -117,7 +131,7 @@ def _build_parser():
 
     p = sub.add_parser("classify", help="survival/extinction verdict for a model")
     p.add_argument("--model", required=True)
-    p.add_argument("--kind", choices=lyapunov.KINDS, default="sum")
+    p.add_argument("--kind", choices=KINDS, default="sum")
     p.add_argument("--steps", type=int, default=100_000)
     p.add_argument("--batches", type=int, default=32)
     p.add_argument("--max-word-len", type=int, default=None)
@@ -161,7 +175,7 @@ def _build_parser():
 
     p = sub.add_parser("proofkit", help="run the majorant inequality oracle suite")
     p.add_argument("--model", required=True)
-    p.add_argument("--lambda", dest="lambda_", type=float, required=True)
+    p.add_argument("--lambda", dest="lambda_", type=_parse_finite, required=True)
     p.add_argument("--samples", type=int, default=10_000)
     _add_seed_threads(p)
     _add_json(p)
@@ -170,6 +184,8 @@ def _build_parser():
 
 
 def _cmd_check(args):
+    from .classify import check_conditions
+
     model = _load_model(args.model)
     report = check_conditions(model, max_word_len=args.max_word_len)
     params = {"model": args.model, "max_word_len": args.max_word_len}
@@ -177,6 +193,8 @@ def _cmd_check(args):
 
 
 def _cmd_lyapunov(args):
+    from . import lyapunov
+
     model = _load_model(args.model)
     est = lyapunov.estimate_exponent(
         model,
@@ -196,6 +214,8 @@ def _cmd_lyapunov(args):
 
 
 def _cmd_extinction(args):
+    from . import extinction
+
     model = _load_model(args.model)
     params = {"model": args.model, "mode": args.mode, "threads": args.threads}
     if args.mode == "fixed":
@@ -228,6 +248,8 @@ def _cmd_extinction(args):
 
 
 def _cmd_simulate(args):
+    from . import extinction
+
     model = _load_model(args.model)
     params = {
         "model": args.model,
@@ -253,6 +275,9 @@ def _cmd_simulate(args):
 
 
 def _cmd_classify(args):
+    from . import lyapunov
+    from .classify import check_conditions, classify
+
     model = _load_model(args.model)
     report = check_conditions(model, max_word_len=args.max_word_len)
     est = lyapunov.estimate_exponent(
@@ -275,12 +300,18 @@ def _cmd_classify(args):
 
 
 def _cmd_carpet_lambda_b(args):
+    from . import carpet
+
     est = carpet.lambda_b(args.steps, args.batches, args.seed)
     params = {"steps": args.steps, "batches": args.batches, "threads": args.threads}
     return params, est.to_dict()
 
 
 def _bisect_critical(args):
+    import numpy as np
+
+    from . import carpet, extinction
+
     lo, hi = 0.05, 0.95
     children = np.random.SeedSequence(args.seed).spawn(args.iterations)
     for child in children:
@@ -298,6 +329,8 @@ def _bisect_critical(args):
 
 
 def _cmd_carpet_critical(args):
+    from . import carpet
+
     params = {
         "steps": args.steps,
         "batches": args.batches,
@@ -321,6 +354,10 @@ def _cmd_carpet_critical(args):
 
 
 def _cmd_carpet_project(args):
+    import numpy as np
+
+    from . import carpet
+
     params = {"p": args.p, "depth": args.depth, "samples": args.samples, "threads": args.threads}
     children = np.random.SeedSequence(args.seed).spawn(args.samples)
     measures = []
@@ -338,6 +375,10 @@ def _cmd_carpet_project(args):
 
 
 def _cmd_carpet_offspring(args):
+    import numpy as np
+
+    from . import carpet
+
     params = {
         "p": args.p,
         "column": args.column,
@@ -364,6 +405,8 @@ def _cmd_carpet_offspring(args):
 
 
 def _cmd_proofkit(args):
+    from . import proofkit
+
     model = _load_model(args.model)
     report = proofkit.oracle_suite(model, args.lambda_, args.samples, args.seed)
     params = {"model": args.model, "lambda": args.lambda_, "samples": args.samples}

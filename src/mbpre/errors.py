@@ -1,4 +1,9 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the reduction kinds they name."""
+
+# The scalar reductions of a matrix product that an exponent is taken of
+# and that a DegenerateProductError names: entry sum, least column sum,
+# least row sum.
+KINDS = ("sum", "colmin", "rowmin")
 
 
 class ModelFormatError(ValueError):

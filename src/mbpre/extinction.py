@@ -97,8 +97,8 @@ def _converge(model, rngs, tol, max_depth):
     extinction vectors, the depth each row stopped at and whether it met
     ``tol``.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not 0.0 < tol < math.inf:
+        raise ValueError("tol must be positive and finite")
     if max_depth < 2:
         raise ValueError("max_depth must be >= 2")
     n_envs = len(rngs)

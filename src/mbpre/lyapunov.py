@@ -6,16 +6,22 @@ minimum row sum ("rowmin"). For a good family all three share one almost
 sure limit, estimated here by Monte Carlo with batch-means confidence
 intervals.
 
-One kernel serves every matrix size. The word is read in chunks of
-``_CHUNK`` letters. A chunk's matrices are gathered into one (C, N, N)
-stack and multiplied as a pairwise tree, adjacent pairs in order; at each
-level every product is divided by its entry sum and the logs of the
-divisors are summed. Each chunk's product is folded into one running
-product, renormalized the same way, so words of 1e7 steps neither overflow
-nor underflow. Products of allowable matrices are allowable, so an
-allowable family needs no step checks. For any other family the positivity
-patterns of all prefixes are scanned first, and the first step at which a
-reduction of the prefix is zero raises :class:`DegenerateProductError`.
+One kernel serves every matrix size and every alphabet. It first builds a
+table of all L^k products of k consecutive letters, each divided by its
+entry sum with the log of the sum kept; k is the largest value with
+max(L, 2)^k <= min(``_CHUNK``, n // 16), so the table costs at most n / 8
+small products. The word is read as n // k base-L symbols, each naming
+one table entry, plus the fewer than k tail letters. The symbols are
+gathered ``_CHUNK`` at a time into one (C, N, N) stack and multiplied as a
+pairwise tree, adjacent pairs in order; at each level every product is
+divided by its entry sum and the logs of the divisors are summed. Each
+chunk's product is folded into one running product, renormalized the same
+way, so words of 1e7 steps neither overflow nor underflow. Products of
+allowable matrices are allowable, so an allowable family needs no step
+checks. For any other family the positivity patterns of all letter
+prefixes are scanned first, ``_CHUNK`` letters at a time, and the first
+step at which a reduction of the prefix is zero raises
+:class:`DegenerateProductError`.
 """
 
 from __future__ import annotations
@@ -25,15 +31,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateProductError
+from .errors import KINDS, DegenerateProductError
 from .matcore import boolean_product, col_min, is_allowable, norm_sum, row_min
 from .model import ModelSpec, check_word
 
-KINDS = ("sum", "colmin", "rowmin")
 _REDUCTIONS = {"sum": norm_sum, "colmin": col_min, "rowmin": row_min}
 
-# Letters per gathered chunk: (C, N, N) floats stay small, and a chunk is
-# long enough that the per-level numpy calls are amortized.
+# Symbols per gathered chunk, letters per prefix-scan chunk, and the table
+# size cap: (C, N, N) floats stay small, and a chunk is long enough that the
+# per-level numpy calls are amortized.
 _CHUNK = 4096
 
 # 95% normal quantile for the batch-means interval; batches are i.i.d. by
@@ -101,6 +107,36 @@ def _scan_prefixes(carry, patterns, kind, offset):
     return patterns[-1]
 
 
+def _symbol_length(n_letters, n):
+    """Letters per table symbol: the largest k >= 1 with max(L, 2)^k <= min(_CHUNK, n // 16).
+
+    The base is at least 2 so that a one-letter family still gets a finite k.
+    """
+    base, cap = max(n_letters, 2), min(_CHUNK, n // 16)
+    k = 1
+    while base ** (k + 1) <= cap:
+        k += 1
+    return k
+
+
+def _product_table(mats, k):
+    """All L^k products of k letters, each divided by its entry sum, and the summed logs.
+
+    Entry s is the product of the letters of s written in base L with k
+    digits, first letter most significant, multiplied one letter at a time.
+    A product that is exactly zero leaves NaN entries; a word that uses it
+    is degenerate, and the prefix scan raises before the entry is read.
+    """
+    n_letters, n = mats.shape[:2]
+    table, logs = np.eye(n)[None], np.zeros(1)
+    for _ in range(k):
+        table = np.matmul(table[:, None], mats).reshape(-1, n, n)
+        sums = np.einsum("kij->k", table)
+        table /= sums[:, None, None]
+        logs = (logs[:, None] + np.log(sums).reshape(-1, n_letters)).ravel()
+    return table, logs
+
+
 def exponent_along_word(matrices, word, kind="sum"):
     """(1/n) log reduction of the matrix product along a non-empty word.
 
@@ -108,21 +144,34 @@ def exponent_along_word(matrices, word, kind="sum"):
     product hitting zero, which a word of allowable matrices cannot
     produce, raises :class:`DegenerateProductError` naming the first such
     step. A product that is not zero but underflows to zero in floating
-    point raises too, naming the last step of the chunk where it shows.
+    point raises too, naming the last step of the chunk where it shows; a
+    chunk spans ``_CHUNK`` symbols of k letters, the last one also the tail.
     """
     _check_kind(kind)
     mats = _family(matrices)
     word = check_word(word, len(mats))
-    n = mats.shape[1]
+    n_letters, n = mats.shape[:2]
     check_steps = not all(is_allowable(m) for m in mats)
+    k = _symbol_length(n_letters, word.size)
+    n_symbols = word.size // k
+    digits = word[: n_symbols * k].reshape(n_symbols, k)
+    symbols = np.ravel_multi_index(digits.T, (n_letters,) * k)
     eye = np.eye(n)[None]
     run, pattern, log_scale = np.eye(n), np.eye(n, dtype=bool), 0.0
     with np.errstate(divide="ignore", invalid="ignore"):
-        for start in range(0, word.size, _CHUNK):
-            block = mats[word[start : start + _CHUNK]]
-            end = start + len(block)
+        table, table_logs = _product_table(mats, k)
+        for first in range(0, n_symbols, _CHUNK):
+            chunk = symbols[first : first + _CHUNK]
+            block = table[chunk]
+            log_scale += float(table_logs[chunk].sum())
+            start, end = first * k, (first + len(chunk)) * k
+            if first + _CHUNK >= n_symbols:
+                block = np.concatenate((block, mats[word[end:]]))
+                end = word.size
             if check_steps:
-                pattern = _scan_prefixes(pattern, block > 0, kind, start)
+                for at in range(start, end, _CHUNK):
+                    letters = mats[word[at : at + _CHUNK]]
+                    pattern = _scan_prefixes(pattern, letters > 0, kind, at)
             while len(block) > 1:
                 if len(block) % 2:
                     block = np.concatenate((block, eye))

@@ -81,8 +81,8 @@ def build_proof_params(model, exponent):
     both capped at 1. A zero (or too small) second moment is replaced by a
     larger valid bound so that delta stays below 1.
     """
-    if exponent <= 0:
-        raise ValueError("the exponent must be positive")
+    if not 0.0 < exponent < math.inf:
+        raise ValueError("the exponent must be positive and finite")
     rho = math.exp(-exponent / 2.0)
     if not 0.0 < rho < 1.0:
         rho = (math.exp(-exponent) + 1.0) / 2.0

@@ -72,6 +72,21 @@ def test_private_read_is_detected(tmp_path):
     assert len(_cross_module_private_reads(probe)) == 2
 
 
+def test_every_public_name_resolves():
+    import mbpre
+
+    missing = [name for name in mbpre.__all__ if not hasattr(mbpre, name)]
+    assert missing == []
+
+
+def test_classify_stays_the_function_after_its_module_loads():
+    import mbpre
+    import mbpre.classify  # binds the submodule as the package attribute
+    from mbpre import classify
+
+    assert classify is mbpre.classify is importlib.import_module("mbpre.classify").classify
+
+
 @pytest.mark.parametrize("demo", DEMOS, ids=[p.stem for p in DEMOS])
 def test_demo_imports_exist(demo):
     tree = ast.parse(demo.read_text(), filename=str(demo))

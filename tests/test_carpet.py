@@ -57,6 +57,14 @@ class TestLambdaB:
         est = lambda_b(20_000, 8, seed=0)
         assert lo - 0.01 <= est.point <= hi + 0.01
 
+    def test_jensen_bounds(self):
+        # Jensen: lambda_B <= log of the spectral radius of the mean column
+        # matrix, log(8/3), and so p_c = exp(-lambda_B) >= 3/8
+        est = lambda_b(100_000, 8, seed=7)
+        assert est.point + est.half_width <= math.log(8 / 3)
+        p_low, _ = critical_p(est)
+        assert p_low >= 3 / 8
+
     def test_scaling_consistency_with_retention(self):
         from mbpre import IidEnvironment, estimate_exponent
 

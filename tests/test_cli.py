@@ -311,6 +311,61 @@ def test_overflowing_cap_is_usage_error_before_any_draw(carpet_p1_file, monkeypa
         assert "cap" in err
 
 
+@pytest.mark.parametrize("mode", ["converged", "annealed"])
+@pytest.mark.parametrize("tol", ["nan", "inf"])
+def test_non_finite_tol_is_usage_error_before_any_draw(carpet_p04_file, monkeypatch, mode, tol):
+    from mbpre.model import IidEnvironment
+
+    def no_draw(*args, **kwargs):
+        raise AssertionError("sampled a word with a non-finite tol")
+
+    monkeypatch.setattr(IidEnvironment, "sample_word", no_draw)
+    code, out, err = run_cli(
+        ["extinction", "--model", carpet_p04_file, "--mode", mode, "--tol", tol,
+         "--max-depth", "64", "--json"]
+    )
+    assert code == 2
+    assert out == ""
+    assert "argument --tol: must be a finite number" in err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_non_finite_lambda_is_usage_error(carpet_p04_file, value):
+    code, out, err = run_cli(
+        ["proofkit", "--model", carpet_p04_file, "--lambda", value, "--samples", "10"]
+    )
+    assert code == 2
+    assert out == ""
+    assert "argument --lambda: must be a finite number" in err
+
+
+def _imported_modules(argv):
+    """The numpy and mbpre modules a fresh interpreter holds after ``main(argv)``."""
+    code = (
+        "import contextlib, io, json, sys\n"
+        "from mbpre.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    rc = main({argv!r})\n"
+        "names = [m for m in sys.modules if m == 'numpy' or m.startswith('mbpre')]\n"
+        "print(json.dumps([rc, sorted(names)]))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    rc, names = json.loads(proc.stdout)
+    assert rc == 0
+    return set(names)
+
+
+def test_version_does_not_import_numpy():
+    assert _imported_modules(["--version"]) == {"mbpre", "mbpre.cli", "mbpre.errors"}
+
+
+def test_carpet_critical_imports_only_what_it_runs():
+    names = _imported_modules(["carpet", "critical", "--steps", "1000", "--batches", "2"])
+    assert {"numpy", "mbpre.carpet", "mbpre.lyapunov"} <= names
+    assert not names & {"mbpre.proofkit", "mbpre.classify", "mbpre.extinction"}
+
+
 def test_threads_defaults_to_one(carpet_p04_file):
     # the echoed default must not depend on the machine's CPU count
     env = run_json(["extinction", "--model", carpet_p04_file, "--mode", "fixed", "--word", "0,1"])

@@ -120,6 +120,19 @@ class TestConverged:
         assert res.converged
         assert np.all(res.q < 1.0)
 
+    @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
+    def test_bad_tol_rejected_before_any_draw(self, tol, monkeypatch):
+        model = build_carpet_model(0.4).model
+
+        def no_draw(*args, **kwargs):
+            raise AssertionError("sampled a word with a bad tol")
+
+        monkeypatch.setattr(IidEnvironment, "sample_word", no_draw)
+        with pytest.raises(ValueError, match="tol"):
+            extinction_converged(model, seed=0, tol=tol, max_depth=64)
+        with pytest.raises(ValueError, match="tol"):
+            annealed_extinction(model, 4, tol=tol, max_depth=64, seed=0)
+
     def test_non_convergence_flagged(self):
         # critical line (mean 1): q_n -> 1 only polynomially, so a tight
         # tolerance cannot be met by depth 128

@@ -10,8 +10,9 @@ from mbpre import (
     estimate_exponent,
     exponent_along_word,
 )
+from mbpre import lyapunov
 from mbpre.carpet import COLUMN_MATRICES
-from mbpre.lyapunov import _CHUNK, KINDS
+from mbpre.lyapunov import _CHUNK, KINDS, _symbol_length
 from oracles import exponent_sequential, mean_exponent_brackets, random_allowable_matrix
 
 UNIFORM3 = IidEnvironment(np.array([1.0, 1.0, 1.0]) / 3)
@@ -19,8 +20,45 @@ STICKY3 = MarkovEnvironment(
     np.array([1.0, 1.0, 1.0]) / 3,
     np.array([[0.8, 0.1, 0.1], [0.1, 0.8, 0.1], [0.1, 0.1, 0.8]]),
 )
-# around and across the chunk boundaries of the tree kernel
-WORD_LENGTHS = (1, 2, 3, _CHUNK - 1, _CHUNK, _CHUNK + 1, 3 * _CHUNK + 5)
+# a small chunk puts every boundary of the tree kernel within a few hundred letters
+SMALL_CHUNK = 32
+
+
+def _word_lengths(n_letters, chunk):
+    """Word lengths around the kernel's boundaries for ``n_letters`` letters.
+
+    Short words and n < 16 L (one letter per symbol), the lengths where the
+    symbol length k steps up, and around the first length where the k-letter
+    symbols exactly fill whole chunks, with tails of 0, 1 and k - 1 letters.
+    """
+    base = max(n_letters, 2)
+    lengths = {1, 2, 3, 16 * n_letters - 1}
+    k = 1
+    while base ** (k + 1) <= chunk:
+        k += 1
+        lengths |= {16 * base**k - 1, 16 * base**k}
+    # every word of at least 16 base^k letters reads k-letter symbols
+    filled = -(-16 * base**k // (k * chunk)) * k * chunk
+    return sorted(lengths | {filled - 1, filled, filled + 1, filled + k - 1, 2 * filled + 1})
+
+
+# around the symbol and chunk boundaries of the kernel for three letters
+WORD_LENGTHS = _word_lengths(3, SMALL_CHUNK)
+
+
+def _assert_matches_reference(mats, env, lengths, rng):
+    for length in lengths:
+        word = env.sample_word(length, rng)
+        for kind in KINDS:
+            assert exponent_along_word(mats, word, kind) == pytest.approx(
+                exponent_sequential(mats, word, kind), abs=1e-12
+            ), (length, kind)
+
+
+def _sticky(n_letters):
+    """A Markov environment that repeats its letter half the time."""
+    uniform = np.full(n_letters, 1.0 / n_letters)
+    return MarkovEnvironment(uniform, 0.5 * np.eye(n_letters) + 0.5 * uniform)
 
 
 class TestExponentAlongWord:
@@ -144,15 +182,65 @@ class TestTreeKernel:
 
     @pytest.mark.parametrize("env", [UNIFORM3, STICKY3], ids=["iid", "markov"])
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
-    def test_matches_sequential_reference(self, n, env):
+    def test_matches_sequential_reference(self, n, env, monkeypatch):
+        monkeypatch.setattr(lyapunov, "_CHUNK", SMALL_CHUNK)
         rng = np.random.default_rng(100 + n)
         mats = [random_allowable_matrix(rng, n=n) for _ in range(3)]
-        for length in WORD_LENGTHS:
-            word = env.sample_word(length, rng)
-            for kind in KINDS:
-                assert exponent_along_word(mats, word, kind) == pytest.approx(
-                    exponent_sequential(mats, word, kind), abs=1e-12
-                ), (length, kind)
+        _assert_matches_reference(mats, env, WORD_LENGTHS, rng)
+
+    @pytest.mark.parametrize("n_letters", [1, 2, 5])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_other_alphabets_match_sequential_reference(self, n, n_letters, monkeypatch):
+        monkeypatch.setattr(lyapunov, "_CHUNK", SMALL_CHUNK)
+        rng = np.random.default_rng(100 + 10 * n + n_letters)
+        mats = [random_allowable_matrix(rng, n=n) for _ in range(n_letters)]
+        lengths = _word_lengths(n_letters, SMALL_CHUNK)
+        _assert_matches_reference(mats, _sticky(n_letters), lengths, rng)
+
+    def test_symbol_length(self):
+        assert _symbol_length(3, 15) == 1
+        assert _symbol_length(3, 16 * 9 - 1) == 1
+        assert _symbol_length(3, 16 * 9) == 2
+        assert _symbol_length(3, 100_000) == 7  # 3^7 = 2187 <= 4096 < 3^8
+        # one letter counts as two, so k stays finite however long the word
+        assert _symbol_length(1, 10**12) == _symbol_length(2, 10**12) == 12
+
+    def test_one_letter_family(self):
+        assert exponent_along_word([[[2.0]]], np.zeros(10**6, dtype=np.int64)) == pytest.approx(
+            math.log(2), abs=1e-12
+        )
+        # the all-ones vector is an eigenvector: the entry sum of M^n is 2 (3/4)^n
+        mats = [np.array([[0.5, 0.25], [0.25, 0.5]])]
+        n = 100_001
+        assert exponent_along_word(mats, [0] * n) == pytest.approx(
+            math.log(0.75) + math.log(2) / n, abs=1e-12
+        )
+
+    def test_unused_zero_product_in_table(self, monkeypatch):
+        # x after y is the zero matrix, so the table holds zero products;
+        # a word that never puts x after y must not read them
+        monkeypatch.setattr(lyapunov, "_CHUNK", SMALL_CHUNK)
+        x = np.array([[1.0, 0.0], [0.0, 0.0]])
+        y = np.array([[0.0, 1.0], [0.0, 1.0]])
+        word = [0] * 150 + [1] * 151
+        assert _symbol_length(2, len(word)) == 4
+        assert exponent_along_word([x, y], word) == pytest.approx(
+            exponent_sequential([x, y], word), abs=1e-12
+        )
+        with pytest.raises(DegenerateProductError) as err:
+            exponent_along_word([x, y], word + [0])
+        assert (err.value.step, err.value.kind) == (len(word) + 1, "sum")
+
+    def test_real_chunk_boundaries(self):
+        # one full chunk of 6-letter symbols, then 10 symbols and a 5-letter tail
+        rng = np.random.default_rng(14)
+        mats = [random_allowable_matrix(rng, n=2) for _ in range(3)]
+        length = 6 * (_CHUNK + 10) + 5
+        assert _symbol_length(3, length) == 6
+        word = STICKY3.sample_word(length, rng)
+        assert exponent_along_word(mats, word) == pytest.approx(
+            exponent_sequential(mats, word), abs=1e-12
+        )
 
     def test_long_carpet_word(self):
         word = UNIFORM3.sample_word(100_000, np.random.default_rng(12))

@@ -140,6 +140,12 @@ class TestBuildProofParams:
         with pytest.raises(ValueError):
             build_proof_params(model, -1.0)
 
+    @pytest.mark.parametrize("exponent", [math.nan, math.inf])
+    def test_non_finite_exponent_rejected(self, exponent):
+        model = build_carpet_model(0.4).model
+        with pytest.raises(ValueError, match="finite"):
+            build_proof_params(model, exponent)
+
     def test_params_satisfy_family_bounds(self):
         model = build_carpet_model(0.4).model
         params = build_proof_params(model, LAMBDA_04)

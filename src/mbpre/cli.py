@@ -1,10 +1,12 @@
 """Command-line interface.
 
-Every subcommand echoes its seed and full parameters, writes results to
-stdout (JSON with --json, flat key = value lines otherwise) and
-diagnostics to stderr. Identical command lines produce byte-identical
-JSON. Exit codes: 0 success, 2 usage error, 3 model or invariant error,
-4 resource-budget error.
+Every subcommand echoes its seed and, in ``params``, every other option
+its parser holds (defaults included, in parser order, ``--json`` left
+out), writes results to stdout (JSON with --json, flat key = value lines
+otherwise) and diagnostics to stderr. Identical command lines produce
+byte-identical JSON. Exit codes: 0 success, 2 usage error (a count option
+below 1 included), 3 model or invariant error, 4 resource-budget error
+(an exponent word over ``LETTER_BUDGET`` letters included).
 
 Each handler imports the modules it runs, and numpy only where it uses it,
 so a launch loads only what its subcommand needs and ``--version`` loads
@@ -40,13 +42,13 @@ def _parse_seed(text):
     return value
 
 
-def _parse_threads(text):
+def _parse_positive(text):
     try:
         value = int(text)
     except ValueError:
-        raise argparse.ArgumentTypeError("threads must be an integer")
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
     if value < 1:
-        raise argparse.ArgumentTypeError("threads must be >= 1")
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
     return value
 
 
@@ -78,7 +80,7 @@ def _add_seed_threads(p):
     p.add_argument("--seed", type=_parse_seed, default=0, help="RNG seed (or 'random')")
     p.add_argument(
         "--threads",
-        type=_parse_threads,
+        type=_parse_positive,
         default=1,
         help="no effect: runs in one process",
     )
@@ -97,11 +99,13 @@ def _build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("check", help="verify classification hypotheses on a model")
+    p.set_defaults(handler=_cmd_check)
     p.add_argument("--model", required=True)
-    p.add_argument("--max-word-len", type=int, default=None)
+    p.add_argument("--max-word-len", type=_parse_positive, default=None)
     _add_json(p)
 
     p = sub.add_parser("lyapunov", help="estimate a growth exponent")
+    p.set_defaults(handler=_cmd_lyapunov)
     p.add_argument("--model", required=True)
     p.add_argument("--kind", choices=KINDS, default="sum")
     p.add_argument("--steps", type=int, default=100_000)
@@ -110,6 +114,7 @@ def _build_parser():
     _add_json(p)
 
     p = sub.add_parser("extinction", help="extinction vectors by pgf composition")
+    p.set_defaults(handler=_cmd_extinction)
     p.add_argument("--model", required=True)
     p.add_argument("--mode", choices=("fixed", "converged", "annealed"), default="converged")
     p.add_argument("--word", default=None, help="comma-separated letter indices (fixed mode)")
@@ -120,21 +125,25 @@ def _build_parser():
     _add_json(p)
 
     p = sub.add_parser("simulate", help="population simulation and survival estimate")
+    p.set_defaults(handler=_cmd_simulate)
     p.add_argument("--model", required=True)
     p.add_argument("--start-type", type=int, default=0)
     p.add_argument("--trials", type=int, default=10_000)
     p.add_argument("--horizon", type=int, default=100)
     p.add_argument("--cap", type=int, default=10**6)
-    p.add_argument("--growth", action="store_true", help="also estimate the conditioned growth rate")
+    p.add_argument(
+        "--growth", action="store_true", help="also estimate the conditioned growth rate"
+    )
     _add_seed_threads(p)
     _add_json(p)
 
     p = sub.add_parser("classify", help="survival/extinction verdict for a model")
+    p.set_defaults(handler=_cmd_classify)
     p.add_argument("--model", required=True)
     p.add_argument("--kind", choices=KINDS, default="sum")
     p.add_argument("--steps", type=int, default=100_000)
     p.add_argument("--batches", type=int, default=32)
-    p.add_argument("--max-word-len", type=int, default=None)
+    p.add_argument("--max-word-len", type=_parse_positive, default=None)
     _add_seed_threads(p)
     _add_json(p)
 
@@ -142,41 +151,46 @@ def _build_parser():
     csub = pc.add_subparsers(dest="carpet_command", required=True)
 
     p = csub.add_parser("lambda-b", help="growth exponent of the p=1 column matrices")
+    p.set_defaults(handler=_cmd_carpet_lambda_b)
     p.add_argument("--steps", type=int, default=100_000)
     p.add_argument("--batches", type=int, default=32)
     _add_seed_threads(p)
     _add_json(p)
 
     p = csub.add_parser("critical", help="critical retention probability interval")
+    p.set_defaults(handler=_cmd_carpet_critical)
     p.add_argument("--steps", type=int, default=100_000)
     p.add_argument("--batches", type=int, default=32)
     p.add_argument("--bisect", action="store_true", help="cross-check by survival bisection")
     p.add_argument("--trials", type=int, default=400, help="trials per bisection step")
     p.add_argument("--horizon", type=int, default=200)
     p.add_argument("--cap", type=int, default=10**6)
-    p.add_argument("--iterations", type=int, default=12)
+    p.add_argument("--iterations", type=_parse_positive, default=12)
     _add_seed_threads(p)
     _add_json(p)
 
     p = csub.add_parser("project", help="sample carpets and measure their projections")
+    p.set_defaults(handler=_cmd_carpet_project)
     p.add_argument("--p", type=float, required=True)
     p.add_argument("--depth", type=int, required=True)
-    p.add_argument("--samples", type=int, default=100)
+    p.add_argument("--samples", type=_parse_positive, default=100)
     _add_seed_threads(p)
     _add_json(p)
 
     p = csub.add_parser("offspring", help="validate a column law against the geometry")
+    p.set_defaults(handler=_cmd_carpet_offspring)
     p.add_argument("--p", type=float, required=True)
     p.add_argument("--column", type=int, required=True, choices=(0, 1, 2))
-    p.add_argument("--type", type=int, required=True, choices=(0, 1), dest="parent_type")
-    p.add_argument("--samples", type=int, default=100_000)
+    p.add_argument("--type", type=int, required=True, choices=(0, 1))
+    p.add_argument("--samples", type=_parse_positive, default=100_000)
     _add_seed_threads(p)
     _add_json(p)
 
     p = sub.add_parser("proofkit", help="run the majorant inequality oracle suite")
+    p.set_defaults(handler=_cmd_proofkit)
     p.add_argument("--model", required=True)
-    p.add_argument("--lambda", dest="lambda_", type=_parse_finite, required=True)
-    p.add_argument("--samples", type=int, default=10_000)
+    p.add_argument("--lambda", type=_parse_finite, required=True)
+    p.add_argument("--samples", type=_parse_positive, default=10_000)
     _add_seed_threads(p)
     _add_json(p)
 
@@ -187,9 +201,7 @@ def _cmd_check(args):
     from .classify import check_conditions
 
     model = _load_model(args.model)
-    report = check_conditions(model, max_word_len=args.max_word_len)
-    params = {"model": args.model, "max_word_len": args.max_word_len}
-    return params, report.to_dict()
+    return check_conditions(model, max_word_len=args.max_word_len).to_dict()
 
 
 def _cmd_lyapunov(args):
@@ -203,21 +215,13 @@ def _cmd_lyapunov(args):
         batches=args.batches,
         seed=args.seed,
     )
-    params = {
-        "model": args.model,
-        "kind": args.kind,
-        "steps": args.steps,
-        "batches": args.batches,
-        "threads": args.threads,
-    }
-    return params, est.to_dict()
+    return est.to_dict()
 
 
 def _cmd_extinction(args):
     from . import extinction
 
     model = _load_model(args.model)
-    params = {"model": args.model, "mode": args.mode, "threads": args.threads}
     if args.mode == "fixed":
         if not args.word:
             raise _UsageError("--word is required in fixed mode")
@@ -225,18 +229,13 @@ def _cmd_extinction(args):
             word = [int(x) for x in args.word.split(",")]
         except ValueError:
             raise _UsageError("--word must be comma-separated integers")
-        params["word"] = args.word
         res = extinction.extinction_fixed_env(model, word)
-        return params, {"q": [float(v) for v in res.q], "depth": res.depth}
+        return {"q": [float(v) for v in res.q], "depth": res.depth}
     if args.mode == "converged":
-        params.update({"tol": args.tol, "max_depth": args.max_depth})
-        res = extinction.extinction_converged(model, args.seed, tol=args.tol, max_depth=args.max_depth)
-        return params, {
-            "q": [float(v) for v in res.q],
-            "depth": res.depth,
-            "converged": res.converged,
-        }
-    params.update({"tol": args.tol, "max_depth": args.max_depth, "envs": args.envs})
+        res = extinction.extinction_converged(
+            model, args.seed, tol=args.tol, max_depth=args.max_depth
+        )
+        return {"q": [float(v) for v in res.q], "depth": res.depth, "converged": res.converged}
     mean_q, share = extinction.annealed_extinction(
         model,
         args.envs,
@@ -244,28 +243,19 @@ def _cmd_extinction(args):
         max_depth=args.max_depth,
         seed=args.seed,
     )
-    return params, {"mean_q": [float(v) for v in mean_q], "share_converged": share}
+    return {"mean_q": [float(v) for v in mean_q], "share_converged": share}
 
 
 def _cmd_simulate(args):
     from . import extinction
 
     model = _load_model(args.model)
-    params = {
-        "model": args.model,
-        "start_type": args.start_type,
-        "trials": args.trials,
-        "horizon": args.horizon,
-        "cap": args.cap,
-        "growth": args.growth,
-        "threads": args.threads,
-    }
     trial_args = (model, args.start_type, args.trials, args.horizon, args.cap, args.seed)
     if not args.growth:
         est, hw = extinction.survival_probability_mc(*trial_args)
-        return params, {"survival": est, "half_width": hw}
+        return {"survival": est, "half_width": hw}
     est, hw, rate, rate_hw, nsurv = extinction.survival_and_growth(*trial_args)
-    return params, {
+    return {
         "survival": est,
         "half_width": hw,
         "growth_rate": rate,
@@ -288,23 +278,13 @@ def _cmd_classify(args):
         seed=args.seed,
     )
     verdict = classify(model, report, est)
-    params = {
-        "model": args.model,
-        "kind": args.kind,
-        "steps": args.steps,
-        "batches": args.batches,
-        "max_word_len": args.max_word_len,
-        "threads": args.threads,
-    }
-    return params, {"report": report.to_dict(), "verdict": verdict.to_dict()}
+    return {"report": report.to_dict(), "verdict": verdict.to_dict()}
 
 
 def _cmd_carpet_lambda_b(args):
     from . import carpet
 
-    est = carpet.lambda_b(args.steps, args.batches, args.seed)
-    params = {"steps": args.steps, "batches": args.batches, "threads": args.threads}
-    return params, est.to_dict()
+    return carpet.lambda_b(args.steps, args.batches, args.seed).to_dict()
 
 
 def _bisect_critical(args):
@@ -331,26 +311,12 @@ def _bisect_critical(args):
 def _cmd_carpet_critical(args):
     from . import carpet
 
-    params = {
-        "steps": args.steps,
-        "batches": args.batches,
-        "threads": args.threads,
-        "method": "bisect" if args.bisect else "ci",
-    }
     if args.bisect:
-        params.update(
-            {
-                "trials": args.trials,
-                "horizon": args.horizon,
-                "cap": args.cap,
-                "iterations": args.iterations,
-            }
-        )
         lo, hi = _bisect_critical(args)
-        return params, {"p_low": lo, "p_high": hi, "method": "bisect"}
+        return {"p_low": lo, "p_high": hi, "method": "bisect"}
     est = carpet.lambda_b(args.steps, args.batches, args.seed)
     lo, hi = carpet.critical_p(est)
-    return params, {"p_low": lo, "p_high": hi, "method": "ci", "lambda_b": est.to_dict()}
+    return {"p_low": lo, "p_high": hi, "method": "ci", "lambda_b": est.to_dict()}
 
 
 def _cmd_carpet_project(args):
@@ -358,7 +324,6 @@ def _cmd_carpet_project(args):
 
     from . import carpet
 
-    params = {"p": args.p, "depth": args.depth, "samples": args.samples, "threads": args.threads}
     children = np.random.SeedSequence(args.seed).spawn(args.samples)
     measures = []
     for child in children:
@@ -366,7 +331,7 @@ def _cmd_carpet_project(args):
         measures.append(carpet.projection_measure(sq))
     measures = np.array(measures)
     nonempty = measures[measures > 0]
-    return params, {
+    return {
         "measures": [float(m) for m in measures],
         "mean_measure": float(measures.mean()),
         "mean_nonempty_measure": float(nonempty.mean()) if nonempty.size else 0.0,
@@ -379,24 +344,15 @@ def _cmd_carpet_offspring(args):
 
     from . import carpet
 
-    params = {
-        "p": args.p,
-        "column": args.column,
-        "type": args.parent_type,
-        "samples": args.samples,
-        "threads": args.threads,
-    }
     rng = np.random.default_rng(args.seed)
-    stats = carpet.empirical_offspring_stats(
-        args.p, args.column, args.parent_type, args.samples, rng
-    )
-    law = carpet.build_carpet_model(args.p).model.letters[args.column].laws[args.parent_type]
+    stats = carpet.empirical_offspring_stats(args.p, args.column, args.type, args.samples, rng)
+    law = carpet.build_carpet_model(args.p).model.letters[args.column].laws[args.type]
     model_pmf = {
         (int(z[0]), int(z[1])): float(p) for z, p in zip(law.counts, law.probs)
     }
     atoms = set(stats.pmf) | set(model_pmf)
     tv = 0.5 * sum(abs(stats.pmf.get(a, 0.0) - model_pmf.get(a, 0.0)) for a in atoms)
-    return params, {
+    return {
         "mean": [float(v) for v in stats.mean],
         "pmf": {f"{a},{b}": p for (a, b), p in sorted(stats.pmf.items())},
         "model_pmf": {f"{a},{b}": p for (a, b), p in sorted(model_pmf.items())},
@@ -408,10 +364,10 @@ def _cmd_proofkit(args):
     from . import proofkit
 
     model = _load_model(args.model)
-    report = proofkit.oracle_suite(model, args.lambda_, args.samples, args.seed)
-    params = {"model": args.model, "lambda": args.lambda_, "samples": args.samples}
-    built = proofkit.build_proof_params(model, args.lambda_)
-    return params, {
+    lam = getattr(args, "lambda")  # a keyword, so not args.lambda
+    report = proofkit.oracle_suite(model, lam, args.samples, args.seed)
+    built = proofkit.build_proof_params(model, lam)
+    return {
         "checks": report.to_dicts(),
         "all_passed": report.all_passed,
         "params": {
@@ -425,21 +381,9 @@ def _cmd_proofkit(args):
     }
 
 
-_HANDLERS = {
-    "check": _cmd_check,
-    "lyapunov": _cmd_lyapunov,
-    "extinction": _cmd_extinction,
-    "simulate": _cmd_simulate,
-    "classify": _cmd_classify,
-    "proofkit": _cmd_proofkit,
-}
-
-_CARPET_HANDLERS = {
-    "lambda-b": _cmd_carpet_lambda_b,
-    "critical": _cmd_carpet_critical,
-    "project": _cmd_carpet_project,
-    "offspring": _cmd_carpet_offspring,
-}
+# Namespace fields that are not echoed in ``params``: the seed has its own
+# envelope key, --json only picks the output format, and the rest dispatch.
+_NOT_ECHOED = frozenset({"seed", "json", "command", "carpet_command", "handler"})
 
 
 def _flatten(prefix, obj):
@@ -459,14 +403,8 @@ def main(argv=None):
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else int(exc.code)
-    command = args.command
-    if command == "carpet":
-        handler = _CARPET_HANDLERS[args.carpet_command]
-        command = f"carpet {args.carpet_command}"
-    else:
-        handler = _HANDLERS[command]
     try:
-        params, result = handler(args)
+        result = args.handler(args)
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_USAGE
@@ -481,6 +419,9 @@ def main(argv=None):
     except Exception as exc:  # runtime failures: degenerate products, no survivors
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    # argparse fills the namespace in parser order, defaults included
+    params = {k: v for k, v in vars(args).items() if k not in _NOT_ECHOED}
+    command = " ".join(filter(None, (args.command, getattr(args, "carpet_command", None))))
     envelope = {
         "tool": "mbpre",
         "version": __version__,

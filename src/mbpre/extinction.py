@@ -15,15 +15,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BudgetError, NoSurvivorsError
-from .model import check_word
+from .model import LETTER_BUDGET, check_word
 
 _Z95 = 1.96
 # First depth probed by the doubling convergence loop.
 _DEPTH0 = 64
-# Most environment letters the depth-doubling loop may hold at once
-# (n_envs x max_depth), one byte each for alphabets of up to 256 letters;
-# also the most (trial, generation) entries one chunk of trials may hold.
-LETTER_BUDGET = 1 << 26
 # Trials simulated together; chunk c draws from child c of SeedSequence(seed).
 _CHUNK = 1024
 

@@ -88,6 +88,8 @@ def find_positive_product_word(patterns, start, allowed, max_word_len=None, max_
         max_states = min(2 ** (n * n) * L, MAX_PATTERN_STATES)
     if max_states < 1:
         raise ValueError("max_states must be >= 1")
+    if max_word_len is not None and max_word_len < 1:
+        raise ValueError("max_word_len must be >= 1")
     successors = [np.flatnonzero(row).tolist() for row in allowed]
 
     seen = set()

@@ -14,12 +14,13 @@ workers; sampling takes an explicit ``numpy.random.Generator``.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .errors import InvariantError, ModelFormatError, NotAllowableError
+from .errors import BudgetError, InvariantError, ModelFormatError, NotAllowableError
 
 # Probability mass must balance to this absolute tolerance; masses are never
 # renormalized silently.
@@ -27,6 +28,11 @@ MASS_TOL = 1e-12
 # A Markov environment must come with an initial vector this close to
 # stationary (the shift must be measure preserving).
 STATIONARY_TOL = 1e-9
+# Most letters one sampled word (or block of words) may hold; also bounds
+# the letters the depth-doubling loop of ``extinction`` holds at once
+# (n_envs x max_depth, one byte each for alphabets of up to 256 letters)
+# and the (trial, generation) entries of one chunk of trials.
+LETTER_BUDGET = 1 << 26
 
 # pgf arguments may drift past [0, 1] by accumulated rounding when pgf
 # outputs are fed back in; anything worse is a caller bug.
@@ -184,8 +190,18 @@ class EnvironmentLetter:
 
 
 def _word_buffer(n, prefix, rows):
-    """An int64 word of ``n`` letters (a (rows, n) block with ``rows``) holding ``prefix``."""
-    word = np.empty((n,) if rows is None else (rows, n), dtype=np.int64)
+    """An int64 word of ``n`` letters (a (rows, n) block with ``rows``) holding ``prefix``.
+
+    A word of more than ``LETTER_BUDGET`` letters in all raises
+    :class:`BudgetError` before anything is allocated.
+    """
+    shape = (n,) if rows is None else (rows, n)
+    if math.prod(shape) > LETTER_BUDGET:
+        raise BudgetError(
+            f"a word of {' x '.join(map(str, shape))} letters exceeds the budget of "
+            f"{LETTER_BUDGET} letters"
+        )
+    word = np.empty(shape, dtype=np.int64)
     have = np.shape(prefix)[-1]
     word[..., :have] = prefix
     return word, have

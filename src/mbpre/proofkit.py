@@ -159,12 +159,9 @@ class OracleReport:
         return all(c.passed for c in self.checks)
 
 
-def _first_bad(mask):
-    return int(np.argmax(mask))
-
-
-def _as_list(a):
-    return [float(x) for x in np.atleast_1d(a)]
+def _point(x):
+    """A row as a list of floats, a scalar as a float."""
+    return [float(v) for v in x] if np.ndim(x) else float(x)
 
 
 def _compose_letters(fns, word, s):
@@ -172,6 +169,18 @@ def _compose_letters(fns, word, s):
     for idx in word[::-1]:
         out = fns[idx](out)
     return out
+
+
+def _case(ok, head, **points):
+    """The counterexample of one check case, or None if ``ok`` holds everywhere.
+
+    At the first False entry i of ``ok`` it is ``head`` followed by entry i
+    of each array in ``points``.
+    """
+    bad = np.flatnonzero(~np.asarray(ok, dtype=bool))
+    if not bad.size:
+        return None
+    return {**head, **{k: _point(v[bad[0]]) for k, v in points.items()}}
 
 
 def oracle_suite(model, exponent, samples, seed, params=None):
@@ -187,148 +196,110 @@ def oracle_suite(model, exponent, samples, seed, params=None):
     n = model.n_types
     delta, mu, u = params.delta, params.mu, params.u
     mats = shrunk_matrices(model, params.rho)
+    pairs = list(zip(mats, model.letters))
     rng = np.random.default_rng(seed)
     checks = []
 
-    def record(name, ok_mask, count, ce):
-        bad = not np.all(ok_mask)
-        checks.append(OracleCheck(name, not bad, count, ce() if bad else None))
+    def record(name, count, cases):
+        # cases: the _case results in order; the first counterexample fails the check
+        ce = next((c for c in cases if c is not None), None)
+        checks.append(OracleCheck(name, ce is None, count, ce))
 
     # clamp dominates its argument and preserves the componentwise order
     s = rng.random((samples, n))
     t = s + (1.0 - s) * rng.random((samples, n))
-    ok = np.all(psi(s, delta) >= s, axis=1) & np.all(
-        psi(s, delta) <= psi(t, delta), axis=1
-    )
-    record(
-        "clamp_monotone",
-        ok,
-        samples,
-        lambda: {"s": _as_list(s[_first_bad(~ok)]), "t": _as_list(t[_first_bad(~ok)])},
-    )
+    ok = np.all(psi(s, delta) >= s, axis=1) & np.all(psi(s, delta) <= psi(t, delta), axis=1)
+    record("clamp_monotone", samples, [_case(ok, {}, s=s, t=t)])
 
     # inside the clamp box the clamp is the identity, so h and g agree exactly
     sb = 1.0 - delta * rng.random((samples, n))
-    ok = np.ones(samples, dtype=bool)
-    ce_letter = {}
-    for li, a in enumerate(mats):
-        same = np.all(h_eval(a, sb, delta) == g_eval(a, sb), axis=1)
-        if not same.all() and not ce_letter:
-            ce_letter = {"letter": model.letters[li].name, "s": _as_list(sb[_first_bad(~same)])}
-        ok &= same
-    record("h_equals_g_near_one", ok, samples, lambda: ce_letter)
+    cases = [
+        _case(np.all(h_eval(a, sb, delta) == g_eval(a, sb), axis=1), {"letter": letter.name}, s=sb)
+        for a, letter in pairs
+    ]
+    record("h_equals_g_near_one", samples, cases)
 
     # h fixes the all-ones vector
     ones = np.ones(n)
-    ok = np.array([np.all(h_eval(a, ones, delta) == 1.0) for a in mats])
-    record(
-        "h_fixes_one",
-        ok,
-        len(mats),
-        lambda: {"letter": model.letters[_first_bad(~ok)].name},
-    )
+    cases = [
+        _case(np.all(h_eval(a, ones, delta) == 1.0), {"letter": letter.name})
+        for a, letter in pairs
+    ]
+    record("h_fixes_one", len(mats), cases)
 
     # h is componentwise monotone
-    ok = np.ones(samples, dtype=bool)
-    ce_letter = {}
-    for li, a in enumerate(mats):
-        mono = np.all(h_eval(a, s, delta) <= h_eval(a, t, delta) + _TOL, axis=1)
-        if not mono.all() and not ce_letter:
-            bad = _first_bad(~mono)
-            ce_letter = {
-                "letter": model.letters[li].name,
-                "s": _as_list(s[bad]),
-                "t": _as_list(t[bad]),
-            }
-        ok &= mono
-    record("h_monotone", ok, samples, lambda: ce_letter)
+    cases = [
+        _case(
+            np.all(h_eval(a, s, delta) <= h_eval(a, t, delta) + _TOL, axis=1),
+            {"letter": letter.name},
+            s=s,
+            t=t,
+        )
+        for a, letter in pairs
+    ]
+    record("h_monotone", samples, cases)
 
     # compositions of h dominate the matching pgf compositions
     h_fns = [
         (lambda a: (lambda x: np.clip(h_eval(a, x, delta), 0.0, 1.0)))(a) for a in mats
     ]
     f_fns = [letter.pgf_vector for letter in model.letters]
-    ok_all = True
-    ce = {}
-    done = 0
     n_words = 32
     per_word = max(1, samples // n_words)
+    cases = []
     for _ in range(n_words):
         length = int(rng.integers(1, 6))
         word = rng.integers(0, model.n_letters, size=length)
         sw = rng.random((per_word, n))
         hv = _compose_letters(h_fns, word, sw)
         fv = _compose_letters(f_fns, word, sw)
-        good = np.all(hv >= fv - _TOL, axis=1)
-        done += per_word
-        if not good.all() and not ce:
-            bad = _first_bad(~good)
-            ce = {"word": [int(w) for w in word], "s": _as_list(sw[bad])}
-            ok_all = False
-    record("h_dominates_pgf_on_words", np.array([ok_all]), done, lambda: ce)
+        cases.append(_case(np.all(hv >= fv - _TOL, axis=1), {"word": word.tolist()}, s=sw))
+    record("h_dominates_pgf_on_words", n_words * per_word, cases)
 
     # h never goes negative
-    ok = np.ones(samples, dtype=bool)
-    ce_letter = {}
-    for li, a in enumerate(mats):
-        nonneg = np.all(h_eval(a, s, delta) >= -_TOL, axis=1)
-        if not nonneg.all() and not ce_letter:
-            ce_letter = {"letter": model.letters[li].name, "s": _as_list(s[_first_bad(~nonneg)])}
-        ok &= nonneg
-    record("h_nonnegative", ok, samples, lambda: ce_letter)
+    cases = [
+        _case(np.all(h_eval(a, s, delta) >= -_TOL, axis=1), {"letter": letter.name}, s=s)
+        for a, letter in pairs
+    ]
+    record("h_nonnegative", samples, cases)
 
     # a large h norm is only possible for arguments already near one:
     # outside the box, ||h(s)|| stays below every v > N - u * delta
     outside = s[np.max(1.0 - s, axis=1) > delta]
     vs = (n - u * delta) + u * delta * rng.random(len(outside))
-    ok_all = True
-    ce = {}
-    for li, a in enumerate(mats):
+    cases = []
+    for a, letter in pairs:
         norms = h_eval(a, outside, delta).sum(axis=1)
-        good = norms < vs
-        if not good.all() and not ce:
-            bad = _first_bad(~good)
-            ce = {
-                "letter": model.letters[li].name,
-                "s": _as_list(outside[bad]),
-                "v": float(vs[bad]),
-                "h_norm": float(norms[bad]),
-            }
-            ok_all = False
-    record("high_norm_forces_near_one", np.array([ok_all]), len(outside), lambda: ce)
+        cases.append(_case(norms < vs, {"letter": letter.name}, s=outside, v=vs, h_norm=norms))
+    record("high_norm_forces_near_one", len(outside), cases)
 
     # inside the box the affine map dominates the pgf itself
-    ok = np.ones(samples, dtype=bool)
-    ce_letter = {}
-    for li, (a, letter) in enumerate(zip(mats, model.letters)):
-        dom = np.all(g_eval(a, sb) >= letter.pgf_vector(sb) - _TOL, axis=1)
-        if not dom.all() and not ce_letter:
-            ce_letter = {"letter": letter.name, "s": _as_list(sb[_first_bad(~dom)])}
-        ok &= dom
-    record("majorant_dominates_pgf_near_one", ok, samples, lambda: ce_letter)
+    cases = [
+        _case(
+            np.all(g_eval(a, sb) >= letter.pgf_vector(sb) - _TOL, axis=1),
+            {"letter": letter.name},
+            s=sb,
+        )
+        for a, letter in pairs
+    ]
+    record("majorant_dominates_pgf_near_one", samples, cases)
 
     # wherever g is componentwise non-negative its norm contracts under phi_mu
     checked = 0
-    ok_all = True
-    ce = {}
-    for li, a in enumerate(mats):
+    cases = []
+    for a, letter in pairs:
         gv = g_eval(a, s)
         mask = np.all(gv >= 0.0, axis=1)
         checked += int(mask.sum())
-        bound = phi(mu, s[mask].sum(axis=1), n)
-        good = gv[mask].sum(axis=1) <= bound + _TOL
-        if not good.all() and not ce:
-            bad = _first_bad(~good)
-            ce = {"letter": model.letters[li].name, "s": _as_list(s[mask][bad])}
-            ok_all = False
-    record("affine_norm_contraction", np.array([ok_all]), checked, lambda: ce)
+        good = gv[mask].sum(axis=1) <= phi(mu, s[mask].sum(axis=1), n) + _TOL
+        cases.append(_case(good, {"letter": letter.name}, s=s[mask]))
+    record("affine_norm_contraction", checked, cases)
 
     # along words whose product keeps a column-sum margin gamma^n, the norm
     # contracts under phi_gamma; only qualifying words are checked
     gamma = math.sqrt(params.rho * math.exp(params.exponent))
     checked = 0
-    ok_all = True
-    ce = {}
+    cases = []
     for _ in range(n_words):
         length = int(rng.integers(2, 9))
         word = rng.integers(0, model.n_letters, size=length)
@@ -340,11 +311,8 @@ def oracle_suite(model, exponent, samples, seed, params=None):
         mask = np.all(gv >= 0.0, axis=1)
         checked += int(mask.sum())
         good = gv[mask].sum(axis=1) <= phi(gamma, sw[mask].sum(axis=1), n) + _TOL
-        if not good.all() and not ce:
-            bad = _first_bad(~good)
-            ce = {"word": [int(w) for w in word], "s": _as_list(sw[mask][bad])}
-            ok_all = False
-    record("word_norm_contraction", np.array([ok_all]), checked, lambda: ce)
+        cases.append(_case(good, {"word": word.tolist()}, s=sw[mask]))
+    record("word_norm_contraction", checked, cases)
 
     # a pgf drops strictly below 1 - (alpha/2) * dtilde whenever some child
     # type with positive mean count has its coordinate below 1 - dtilde
@@ -352,8 +320,7 @@ def oracle_suite(model, exponent, samples, seed, params=None):
     dtildes = rng.random(samples)
     sx = rng.random((samples, n))
     checked = 0
-    ok_all = True
-    ce = {}
+    cases = []
     for letter in model.letters:
         m = letter.expectation
         for k, law in enumerate(letter.laws):
@@ -362,23 +329,14 @@ def oracle_suite(model, exponent, samples, seed, params=None):
                 continue
             hit = np.any(sx[:, support] < (1.0 - dtildes)[:, None], axis=1)
             checked += int(hit.sum())
-            vals = law.pgf(sx[hit])
-            good = vals < 1.0 - p_star * dtildes[hit]
-            if not good.all() and not ce:
-                bad = _first_bad(~good)
-                ce = {
-                    "letter": letter.name,
-                    "parent_type": k,
-                    "s": _as_list(sx[hit][bad]),
-                    "dtilde": float(dtildes[hit][bad]),
-                }
-                ok_all = False
-    record("pgf_strict_drop", np.array([ok_all]), checked, lambda: ce)
+            good = law.pgf(sx[hit]) < 1.0 - p_star * dtildes[hit]
+            head = {"letter": letter.name, "parent_type": k}
+            cases.append(_case(good, head, s=sx[hit], dtilde=dtildes[hit]))
+    record("pgf_strict_drop", checked, cases)
 
     # a zero expectation entry forces zero mass on every atom bearing that type
     checked = 0
-    ok_all = True
-    ce = {}
+    cases = []
     for letter in model.letters:
         m = letter.expectation
         for k, law in enumerate(letter.laws):
@@ -387,9 +345,8 @@ def oracle_suite(model, exponent, samples, seed, params=None):
                     continue
                 checked += 1
                 mass = law.probs[law.counts[:, i] > 0]
-                if mass.size and mass.max() > 0 and not ce:
-                    ce = {"letter": letter.name, "parent_type": k, "child_type": i}
-                    ok_all = False
-    record("zero_column_zero_mass", np.array([ok_all]), checked, lambda: ce)
+                head = {"letter": letter.name, "parent_type": k, "child_type": i}
+                cases.append(_case(mass <= 0, head))
+    record("zero_column_zero_mass", checked, cases)
 
     return OracleReport(tuple(checks))

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -255,6 +256,85 @@ def test_threads_below_one_is_usage_error(carpet_p1_file):
         )
         assert code == 2
         assert "threads" in err
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["carpet", "project", "--p", "0.6", "--depth", "3", "--samples", "0"], "--samples"),
+        (["carpet", "project", "--p", "0.6", "--depth", "3", "--samples", "-1"], "--samples"),
+        (["carpet", "offspring", "--p", "0.5", "--column", "1", "--type", "0", "--samples", "0"],
+         "--samples"),
+        (["proofkit", "--model", "P04", "--lambda", "0.057", "--samples", "0"], "--samples"),
+        (["carpet", "critical", "--bisect", "--iterations", "-1"], "--iterations"),
+        (["carpet", "critical", "--bisect", "--iterations", "0"], "--iterations"),
+        (["carpet", "lambda-b", "--threads", "1.5"], "--threads"),
+        (["check", "--model", "P04", "--max-word-len", "0"], "--max-word-len"),
+        (["classify", "--model", "P04", "--max-word-len", "-1"], "--max-word-len"),
+    ],
+    ids=["project-0", "project-neg", "offspring-0", "proofkit-0", "iterations-neg",
+         "iterations-0", "threads-float", "check-max-word-len-0", "classify-max-word-len-neg"],
+)
+def test_count_below_one_is_usage_error(carpet_p04_file, argv, flag):
+    argv = [carpet_p04_file if a == "P04" else a for a in argv]
+    code, out, err = run_cli(argv + ["--json"])
+    assert code == 2
+    assert out == ""
+    assert f"argument {flag}:" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["lyapunov", "--model", "P1"],
+        ["classify", "--model", "P1"],
+        ["carpet", "lambda-b"],
+        ["carpet", "critical"],
+    ],
+    ids=["lyapunov", "classify", "lambda-b", "critical"],
+)
+def test_exponent_word_over_budget_is_budget_error(carpet_p1_file, argv):
+    # one letter over LETTER_BUDGET: refused before the word is allocated
+    argv = [carpet_p1_file if a == "P1" else a for a in argv]
+    code, out, err = run_cli(argv + ["--steps", "67108865", "--batches", "2", "--json"])
+    assert code == 4
+    assert out == ""
+    assert "budget" in err
+
+
+def _subparser(command):
+    from mbpre.cli import _build_parser
+
+    parser = _build_parser()
+    for name in command.split():
+        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        parser = sub.choices[name]
+    return parser
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check", "--model", "P04"],
+        ["lyapunov", "--model", "P04", "--steps", "500", "--batches", "2"],
+        ["extinction", "--model", "P04", "--mode", "fixed", "--word", "0,1"],
+        ["simulate", "--model", "P04", "--trials", "20", "--horizon", "10"],
+        ["classify", "--model", "P04", "--steps", "500", "--batches", "2"],
+        ["carpet", "lambda-b", "--steps", "500", "--batches", "2"],
+        ["carpet", "critical", "--steps", "500", "--batches", "2"],
+        ["carpet", "project", "--p", "0.6", "--depth", "2", "--samples", "2"],
+        ["carpet", "offspring", "--p", "0.5", "--column", "1", "--type", "0", "--samples", "50"],
+        ["proofkit", "--model", "P04", "--lambda", "0.057", "--samples", "20"],
+    ],
+    ids=lambda argv: "-".join(a for a in argv[:2] if not a.startswith("-")),
+)
+def test_params_echo_every_parsed_option(carpet_p04_file, argv):
+    argv = [carpet_p04_file if a == "P04" else a for a in argv]
+    env = run_json(argv)
+    command = env["command"]
+    assert command == " ".join(a for a in argv[:2] if not a.startswith("-"))
+    dests = [a.dest for a in _subparser(command)._actions if a.dest not in ("help", "seed", "json")]
+    assert list(env["params"]) == dests
 
 
 def test_exit_code_model_invariant(tmp_path):

@@ -146,6 +146,13 @@ class TestPositiveProductWord:
         assert search([_UPPER, _LOWER], max_word_len=1) is None
         assert search([_UPPER, _LOWER], max_word_len=2) == [0, 1]
 
+    @pytest.mark.parametrize("max_word_len", [0, -1])
+    def test_max_word_len_below_one_rejected(self, max_word_len):
+        # one-letter words are always visited, so a bound below 1 cannot be met
+        pats = [positivity_pattern(m) for m in COLUMN_MATRICES]
+        with pytest.raises(ValueError, match="max_word_len"):
+            search(pats, max_word_len=max_word_len)
+
     def test_rejects_mask_shapes(self):
         with pytest.raises(ValueError):
             find_positive_product_word([_UPPER, _LOWER], np.ones(3, dtype=bool), np.ones((2, 2)))

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mbpre import (
+    BudgetError,
     EnvironmentLetter,
     IidEnvironment,
     InvariantError,
@@ -299,6 +300,26 @@ class TestEnvironmentSampling:
         block = env.sample_word(100, np.random.default_rng(13), rows=500)
         assert block.shape == (500, 100)
         assert np.allclose([(block == k).mean() for k in range(3)], env.probs, atol=0.01)
+
+    @pytest.mark.parametrize(
+        "env",
+        [IidEnvironment(np.array([0.2, 0.3, 0.5])), MarkovEnvironment(np.full(3, 1 / 3), _MARKOV3)],
+        ids=["iid", "markov"],
+    )
+    def test_word_over_letter_budget_is_refused_before_drawing(self, env, monkeypatch):
+        from mbpre import model
+
+        monkeypatch.setattr(model, "LETTER_BUDGET", 100)
+        rng = np.random.default_rng(14)
+        assert env.sample_word(100, rng).shape == (100,)
+        assert env.sample_word(10, rng, rows=10).shape == (10, 10)
+        after = np.random.default_rng(14)
+        env.sample_word(100, after)
+        env.sample_word(10, after, rows=10)
+        for n, rows in ((101, None), (11, 10), (10, 11)):
+            with pytest.raises(BudgetError, match="budget"):
+                env.sample_word(n, rng, rows=rows)
+        assert rng.random() == after.random()
 
     def test_markov_requires_stationary_initial(self):
         with pytest.raises(InvariantError):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -202,6 +203,53 @@ class TestOracleSuite:
         assert "majorant_dominates_pgf_near_one" in names
         for c in report.checks:
             assert (c.counterexample is None) == c.passed
+
+    def test_corrupted_counterexamples_reproduce(self):
+        # moment_bound / 200 with delta x 200 widens the clamp box past where
+        # the affine map dominates, and mu = 1 drops the contraction margin;
+        # each reported letter or word and point must violate its inequality
+        model = build_carpet_model(0.4).model
+        good = build_proof_params(model, LAMBDA_04)
+        bad = dataclasses.replace(
+            good, moment_bound=good.moment_bound / 200.0, delta=good.delta * 200.0, mu=1.0
+        )
+        report = oracle_suite(model, LAMBDA_04, samples=500, seed=1, params=bad)
+        letters = {x.name: x for x in model.letters}
+        mats = shrunk_matrices(model, bad.rho)
+        shrunk = dict(zip(letters, mats))
+        tol = 1e-12
+
+        def affine_norm_contraction(ce, s):
+            gv = g_eval(shrunk[ce["letter"]], s)
+            return gv.min() >= 0.0 and gv.sum() > phi(bad.mu, s.sum(), model.n_types) + tol
+
+        def majorant_dominates_pgf_near_one(ce, s):
+            pgf = letters[ce["letter"]].pgf_vector(s)
+            return np.any(g_eval(shrunk[ce["letter"]], s) < pgf - tol)
+
+        def h_dominates_pgf_on_words(ce, s):
+            hv = fv = s
+            for idx in reversed(ce["word"]):
+                hv = np.clip(h_eval(mats[idx], hv, bad.delta), 0.0, 1.0)
+                fv = model.letters[idx].pgf_vector(fv)
+            return np.any(hv < fv - tol)
+
+        def h_nonnegative(ce, s):
+            return np.any(h_eval(shrunk[ce["letter"]], s, bad.delta) < -tol)
+
+        violated = {
+            f.__name__: f
+            for f in (
+                affine_norm_contraction,
+                majorant_dominates_pgf_near_one,
+                h_dominates_pgf_on_words,
+                h_nonnegative,
+            )
+        }
+        failed = [c for c in report.checks if not c.passed]
+        assert {c.check for c in failed} == set(violated)
+        for c in failed:
+            assert violated[c.check](c.counterexample, np.array(c.counterexample["s"])), c.check
 
     def test_report_serializes(self):
         import json

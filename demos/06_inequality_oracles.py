@@ -30,16 +30,19 @@ for check in report.checks:
 print("all passed:", report.all_passed)
 print()
 
-# Negative control: double the clamp box beyond what the construction
-# guarantees and re-run. The majorant checks are entitled to fail now;
-# whatever happens, the report pinpoints it.
+# Negative control: widen the clamp box 200-fold (moment_bound / 200, so
+# that delta x 200 still meets its formula) and claim the contraction
+# floor mu = 1. The construction guarantees neither, so checks must fail:
+# the clamped majorant leaves [0, 1] and stops dominating the pgfs, and the
+# report names each failed check with a counterexample. The demo exits
+# non-zero if none fails.
 bad = ProofParams(
     rho=params.rho,
     alpha=params.alpha,
     n_types=params.n_types,
-    moment_bound=params.moment_bound / 2,
-    delta=params.delta * 2,
-    mu=params.mu,
+    moment_bound=params.moment_bound / 200,
+    delta=params.delta * 200,
+    mu=1.0,
     u=params.u,
     exponent=params.exponent,
 )
@@ -49,5 +52,4 @@ for check in corrupted.checks:
         print("corrupted params tripped:", check.check)
         print("  counterexample:", check.counterexample)
 if corrupted.all_passed:
-    print("corrupted params slipped through at this sample size (can happen;")
-    print("the margin violation is not pointwise everywhere)")
+    raise SystemExit("corrupted params slipped through: the negative control failed")

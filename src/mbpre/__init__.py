@@ -65,7 +65,6 @@ _EXPORTS = {
         "MarkovEnvironment",
         "ModelSpec",
         "OffspringLaw",
-        "cylinder_probability",
         "parse_model",
         "second_moment_bound",
         "uniform_allowability_alpha",

@@ -16,14 +16,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotAllowableError
 from .matcore import (
+    allowability_offenders,
     boolean_product,
     find_positive_product_word,
     positivity_pattern,
     product_along_word,
 )
-from .model import cylinder_probability, second_moment_bound, uniform_allowability_alpha
+from .model import second_moment_bound, uniform_allowability_alpha
 
 
 @dataclass(frozen=True)
@@ -79,21 +79,17 @@ def _markov_irreducible(transition):
     return bool(reach.all())
 
 
-def check_conditions(model, max_word_len=None, max_states=None):
+def check_conditions(model, max_word_len=None):
     """Verify every hypothesis of the survival trichotomy on a model.
 
     Findings are reported, never thrown: a failed condition shows up as a
     false flag plus the offending letters.
     """
-    offenders = []
-    for letter in model.letters:
-        m = letter.expectation
-        for i, ok in enumerate(m.sum(axis=1) > 0):
-            if not ok:
-                offenders.append({"letter": letter.name, "axis": "row", "index": i})
-        for j, ok in enumerate(m.sum(axis=0) > 0):
-            if not ok:
-                offenders.append({"letter": letter.name, "axis": "column", "index": j})
+    offenders = [
+        {"letter": letter.name, "axis": axis, "index": index}
+        for letter in model.letters
+        for axis, index in allowability_offenders(letter.expectation)
+    ]
     allowable_ok = not offenders
 
     env = model.environment
@@ -111,19 +107,15 @@ def check_conditions(model, max_word_len=None, max_states=None):
             start,
             allowed,
             max_word_len,
-            max_states,
         )
         if found is not None:
             prod = product_along_word(model.expectation_matrices(), found)
-            prob = cylinder_probability(model, found)
+            prob = env.cylinder_probability(found)
             if prod.min() > 0 and prob > 0:
                 word = tuple(found)
                 word_prob = prob
 
-    try:
-        alpha = uniform_allowability_alpha(model)
-    except NotAllowableError:
-        alpha = None
+    alpha = uniform_allowability_alpha(model) if allowable_ok else None
 
     witness = None
     for i, letter in enumerate(model.letters):

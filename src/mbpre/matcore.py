@@ -33,10 +33,18 @@ def row_min(b):
     return float(np.asarray(b, dtype=float).sum(axis=1).min())
 
 
+def allowability_offenders(b):
+    """Why ``b`` is not allowable: ``("row", i)`` for each all-zero row, then
+    ``("column", j)`` for each all-zero column; empty when it is allowable."""
+    b = np.asarray(b, dtype=float)
+    rows = np.flatnonzero(~(b.sum(axis=1) > 0))
+    cols = np.flatnonzero(~(b.sum(axis=0) > 0))
+    return [("row", int(i)) for i in rows] + [("column", int(j)) for j in cols]
+
+
 def is_allowable(b):
     """True iff every row and every column has a positive entry."""
-    b = np.asarray(b, dtype=float)
-    return bool((b.sum(axis=1) > 0).all() and (b.sum(axis=0) > 0).all())
+    return not allowability_offenders(b)
 
 
 def product_along_word(matrices, word):

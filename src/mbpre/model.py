@@ -15,12 +15,14 @@ from __future__ import annotations
 
 import json
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from .errors import BudgetError, InvariantError, ModelFormatError, NotAllowableError
+from .matcore import allowability_offenders
 
 # Probability mass must balance to this absolute tolerance; masses are never
 # renormalized silently.
@@ -121,7 +123,9 @@ class OffspringLaw:
 
     @cached_property
     def _cdf(self):
-        return _readonly(np.cumsum(self.probs))
+        # partial sums without the total: a uniform past the last one picks
+        # the last atom, also when the masses sum a rounding short of 1
+        return _readonly(np.cumsum(self.probs)[:-1])
 
     def pgf(self, s):
         """Evaluate the pgf at ``s`` (with 0^0 = 1); batched over leading axes."""
@@ -147,10 +151,7 @@ class OffspringLaw:
 
     def sample(self, rng, size=None):
         """Draw one count vector, or ``size`` of them as a (size, N) array."""
-        u = rng.random(size)
-        idx = np.searchsorted(self._cdf, u, side="right")
-        idx = np.minimum(idx, len(self.probs) - 1)
-        return self.counts[idx]
+        return self.counts[np.searchsorted(self._cdf, rng.random(size), side="right")]
 
     def sample_sum(self, n, rng):
         """Sum of ``n`` independent draws, via multinomial atom counts."""
@@ -244,6 +245,7 @@ class IidEnvironment:
         return word
 
     def cylinder_probability(self, word):
+        """Probability that the environment starts with the given finite word."""
         return float(np.prod(self.probs[np.asarray(word, dtype=np.intp)]))
 
 
@@ -298,37 +300,35 @@ class MarkovEnvironment:
         together, and ``prefix`` has shape (rows, have) or is shared by
         every row.
 
-        All uniforms are drawn at once and mapped, for every state, to that
-        state's successor by one ``searchsorted``; the word then walks this
-        successor table, letter by letter in plain Python for one word and
-        column by column for a block.
+        Each letter takes one uniform u and is the number of entries of its
+        CDF row (the initial vector's for the first letter, else the
+        previous letter's transition row) that lie at or below u, with the
+        row's last entry left out, so a total mass a rounding short of 1
+        still gives a letter. One word walks by ``bisect`` in plain Python;
+        a block advances one column at a time.
         """
         word, have = _word_buffer(n, prefix, rows)
-        last = self.n_letters - 1
         if have == 0:
-            first = np.searchsorted(np.cumsum(self.initial), rng.random(rows), side="right")
-            word[..., 0] = np.minimum(first, last)
+            first = rng.random(rows)
+            word[..., 0] = np.searchsorted(np.cumsum(self.initial)[:-1], first, side="right")
             have = 1
         u = rng.random(word[..., have:].shape)
-        cdfs = np.cumsum(self.transition, axis=1)
-        # succ[s, ..., k]: the letter after s at position have + k
-        succ = np.minimum([np.searchsorted(cdf, u, side="right") for cdf in cdfs], last)
+        cdfs = np.cumsum(self.transition, axis=1)[:, :-1]
         if rows is None:
-            m = n - have
-            flat = memoryview(succ.reshape(-1))
+            cdf_rows = cdfs.tolist()
             state = int(word[have - 1])
             path = []
-            for k in range(m):
-                state = flat[state * m + k]
+            for x in memoryview(u):
+                state = bisect_right(cdf_rows[state], x)
                 path.append(state)
             word[have:] = path
         else:
-            r = np.arange(rows)
             for k in range(have, n):
-                word[:, k] = succ[word[:, k - 1], r, k - have]
+                word[:, k] = (cdfs[word[:, k - 1]] <= u[:, k - have, None]).sum(axis=1)
         return word
 
     def cylinder_probability(self, word):
+        """Probability that the environment starts with the given finite word."""
         word = np.asarray(word, dtype=np.intp)
         p = float(self.initial[word[0]])
         for a, b in zip(word[:-1], word[1:]):
@@ -419,22 +419,14 @@ def uniform_allowability_alpha(model):
     best = np.inf
     for letter in model.letters:
         m = letter.expectation
-        row_ok = m.sum(axis=1) > 0
-        col_ok = m.sum(axis=0) > 0
-        if not row_ok.all():
-            raise NotAllowableError(letter.name, "row", int(np.argmin(row_ok)))
-        if not col_ok.all():
-            raise NotAllowableError(letter.name, "column", int(np.argmin(col_ok)))
+        offenders = allowability_offenders(m)
+        if offenders:
+            raise NotAllowableError(letter.name, *offenders[0])
         for k, law in enumerate(letter.laws):
             for i in range(model.n_types):
                 if m[k, i] > 0:
                     best = min(best, law.mass_producing(i))
     return float(best)
-
-
-def cylinder_probability(model, word):
-    """Probability that the environment starts with the given finite word."""
-    return model.environment.cylinder_probability(word)
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ from mbpre import (
     row_min,
 )
 from mbpre.carpet import COLUMN_MATRICES
-from mbpre.matcore import boolean_product
+from mbpre.matcore import allowability_offenders, boolean_product
 from oracles import random_allowable_matrix
 
 
@@ -79,6 +79,13 @@ class TestAllowable:
 
     def test_zero_row(self):
         assert not is_allowable(np.array([[0.0, 0.0], [1.0, 1.0]]))
+
+    def test_offenders_list_rows_then_columns(self):
+        b = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+        assert allowability_offenders(b) == [
+            ("row", 0), ("row", 2), ("column", 1), ("column", 2)
+        ]
+        assert allowability_offenders(np.eye(3)) == []
 
 
 class TestPatterns:

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,7 +17,6 @@ from mbpre import (
     NotAllowableError,
     OffspringLaw,
     build_carpet_model,
-    cylinder_probability,
     parse_model,
     second_moment_bound,
     uniform_allowability_alpha,
@@ -168,6 +168,15 @@ class TestUniformAllowabilityAlpha:
         assert err.value.letter == "bad"
         assert err.value.axis == "row"
         assert err.value.index == 0
+
+    def test_not_allowable_names_column_offender(self):
+        # rows all positive, column 1 all zero
+        only_first = law([((1, 0), 1.0)])
+        letter = EnvironmentLetter("bad", (only_first, only_first))
+        model = ModelSpec(2, (letter,), IidEnvironment([1.0]))
+        with pytest.raises(NotAllowableError) as err:
+            uniform_allowability_alpha(model)
+        assert (err.value.letter, err.value.axis, err.value.index) == ("bad", "column", 1)
 
     def test_zero_mean_entry_has_zero_support_mass(self):
         rng = np.random.default_rng(11)
@@ -335,7 +344,46 @@ class TestEnvironmentSampling:
             ),
             env,
         )
-        assert cylinder_probability(model, [0, 1, 1]) == pytest.approx(0.2 * 0.8 * 0.8)
+        assert model.environment.cylinder_probability([0, 1, 1]) == pytest.approx(0.2 * 0.8 * 0.8)
+
+    @pytest.mark.parametrize("n, rows", [(100_000, None), (100, 1024)], ids=["word", "block"])
+    def test_markov_word_memory_does_not_grow_with_the_alphabet(self, n, rows):
+        # 64 letters, so memory that grew with the alphabet would far exceed the bound
+        env = MarkovEnvironment(np.full(64, 1 / 64), np.full((64, 64), 1 / 64))
+        rng = np.random.default_rng(15)
+        tracemalloc.start()
+        try:
+            word = env.sample_word(n, rng, rows=rows)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6 * word.nbytes
+
+    def test_top_uniform_draws_the_last_letter_of_a_short_row(self):
+        # masses a rounding short of 1: the largest uniform lies above every
+        # CDF entry and must still pick the last letter
+        short = 0.4 - 1e-13
+        transition = np.array([[0.3, 0.3, short]] * 3)
+        env = MarkovEnvironment(np.array([0.3, 0.3, short]), transition)
+        assert np.array_equal(env.sample_word(5, _TopUniform()), [2] * 5)
+        assert np.array_equal(env.sample_word(5, _TopUniform(), prefix=[0]), [0, 2, 2, 2, 2])
+        assert np.array_equal(env.sample_word(5, _TopUniform(), rows=4), np.full((4, 5), 2))
+        pinned = env.sample_word(5, _TopUniform(), prefix=[[1]] * 4, rows=4)
+        assert np.array_equal(pinned[:, 1:], np.full((4, 4), 2))
+
+    def test_top_uniform_draws_the_last_atom_of_a_short_law(self):
+        l = law([((0, 0), 0.5), ((1, 0), 0.25), ((2, 1), 0.25 - 1e-13)])
+        assert np.array_equal(l.sample(_TopUniform()), [2, 1])
+        assert np.array_equal(l.sample(_TopUniform(), size=3), [[2, 1]] * 3)
+
+
+class _TopUniform:
+    """A generator whose every uniform is the largest double below 1."""
+
+    def random(self, size=None):
+        top = 1.0 - 2.0**-53
+        return top if size is None else np.full(size, top)
+
 
 
 class TestCodec:

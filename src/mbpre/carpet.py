@@ -72,6 +72,19 @@ MAX_SQUARES = 10**7
 
 _MATRIX_TOL = 1e-12
 
+# Deepest carpet whose square indices fit in int64: 3^39 < 2^63 < 3^40.
+_MAX_DEPTH = 39
+
+# SquareSet checks _TABLE_DIGITS base-3 digits per pass: bit k of
+# _ONE_DIGITS[v] is set when digit k of v < 3^_TABLE_DIGITS is 1.
+_TABLE_DIGITS = 8
+_TABLE_SIZE = 3**_TABLE_DIGITS
+_ONE_DIGITS = np.packbits(
+    np.arange(_TABLE_SIZE)[:, None] // 3 ** np.arange(_TABLE_DIGITS) % 3 == 1,
+    axis=1,
+    bitorder="little",
+)[:, 0]
+
 
 def _binomial_law(k_upper, k_lower, p):
     """Independent Binomial(k_upper, p) x Binomial(k_lower, p) counts."""
@@ -167,12 +180,13 @@ class SquareSet:
         if sq.size:
             if sq.min() < 0 or sq.max() >= 3**self.depth:
                 raise InvariantError("square indices out of range for the depth")
-            x, y = sq[:, 0].copy(), sq[:, 1].copy()
-            for _ in range(self.depth):
-                if np.any((x % 3 == 1) & (y % 3 == 1)):
+            xy = sq.T.copy()
+            for _ in range(0, self.depth, _TABLE_DIGITS):
+                high = xy // _TABLE_SIZE
+                ones = _ONE_DIGITS[xy - _TABLE_SIZE * high]
+                if np.any(ones[0] & ones[1]):
                     raise InvariantError("a square has the middle-cell digit pair (1, 1)")
-                x //= 3
-                y //= 3
+                xy = high
 
     def __len__(self):
         return self.squares.shape[0]
@@ -195,8 +209,10 @@ def sample_carpet(p, depth, rng, max_squares=MAX_SQUARES):
     """
     if not 0.0 < p <= 1.0:
         raise ValueError("retention probability must lie in (0, 1]")
-    if depth < 1:
-        raise ValueError("depth must be >= 1")
+    if not 1 <= depth <= _MAX_DEPTH:
+        raise ValueError(
+            f"depth must lie in [1, {_MAX_DEPTH}]: deeper square indices overflow int64"
+        )
     if (8.0 * p) ** depth > max_squares:
         raise BudgetError(
             f"expected square count (8p)^depth = {(8.0 * p) ** depth:.3g} "
@@ -208,9 +224,10 @@ def sample_carpet(p, depth, rng, max_squares=MAX_SQUARES):
             raise BudgetError(
                 f"level population {x.size} * 8 exceeds the budget of {max_squares}"
             )
-        keep = rng.random(x.size * 8) < p
-        x = (3 * x[:, None] + _CHILD_DI).ravel()[keep]
-        y = (3 * y[:, None] + _CHILD_DJ).ravel()[keep]
+        kept = np.flatnonzero(rng.random(x.size * 8) < p)
+        parent, child = kept >> 3, kept & 7
+        x = 3 * x[parent] + _CHILD_DI[child]
+        y = 3 * y[parent] + _CHILD_DJ[child]
         if x.size == 0:
             break
     return SquareSet(depth, np.column_stack((x, y)))
@@ -220,23 +237,20 @@ def projection_intervals(square_set):
     """Disjoint sorted intervals covered by the diagonal projection.
 
     A square (i, j) at depth n projects onto [(i-j-1)/3^n, (i-j+1)/3^n] on
-    the x - y axis; overlapping contributions are merged by an endpoint
-    sweep.
+    the x - y axis; overlapping contributions, repeated diagonals included,
+    are merged by one sweep over the sorted diagonals.
     """
     n = square_set.depth
     if len(square_set) == 0:
         return np.empty((0, 2))
-    d = np.unique(square_set.squares[:, 0] - square_set.squares[:, 1])
+    d = np.sort(square_set.squares[:, 0] - square_set.squares[:, 1])
     scale = 3.0**n
     lo = (d - 1) / scale
-    hi = (d + 1) / scale
-    run_hi = np.maximum.accumulate(hi)
+    hi = (d + 1) / scale  # non-decreasing, so each segment ends at its last hi
     starts = np.ones(len(d), dtype=bool)
-    starts[1:] = lo[1:] > run_hi[:-1]
-    seg_lo = lo[starts]
+    starts[1:] = lo[1:] > hi[:-1]
     idx = np.flatnonzero(starts)
-    seg_hi = run_hi[np.r_[idx[1:] - 1, len(d) - 1]]
-    return np.column_stack([seg_lo, seg_hi])
+    return np.column_stack([lo[idx], hi[np.r_[idx[1:] - 1, len(d) - 1]]])
 
 
 def projection_measure(square_set):

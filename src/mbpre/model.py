@@ -35,6 +35,9 @@ STATIONARY_TOL = 1e-9
 # (n_envs x max_depth, one byte each for alphabets of up to 256 letters)
 # and the (trial, generation) entries of one chunk of trials.
 LETTER_BUDGET = 1 << 26
+# Largest alphabet whose i.i.d. letters are drawn by counting CDF entries;
+# past it the count's one pass per entry costs more than a binary search.
+_COUNT_LETTERS = 8
 
 # pgf arguments may drift past [0, 1] by accumulated rounding when pgf
 # outputs are fed back in; anything worse is a caller bug.
@@ -239,10 +242,29 @@ class IidEnvironment:
         ``rows`` the result is a (rows, n) block of independent words, drawn
         together, and ``prefix`` has shape (rows, have) or is shared by
         every row.
+
+        Each letter takes one uniform u and is the number of entries of
+        ``cumsum(probs) / cumsum(probs)[-1]`` that lie at or below u, with
+        the last entry left out: the CDF and the uniforms of
+        ``rng.choice(p=probs)``, so every word equals that draw. From 2 to
+        ``_COUNT_LETTERS`` letters the count is one compare-and-add pass
+        per entry, straight into the word; a longer CDF is searched.
         """
         word, have = _word_buffer(n, prefix, rows)
-        word[..., have:] = rng.choice(self.n_letters, size=word[..., have:].shape, p=self.probs)
+        tail = word[..., have:]
+        u = rng.random(tail.shape)
+        if 1 < self.n_letters <= _COUNT_LETTERS:
+            np.greater_equal(u, self._cdf[0], out=tail)
+            for edge in self._cdf[1:]:
+                tail += u >= edge
+        else:
+            tail[...] = np.searchsorted(self._cdf, u, side="right")
         return word
+
+    @cached_property
+    def _cdf(self):
+        cdf = np.cumsum(self.probs)
+        return _readonly(cdf[:-1] / cdf[-1])
 
     def cylinder_probability(self, word):
         """Probability that the environment starts with the given finite word."""

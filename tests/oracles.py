@@ -202,3 +202,52 @@ def exponent_sequential(matrices, word, kind="sum"):
         p /= s
         log_scale += math.log(s)
     return (log_scale + math.log(reduce(p))) / len(word)
+
+
+def iid_word_choice(env, n, rng, prefix=(), rows=None):
+    """An i.i.d. environment word drawn by ``rng.choice(p=probs)``.
+
+    This is the sampler's original draw, kept as the reference its words
+    must equal, random draws included. With ``rows`` it is a (rows, n) block
+    whose ``prefix`` is shared or given per row.
+    """
+    word = np.empty((n,) if rows is None else (rows, n), dtype=np.int64)
+    have = np.shape(prefix)[-1]
+    word[..., :have] = prefix
+    word[..., have:] = rng.choice(env.n_letters, size=word[..., have:].shape, p=env.probs)
+    return word
+
+
+def carpet_levels_broadcast(p, depth, rng):
+    """The (i, j) squares of a depth-n random carpet, as an (M, 2) array.
+
+    This is the carpet sampler's original level expansion, kept as the
+    reference its squares must equal, random draws included: each level
+    broadcasts every square to its 8 non-middle children, then masks them
+    by one uniform per child.
+    """
+    di, dj = np.array([(a, b) for a in range(3) for b in range(3) if (a, b) != (1, 1)]).T
+    x = y = np.zeros(1, dtype=np.int64)
+    for _ in range(depth):
+        keep = rng.random(x.size * 8) < p
+        x = (3 * x[:, None] + di).ravel()[keep]
+        y = (3 * y[:, None] + dj).ravel()[keep]
+        if x.size == 0:
+            break
+    return np.column_stack((x, y))
+
+
+def projection_intervals_unique(squares, depth):
+    """Merged diagonal-projection intervals of (i, j) squares at ``depth``.
+
+    This is the original sweep, kept as the reference: it drops repeated
+    diagonals with ``np.unique`` and merges by a running maximum.
+    """
+    d = np.unique(squares[:, 0] - squares[:, 1])
+    scale = 3.0**depth
+    lo, hi = (d - 1) / scale, (d + 1) / scale
+    run_hi = np.maximum.accumulate(hi)
+    starts = np.ones(len(d), dtype=bool)
+    starts[1:] = lo[1:] > run_hi[:-1]
+    idx = np.flatnonzero(starts)
+    return np.column_stack([lo[starts], run_hi[np.r_[idx[1:] - 1, len(d) - 1]]])

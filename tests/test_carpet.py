@@ -16,8 +16,13 @@ from mbpre import (
     projection_measure,
     sample_carpet,
 )
-from mbpre.carpet import COLUMN_MATRICES, intervals_to_csv, square_set_to_text
-from oracles import law_as_dict, mean_exponent_brackets
+from mbpre.carpet import MAX_SQUARES, COLUMN_MATRICES, intervals_to_csv, square_set_to_text
+from oracles import (
+    carpet_levels_broadcast,
+    law_as_dict,
+    mean_exponent_brackets,
+    projection_intervals_unique,
+)
 
 
 class TestBuildCarpetModel:
@@ -124,6 +129,59 @@ class TestSampleCarpet:
         with pytest.raises(InvariantError):
             SquareSet(1, np.array([[1, 1]]))
 
+    @pytest.mark.parametrize("p", [0.3, 0.6, 1.0])
+    @pytest.mark.parametrize("depth", range(1, 9))
+    def test_levels_equal_broadcast_reference(self, p, depth):
+        rng, ref_rng = np.random.default_rng(depth), np.random.default_rng(depth)
+        if (8 * p) ** depth > MAX_SQUARES:
+            # 8^8 squares at p = 1: refused before any draw
+            with pytest.raises(BudgetError):
+                sample_carpet(p, depth, rng)
+        else:
+            sq = sample_carpet(p, depth, rng)
+            assert np.array_equal(sq.squares, carpet_levels_broadcast(p, depth, ref_rng))
+        assert rng.random() == ref_rng.random()
+
+    def test_deepest_carpet_fits_int64(self):
+        rng, ref_rng = np.random.default_rng(5), np.random.default_rng(5)
+        sq = sample_carpet(0.16, 39, rng)
+        assert len(sq) > 0
+        assert 0 <= sq.squares.min() and sq.squares.max() < 3**39
+        assert np.array_equal(sq.squares, carpet_levels_broadcast(0.16, 39, ref_rng))
+
+    @pytest.mark.parametrize("depth", [40, 45])
+    def test_depth_past_int64_is_refused_before_any_draw(self, depth):
+        rng = np.random.default_rng(1)
+        with pytest.raises(ValueError, match=r"\[1, 39\]"):
+            sample_carpet(0.14, depth, rng)
+        assert rng.random() == np.random.default_rng(1).random()
+
+
+class TestSquareSetCheck:
+    @pytest.mark.parametrize("depth", range(1, 18))
+    def test_middle_digit_pair_raises_at_every_position(self, depth):
+        # digit k of x and of y is 1, every other digit pair is (2, 0), so
+        # only the pass that holds digit k can see it
+        top = 3**depth - 1
+        ok = [(0, 0), (top, top), (top, 0)]
+        for k in range(depth):
+            bad = (top - 3**k, 3**k)
+            with pytest.raises(InvariantError, match="middle-cell"):
+                SquareSet(depth, np.array(ok + [bad] + ok))
+
+    @pytest.mark.parametrize("depth", range(1, 18))
+    def test_lone_middle_digits_pass_at_every_position(self, depth):
+        ones = (3**depth - 1) // 2  # every digit 1
+        for k in range(depth):
+            sq = SquareSet(depth, np.array([(3**k, ones - 3**k), (ones - 3**k, 3**k)]))
+            assert len(sq) == 2
+
+    @pytest.mark.parametrize("depth", [1, 8, 9, 17])
+    def test_out_of_range_index_raises(self, depth):
+        for bad in ((3**depth, 0), (0, 3**depth), (-1, 0), (0, -1)):
+            with pytest.raises(InvariantError, match="out of range"):
+                SquareSet(depth, np.array([(0, 0), bad]))
+
 
 class TestProjection:
     def test_full_depth_one_covers_everything(self):
@@ -171,6 +229,27 @@ class TestProjection:
         assert empirical[(0.15, 8)] < 0.05
         for d in (5, 6, 7, 8):
             assert empirical[(0.15, d)] <= empirical[(0.15, d - 1)]
+
+
+    @pytest.mark.parametrize("p, depth", [(0.6, 3), (0.6, 6), (0.9, 5), (0.3, 8)])
+    def test_sweep_equals_unique_sweep_bit_for_bit(self, p, depth):
+        for child in np.random.SeedSequence(depth).spawn(20):
+            sq = sample_carpet(p, depth, np.random.default_rng(child))
+            if len(sq) == 0:
+                continue
+            d = sq.squares[:, 0] - sq.squares[:, 1]
+            assert np.unique(d).size < d.size  # repeated diagonals
+            ref = projection_intervals_unique(sq.squares, depth)
+            assert np.array_equal(projection_intervals(sq), ref)
+            assert projection_measure(sq) == float((ref[:, 1] - ref[:, 0]).sum())
+
+    def test_stacked_repeats_merge_once(self):
+        # three squares on diagonal 0, two on 2, one on 6: [-1, 3] and [5, 7]
+        squares = np.array([(0, 0), (2, 2), (6, 6), (2, 0), (8, 6), (6, 0)])
+        sq = SquareSet(2, squares)
+        ref = projection_intervals_unique(squares, 2)
+        assert np.array_equal(projection_intervals(sq), ref)
+        assert np.array_equal(ref * 9, [[-1, 3], [5, 7]])
 
 
 class TestOffspringStats:

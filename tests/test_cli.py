@@ -468,6 +468,33 @@ def test_exit_code_budget():
     assert code == 4
 
 
+@pytest.mark.parametrize("depth", ["40", "45"])
+def test_carpet_depth_past_int64_is_usage_error_before_any_draw(monkeypatch, depth):
+    import numpy as np
+
+    class NoDraw:
+        def random(self, *args, **kwargs):
+            raise AssertionError("drew squares past the int64 depth")
+
+    monkeypatch.setattr(np.random, "default_rng", lambda seed=None: NoDraw())
+    code, out, err = run_cli(
+        ["carpet", "project", "--p", "0.14", "--depth", depth, "--samples", "3000",
+         "--seed", "1"]
+    )
+    assert code == 2
+    assert out == ""
+    assert "[1, 39]" in err
+
+
+def test_carpet_depth_39_projects():
+    env = run_json(
+        ["carpet", "project", "--p", "0.14", "--depth", "39", "--samples", "20", "--seed", "1"]
+    )
+    measures = env["result"]["measures"]
+    assert len(measures) == 20
+    assert all(0.0 <= m <= 2.0 for m in measures)
+
+
 def test_annealed_letter_budget_exit_code(carpet_p04_file):
     code, out, err = run_cli(
         ["extinction", "--model", carpet_p04_file, "--mode", "annealed",

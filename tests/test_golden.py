@@ -1,0 +1,72 @@
+"""Committed SHA-256 digests of outputs whose bytes must not move.
+
+Every digest covers integers or exactly rounded floating-point results
+(sums, differences and quotients; no exp, log or other libm call), so it
+does not depend on the platform. A change that moves any of these bytes
+fails here by name; a shift that is meant gets a new digest and a line in
+CHANGES.md saying why.
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+
+import numpy as np
+import pytest
+
+from mbpre import IidEnvironment, MarkovEnvironment
+from mbpre.cli import main
+
+_MARKOV3 = np.array([[0.1, 0.6, 0.3], [0.5, 0.2, 0.3], [0.4, 0.2, 0.4]])
+
+
+def _sha256(data):
+    return hashlib.sha256(data).hexdigest()
+
+
+def test_carpet_project_result_digest():
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(
+            ["carpet", "project", "--p", "0.6", "--depth", "6", "--samples", "40",
+             "--seed", "12", "--json"]
+        )
+    assert code == 0
+    result = json.loads(out.getvalue())["result"]
+    assert _sha256(json.dumps(result).encode()) == (
+        "1eb0ba0b3cebf6689a8951f10dce47a0298a1cc36ea782d4b7d7e6ee7509aaf7"
+    )
+
+
+# (environment, n, prefix, rows, seed, digest of the word as little-endian int64)
+_WORDS = {
+    "iid3-word": (
+        IidEnvironment(np.full(3, 1 / 3)), 10_000, (), None, 21,
+        "32c542433de82bfdf4ba5fb49bf1fd78f6e11885b5d812d42b57e3572f5d6314",
+    ),
+    "iid5-shared-prefix-block": (
+        IidEnvironment(np.array([0.1, 0.2, 0.3, 0.25, 0.15])), 100, [4, 0], 64, 22,
+        "c0d8fdee4df661dbe6d51fc377bdb6c03fae3dbd32e4b84a472abccc5ac7b352",
+    ),
+    "iid16-per-row-prefix-block": (
+        IidEnvironment(np.arange(1, 17) / 136),
+        100, np.arange(64 * 3).reshape(64, 3) % 16, 64, 23,
+        "0b2d29105c2ad56f2ab7a260a7106d0aed11afc3e44df26ba9e35a70e6c283cd",
+    ),
+    "markov3-word": (
+        MarkovEnvironment(np.full(3, 1 / 3), _MARKOV3), 10_000, (), None, 24,
+        "e18dfb980fddbad43f6e606fa4316c8d431b022c9c9a1021efe1da4220d74d87",
+    ),
+    "markov3-block": (
+        MarkovEnvironment(np.full(3, 1 / 3), _MARKOV3), 100, (), 64, 25,
+        "eb341dcbf3f00558779a7c5e8e3c392e4ca3afefa09a1cb9540bd1a766f9a14e",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(_WORDS))
+def test_word_digest(case):
+    env, n, prefix, rows, seed, digest = _WORDS[case]
+    word = env.sample_word(n, np.random.default_rng(seed), prefix=prefix, rows=rows)
+    assert _sha256(word.astype("<i8").tobytes()) == digest

@@ -24,6 +24,7 @@ from mbpre import (
 )
 from oracles import (
     convolve_dicts,
+    iid_word_choice,
     law_as_dict,
     markov_word_per_letter,
     pgf_of_dict,
@@ -275,6 +276,48 @@ class TestEnvironmentSampling:
         assert np.array_equal(word, ref)
         assert rng.random() == ref_rng.random()
 
+    @pytest.mark.parametrize("n_letters", [1, 2, 3, 16, 64, 256])
+    @pytest.mark.parametrize(
+        "n, prefix, rows",
+        [
+            (1, (), None),
+            (700, (), None),
+            (700, "ends", None),
+            (90, (), 7),
+            (90, "ends", 7),
+            (90, "per-row", 7),
+        ],
+        ids=["one-letter", "word", "prefix", "block", "shared-prefix", "per-row-prefix"],
+    )
+    def test_iid_word_equals_choice_reference(self, n_letters, n, prefix, rows):
+        # uneven masses with a zero among them, so a wrong edge moves letters
+        masses = np.random.default_rng(n_letters).random(n_letters) + 0.05
+        masses[n_letters // 2] = 0.0 if n_letters > 1 else masses[0]
+        env = IidEnvironment(masses / masses.sum())
+        if prefix == "ends":
+            prefix = [n_letters - 1, 0]
+        elif prefix == "per-row":
+            prefix = np.random.default_rng(1).integers(0, n_letters, size=(rows, 3))
+        rng, ref_rng = np.random.default_rng(17), np.random.default_rng(17)
+        word = env.sample_word(n, rng, prefix=prefix, rows=rows)
+        ref = iid_word_choice(env, n, ref_rng, prefix=prefix, rows=rows)
+        assert word.dtype == np.int64
+        assert np.array_equal(word, ref)
+        assert rng.random() == ref_rng.random()
+
+    def test_iid_word_memory_is_the_word_and_its_uniforms(self):
+        # the word and its uniforms are 2x the word's bytes; a separate
+        # index array, as rng.choice makes, would bring the peak to 3x
+        env = IidEnvironment(np.full(3, 1 / 3))
+        rng = np.random.default_rng(16)
+        tracemalloc.start()
+        try:
+            word = env.sample_word(10**6, rng)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * word.nbytes
+
     def test_markov_block_rows_walk_their_own_draws(self):
         # row r: first letter from the r-th initial uniform, then the chain
         # driven by row r of the (rows, n - 1) uniforms
@@ -370,6 +413,15 @@ class TestEnvironmentSampling:
         assert np.array_equal(env.sample_word(5, _TopUniform(), rows=4), np.full((4, 5), 2))
         pinned = env.sample_word(5, _TopUniform(), prefix=[[1]] * 4, rows=4)
         assert np.array_equal(pinned[:, 1:], np.full((4, 4), 2))
+
+    @pytest.mark.parametrize("n_letters", [3, 16])
+    def test_top_uniform_draws_the_last_iid_letter(self, n_letters):
+        masses = np.full(n_letters, 1 / n_letters)
+        masses[-1] -= 1e-13
+        env = IidEnvironment(masses)
+        last = n_letters - 1
+        assert np.array_equal(env.sample_word(5, _TopUniform()), [last] * 5)
+        assert np.array_equal(env.sample_word(5, _TopUniform(), rows=4), np.full((4, 5), last))
 
     def test_top_uniform_draws_the_last_atom_of_a_short_law(self):
         l = law([((0, 0), 0.5), ((1, 0), 0.25), ((2, 1), 0.25 - 1e-13)])

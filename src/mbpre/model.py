@@ -35,9 +35,6 @@ STATIONARY_TOL = 1e-9
 # (n_envs x max_depth, one byte each for alphabets of up to 256 letters)
 # and the (trial, generation) entries of one chunk of trials.
 LETTER_BUDGET = 1 << 26
-# Largest alphabet whose i.i.d. letters are drawn by counting CDF entries;
-# past it the count's one pass per entry costs more than a binary search.
-_COUNT_LETTERS = 8
 
 # pgf arguments may drift past [0, 1] by accumulated rounding when pgf
 # outputs are fed back in; anything worse is a caller bug.
@@ -246,19 +243,15 @@ class IidEnvironment:
         Each letter takes one uniform u and is the number of entries of
         ``cumsum(probs) / cumsum(probs)[-1]`` that lie at or below u, with
         the last entry left out: the CDF and the uniforms of
-        ``rng.choice(p=probs)``, so every word equals that draw. From 2 to
-        ``_COUNT_LETTERS`` letters the count is one compare-and-add pass
-        per entry, straight into the word; a longer CDF is searched.
+        ``rng.choice(p=probs)``, so every word equals that draw. The count
+        is one compare-and-add pass per entry, straight into the word.
         """
         word, have = _word_buffer(n, prefix, rows)
         tail = word[..., have:]
         u = rng.random(tail.shape)
-        if 1 < self.n_letters <= _COUNT_LETTERS:
-            np.greater_equal(u, self._cdf[0], out=tail)
-            for edge in self._cdf[1:]:
-                tail += u >= edge
-        else:
-            tail[...] = np.searchsorted(self._cdf, u, side="right")
+        tail.fill(0)
+        for edge in self._cdf:
+            tail += u >= edge
         return word
 
     @cached_property

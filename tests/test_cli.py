@@ -487,6 +487,8 @@ def test_carpet_depth_past_int64_is_usage_error_before_any_draw(monkeypatch, dep
 
 
 def test_carpet_depth_39_projects():
+    # Only that the deepest allowed carpet is drawn and projected without
+    # wrapping; past depth 33 the measures themselves lose precision.
     env = run_json(
         ["carpet", "project", "--p", "0.14", "--depth", "39", "--samples", "20", "--seed", "1"]
     )

@@ -21,6 +21,7 @@ _EXPORTS = {
         "CarpetModel",
         "OffspringStats",
         "SquareSet",
+        "bisect_critical",
         "build_carpet_model",
         "critical_p",
         "empirical_offspring_stats",
@@ -28,6 +29,7 @@ _EXPORTS = {
         "projection_intervals",
         "projection_measure",
         "sample_carpet",
+        "sample_projection_measures",
     ),
     "classify": ("ConditionReport", "Verdict", "check_conditions", "classify"),
     "errors": (

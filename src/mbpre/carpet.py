@@ -164,6 +164,38 @@ def critical_p(estimate):
     )
 
 
+def bisect_critical(*, iterations, trials, horizon, cap, seed):
+    """Critical retention probability bracket by survival bisection on [0.05, 0.95].
+
+    Each of ``iterations`` steps simulates ``trials`` trials of the carpet
+    model at the bracket's midpoint to ``horizon`` generations (a population
+    over ``cap`` counts as alive), seeded from the next child of
+    ``SeedSequence(seed)``, and moves the upper end down to the midpoint
+    when any trial survives, the lower end up otherwise. Slowly dying
+    subcritical lines still alive at the horizon count as survivors, so the
+    bracket can sit below the critical probability. Returns
+    ``(p_low, p_high)``.
+    """
+    from . import extinction  # loaded only when a bisection runs
+
+    lo, hi = 0.05, 0.95
+    for child in np.random.SeedSequence(seed).spawn(iterations):
+        mid = 0.5 * (lo + hi)
+        surv, _ = extinction.survival_probability_mc(
+            build_carpet_model(mid).model,
+            0,
+            trials,
+            horizon,
+            cap=cap,
+            seed=int(child.generate_state(1)[0]),
+        )
+        if surv > 0:
+            hi = mid
+        else:
+            lo = mid
+    return lo, hi
+
+
 @dataclass(frozen=True)
 class SquareSet:
     """Retained squares (i, j) of a depth-n carpet approximation."""
@@ -257,6 +289,20 @@ def projection_measure(square_set):
     """Lebesgue measure of the diagonal projection of the square set."""
     segs = projection_intervals(square_set)
     return float((segs[:, 1] - segs[:, 0]).sum()) if segs.size else 0.0
+
+
+def sample_projection_measures(p, depth, samples, seed):
+    """Projection measures of ``samples`` independent depth-``depth`` carpets.
+
+    Carpet k draws from child k of ``SeedSequence(seed)``, so a measure
+    does not depend on how many samples follow it.
+    """
+    return np.array(
+        [
+            projection_measure(sample_carpet(p, depth, np.random.default_rng(child)))
+            for child in np.random.SeedSequence(seed).spawn(samples)
+        ]
+    )
 
 
 @dataclass(frozen=True)

@@ -69,25 +69,12 @@ def _load_model(path):
         with open(path, "rb") as fh:
             return parse_model(fh.read())
     except OSError as exc:
-        raise _UsageError(f"cannot read model file {path}: {exc}")
+        raise ValueError(f"cannot read model file {path}: {exc}")
 
 
-class _UsageError(Exception):
-    pass
-
-
-def _add_seed_threads(p):
-    p.add_argument("--seed", type=_parse_seed, default=0, help="RNG seed (or 'random')")
-    p.add_argument(
-        "--threads",
-        type=_parse_positive,
-        default=1,
-        help="no effect: runs in one process",
-    )
-
-
-def _add_json(p):
-    p.add_argument("--json", action="store_true", help="machine-readable output")
+def _add_steps(p):
+    p.add_argument("--steps", type=int, default=100_000)
+    p.add_argument("--batches", type=int, default=32)
 
 
 def _build_parser():
@@ -97,35 +84,34 @@ def _build_parser():
     )
     parser.add_argument("--version", action="version", version=f"mbpre {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
+    # every subcommand ends with --json, and all but check with --seed and
+    # --threads before it; they are added once the other options are in place
+    seeded, unseeded = [], []
 
-    p = sub.add_parser("check", help="verify classification hypotheses on a model")
-    p.set_defaults(handler=_cmd_check)
+    def command(group, name, handler, help, runs=seeded):
+        p = group.add_parser(name, help=help)
+        p.set_defaults(handler=handler)
+        runs.append(p)
+        return p
+
+    p = command(sub, "check", _cmd_check, "verify classification hypotheses on a model", unseeded)
     p.add_argument("--model", required=True)
     p.add_argument("--max-word-len", type=_parse_positive, default=None)
-    _add_json(p)
 
-    p = sub.add_parser("lyapunov", help="estimate a growth exponent")
-    p.set_defaults(handler=_cmd_lyapunov)
+    p = command(sub, "lyapunov", _cmd_lyapunov, "estimate a growth exponent")
     p.add_argument("--model", required=True)
     p.add_argument("--kind", choices=KINDS, default="sum")
-    p.add_argument("--steps", type=int, default=100_000)
-    p.add_argument("--batches", type=int, default=32)
-    _add_seed_threads(p)
-    _add_json(p)
+    _add_steps(p)
 
-    p = sub.add_parser("extinction", help="extinction vectors by pgf composition")
-    p.set_defaults(handler=_cmd_extinction)
+    p = command(sub, "extinction", _cmd_extinction, "extinction vectors by pgf composition")
     p.add_argument("--model", required=True)
     p.add_argument("--mode", choices=("fixed", "converged", "annealed"), default="converged")
     p.add_argument("--word", default=None, help="comma-separated letter indices (fixed mode)")
     p.add_argument("--tol", type=_parse_finite, default=1e-9)
     p.add_argument("--max-depth", type=int, default=1 << 16)
     p.add_argument("--envs", type=int, default=100)
-    _add_seed_threads(p)
-    _add_json(p)
 
-    p = sub.add_parser("simulate", help="population simulation and survival estimate")
-    p.set_defaults(handler=_cmd_simulate)
+    p = command(sub, "simulate", _cmd_simulate, "population simulation and survival estimate")
     p.add_argument("--model", required=True)
     p.add_argument("--start-type", type=int, default=0)
     p.add_argument("--trials", type=int, default=10_000)
@@ -134,101 +120,94 @@ def _build_parser():
     p.add_argument(
         "--growth", action="store_true", help="also estimate the conditioned growth rate"
     )
-    _add_seed_threads(p)
-    _add_json(p)
 
-    p = sub.add_parser("classify", help="survival/extinction verdict for a model")
-    p.set_defaults(handler=_cmd_classify)
+    p = command(sub, "classify", _cmd_classify, "survival/extinction verdict for a model")
     p.add_argument("--model", required=True)
     p.add_argument("--kind", choices=KINDS, default="sum")
-    p.add_argument("--steps", type=int, default=100_000)
-    p.add_argument("--batches", type=int, default=32)
+    _add_steps(p)
     p.add_argument("--max-word-len", type=_parse_positive, default=None)
-    _add_seed_threads(p)
-    _add_json(p)
 
     pc = sub.add_parser("carpet", help="random Sierpinski carpet application")
     csub = pc.add_subparsers(dest="carpet_command", required=True)
 
-    p = csub.add_parser("lambda-b", help="growth exponent of the p=1 column matrices")
-    p.set_defaults(handler=_cmd_carpet_lambda_b)
-    p.add_argument("--steps", type=int, default=100_000)
-    p.add_argument("--batches", type=int, default=32)
-    _add_seed_threads(p)
-    _add_json(p)
+    p = command(
+        csub, "lambda-b", _cmd_carpet_lambda_b, "growth exponent of the p=1 column matrices"
+    )
+    _add_steps(p)
 
-    p = csub.add_parser("critical", help="critical retention probability interval")
-    p.set_defaults(handler=_cmd_carpet_critical)
-    p.add_argument("--steps", type=int, default=100_000)
-    p.add_argument("--batches", type=int, default=32)
+    p = command(csub, "critical", _cmd_carpet_critical, "critical retention probability interval")
+    _add_steps(p)
     p.add_argument("--bisect", action="store_true", help="cross-check by survival bisection")
     p.add_argument("--trials", type=int, default=400, help="trials per bisection step")
     p.add_argument("--horizon", type=int, default=200)
     p.add_argument("--cap", type=int, default=10**6)
     p.add_argument("--iterations", type=_parse_positive, default=12)
-    _add_seed_threads(p)
-    _add_json(p)
 
-    p = csub.add_parser("project", help="sample carpets and measure their projections")
-    p.set_defaults(handler=_cmd_carpet_project)
+    p = command(
+        csub, "project", _cmd_carpet_project, "sample carpets and measure their projections"
+    )
     p.add_argument("--p", type=float, required=True)
     p.add_argument("--depth", type=int, required=True)
     p.add_argument("--samples", type=_parse_positive, default=100)
-    _add_seed_threads(p)
-    _add_json(p)
 
-    p = csub.add_parser("offspring", help="validate a column law against the geometry")
-    p.set_defaults(handler=_cmd_carpet_offspring)
+    p = command(
+        csub, "offspring", _cmd_carpet_offspring, "validate a column law against the geometry"
+    )
     p.add_argument("--p", type=float, required=True)
     p.add_argument("--column", type=int, required=True, choices=(0, 1, 2))
     p.add_argument("--type", type=int, required=True, choices=(0, 1))
     p.add_argument("--samples", type=_parse_positive, default=100_000)
-    _add_seed_threads(p)
-    _add_json(p)
 
-    p = sub.add_parser("proofkit", help="run the majorant inequality oracle suite")
-    p.set_defaults(handler=_cmd_proofkit)
+    p = command(sub, "proofkit", _cmd_proofkit, "run the majorant inequality oracle suite")
     p.add_argument("--model", required=True)
     p.add_argument("--lambda", type=_parse_finite, required=True)
     p.add_argument("--samples", type=_parse_positive, default=10_000)
-    _add_seed_threads(p)
-    _add_json(p)
 
+    for p in seeded:
+        p.add_argument("--seed", type=_parse_seed, default=0, help="RNG seed (or 'random')")
+        p.add_argument(
+            "--threads",
+            type=_parse_positive,
+            default=1,
+            help="no effect: runs in one process",
+        )
+    for p in unseeded + seeded:
+        p.add_argument("--json", action="store_true", help="machine-readable output")
     return parser
 
 
-def _cmd_check(args):
+def _cmd_check(args, model):
     from .classify import check_conditions
 
-    model = _load_model(args.model)
     return check_conditions(model, max_word_len=args.max_word_len).to_dict()
 
 
-def _cmd_lyapunov(args):
+def _estimate(args, model):
     from . import lyapunov
 
-    model = _load_model(args.model)
-    est = lyapunov.estimate_exponent(
+    return lyapunov.estimate_exponent(
         model,
         kind=args.kind,
         steps_per_batch=args.steps,
         batches=args.batches,
         seed=args.seed,
     )
-    return est.to_dict()
 
 
-def _cmd_extinction(args):
+def _cmd_lyapunov(args, model):
+    return _estimate(args, model).to_dict()
+
+
+def _cmd_extinction(args, model):
     from . import extinction
 
-    model = _load_model(args.model)
     if args.mode == "fixed":
         if not args.word:
-            raise _UsageError("--word is required in fixed mode")
+            raise ValueError("--word is required in fixed mode")
         try:
             word = [int(x) for x in args.word.split(",")]
         except ValueError:
-            raise _UsageError("--word must be comma-separated integers")
+            raise ValueError("--word must be comma-separated integers")
         res = extinction.extinction_fixed_env(model, word)
         return {"q": [float(v) for v in res.q], "depth": res.depth}
     if args.mode == "converged":
@@ -246,10 +225,9 @@ def _cmd_extinction(args):
     return {"mean_q": [float(v) for v in mean_q], "share_converged": share}
 
 
-def _cmd_simulate(args):
+def _cmd_simulate(args, model):
     from . import extinction
 
-    model = _load_model(args.model)
     trial_args = (model, args.start_type, args.trials, args.horizon, args.cap, args.seed)
     if not args.growth:
         est, hw = extinction.survival_probability_mc(*trial_args)
@@ -264,20 +242,11 @@ def _cmd_simulate(args):
     }
 
 
-def _cmd_classify(args):
-    from . import lyapunov
+def _cmd_classify(args, model):
     from .classify import check_conditions, classify
 
-    model = _load_model(args.model)
     report = check_conditions(model, max_word_len=args.max_word_len)
-    est = lyapunov.estimate_exponent(
-        model,
-        kind=args.kind,
-        steps_per_batch=args.steps,
-        batches=args.batches,
-        seed=args.seed,
-    )
-    verdict = classify(model, report, est)
+    verdict = classify(model, report, _estimate(args, model))
     return {"report": report.to_dict(), "verdict": verdict.to_dict()}
 
 
@@ -287,32 +256,17 @@ def _cmd_carpet_lambda_b(args):
     return carpet.lambda_b(args.steps, args.batches, args.seed).to_dict()
 
 
-def _bisect_critical(args):
-    import numpy as np
-
-    from . import carpet, extinction
-
-    lo, hi = 0.05, 0.95
-    children = np.random.SeedSequence(args.seed).spawn(args.iterations)
-    for child in children:
-        mid = 0.5 * (lo + hi)
-        model = carpet.build_carpet_model(mid).model
-        seed = int(child.generate_state(1)[0])
-        surv, _ = extinction.survival_probability_mc(
-            model, 0, args.trials, args.horizon, cap=args.cap, seed=seed
-        )
-        if surv > 0:
-            hi = mid
-        else:
-            lo = mid
-    return lo, hi
-
-
 def _cmd_carpet_critical(args):
     from . import carpet
 
     if args.bisect:
-        lo, hi = _bisect_critical(args)
+        lo, hi = carpet.bisect_critical(
+            iterations=args.iterations,
+            trials=args.trials,
+            horizon=args.horizon,
+            cap=args.cap,
+            seed=args.seed,
+        )
         return {"p_low": lo, "p_high": hi, "method": "bisect"}
     est = carpet.lambda_b(args.steps, args.batches, args.seed)
     lo, hi = carpet.critical_p(est)
@@ -320,16 +274,9 @@ def _cmd_carpet_critical(args):
 
 
 def _cmd_carpet_project(args):
-    import numpy as np
-
     from . import carpet
 
-    children = np.random.SeedSequence(args.seed).spawn(args.samples)
-    measures = []
-    for child in children:
-        sq = carpet.sample_carpet(args.p, args.depth, np.random.default_rng(child))
-        measures.append(carpet.projection_measure(sq))
-    measures = np.array(measures)
+    measures = carpet.sample_projection_measures(args.p, args.depth, args.samples, args.seed)
     nonempty = measures[measures > 0]
     return {
         "measures": [float(m) for m in measures],
@@ -360,10 +307,9 @@ def _cmd_carpet_offspring(args):
     }
 
 
-def _cmd_proofkit(args):
+def _cmd_proofkit(args, model):
     from . import proofkit
 
-    model = _load_model(args.model)
     lam = getattr(args, "lambda")  # a keyword, so not args.lambda
     report = proofkit.oracle_suite(model, lam, args.samples, args.seed)
     built = proofkit.build_proof_params(model, lam)
@@ -404,10 +350,9 @@ def main(argv=None):
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else int(exc.code)
     try:
-        result = args.handler(args)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return _EXIT_USAGE
+        # the subcommands with --model read it here, in one place
+        inputs = [_load_model(args.model)] if "model" in vars(args) else []
+        result = args.handler(args, *inputs)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         if isinstance(exc, (ModelFormatError, InvariantError)):

@@ -96,3 +96,20 @@ def test_demo_imports_exist(demo):
             module = importlib.import_module(node.module)
             missing += [a.name for a in node.names if not hasattr(module, a.name)]
     assert missing == []
+
+
+def test_cli_only_parses_and_prints():
+    # estimators and their seeding live in the library; the CLI calls them
+    tree = ast.parse((PACKAGE / "cli.py").read_text())
+    defined = {
+        node.name
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+    }
+    assert not defined & {"_bisect_critical", "_UsageError"}
+    called = {
+        node.func.attr if isinstance(node.func, ast.Attribute) else getattr(node.func, "id", None)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+    }
+    assert "SeedSequence" not in called

@@ -1,3 +1,6 @@
+import contextlib
+import io
+import json
 import math
 
 import numpy as np
@@ -8,6 +11,7 @@ from mbpre import (
     InvariantError,
     LyapunovEstimate,
     SquareSet,
+    bisect_critical,
     build_carpet_model,
     critical_p,
     empirical_offspring_stats,
@@ -15,8 +19,10 @@ from mbpre import (
     projection_intervals,
     projection_measure,
     sample_carpet,
+    sample_projection_measures,
 )
 from mbpre.carpet import MAX_SQUARES, COLUMN_MATRICES, intervals_to_csv, square_set_to_text
+from mbpre.cli import main
 from oracles import (
     carpet_levels_broadcast,
     law_as_dict,
@@ -99,6 +105,29 @@ class TestCriticalP:
     def test_requires_positive_point(self):
         with pytest.raises(ValueError):
             critical_p(LyapunovEstimate("sum", -0.1, 0.0, 1000, 8))
+
+
+def _cli_result(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(argv + ["--json"]) == 0
+    return json.loads(out.getvalue())["result"]
+
+
+class TestBisectCritical:
+    @pytest.mark.parametrize(
+        "flags, kwargs",
+        [
+            ([], dict(iterations=12, trials=400, horizon=200, cap=10**6, seed=0)),
+            (
+                ["--iterations", "4", "--trials", "100"],
+                dict(iterations=4, trials=100, horizon=200, cap=10**6, seed=0),
+            ),
+        ],
+    )
+    def test_equals_the_cli_bisection(self, flags, kwargs):
+        result = _cli_result(["carpet", "critical", "--bisect", *flags])
+        assert bisect_critical(**kwargs) == (result["p_low"], result["p_high"])
 
 
 class TestSampleCarpet:
@@ -242,6 +271,12 @@ class TestProjection:
             ref = projection_intervals_unique(sq.squares, depth)
             assert np.array_equal(projection_intervals(sq), ref)
             assert projection_measure(sq) == float((ref[:, 1] - ref[:, 0]).sum())
+
+    def test_sampled_measures_equal_the_cli_measures(self):
+        argv = ["carpet", "project", "--p", "0.6", "--depth", "5", "--samples", "30",
+                "--seed", "3"]
+        measures = sample_projection_measures(0.6, 5, 30, 3)
+        assert measures.tolist() == _cli_result(argv)["measures"]
 
     def test_stacked_repeats_merge_once(self):
         # three squares on diagonal 0, two on 2, one on 6: [-1, 3] and [5, 7]

@@ -269,26 +269,33 @@ def projection_intervals(square_set):
     """Disjoint sorted intervals covered by the diagonal projection.
 
     A square (i, j) at depth n projects onto [(i-j-1)/3^n, (i-j+1)/3^n] on
-    the x - y axis; overlapping contributions, repeated diagonals included,
-    are merged by one sweep over the sorted diagonals.
+    the x - y axis. One sweep over the sorted integer diagonals merges the
+    segments, repeated diagonals included: a new one starts where two
+    neighbouring diagonals lie more than 2 apart. The ends are divided by
+    3^n once, at the end.
     """
-    n = square_set.depth
     if len(square_set) == 0:
         return np.empty((0, 2))
     d = np.sort(square_set.squares[:, 0] - square_set.squares[:, 1])
-    scale = 3.0**n
-    lo = (d - 1) / scale
-    hi = (d + 1) / scale  # non-decreasing, so each segment ends at its last hi
     starts = np.ones(len(d), dtype=bool)
-    starts[1:] = lo[1:] > hi[:-1]
+    starts[1:] = np.diff(d) > 2
     idx = np.flatnonzero(starts)
-    return np.column_stack([lo[idx], hi[np.r_[idx[1:] - 1, len(d) - 1]]])
+    ends = np.r_[idx[1:] - 1, len(d) - 1]
+    return np.column_stack([d[idx] - 1, d[ends] + 1]) / 3.0**square_set.depth
 
 
 def projection_measure(square_set):
-    """Lebesgue measure of the diagonal projection of the square set."""
-    segs = projection_intervals(square_set)
-    return float((segs[:, 1] - segs[:, 0]).sum()) if segs.size else 0.0
+    """Lebesgue measure of the diagonal projection of the square set.
+
+    In units of 3^-n the union of the segments [d - 1, d + 1] over the
+    sorted diagonals d has the integer length 2 + sum(min(gap, 2)) over
+    neighbouring gaps, which is divided by the integer 3^n once, so the
+    result is the correctly rounded measure at every depth.
+    """
+    if len(square_set) == 0:
+        return 0.0
+    d = np.sort(square_set.squares[:, 0] - square_set.squares[:, 1])
+    return int(2 + np.minimum(np.diff(d), 2).sum()) / 3**square_set.depth
 
 
 def sample_projection_measures(p, depth, samples, seed):

@@ -270,7 +270,8 @@ class TestProjection:
             assert np.unique(d).size < d.size  # repeated diagonals
             ref = projection_intervals_unique(sq.squares, depth)
             assert np.array_equal(projection_intervals(sq), ref)
-            assert projection_measure(sq) == float((ref[:, 1] - ref[:, 0]).sum())
+            units = np.rint(ref * 3**depth).astype(np.int64)
+            assert projection_measure(sq) == int((units[:, 1] - units[:, 0]).sum()) / 3**depth
 
     def test_sampled_measures_equal_the_cli_measures(self):
         argv = ["carpet", "project", "--p", "0.6", "--depth", "5", "--samples", "30",

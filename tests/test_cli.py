@@ -487,14 +487,19 @@ def test_carpet_depth_past_int64_is_usage_error_before_any_draw(monkeypatch, dep
 
 
 def test_carpet_depth_39_projects():
-    # Only that the deepest allowed carpet is drawn and projected without
-    # wrapping; past depth 33 the measures themselves lose precision.
+    # the deepest allowed carpet is drawn and projected without wrapping
     env = run_json(
         ["carpet", "project", "--p", "0.14", "--depth", "39", "--samples", "20", "--seed", "1"]
     )
     measures = env["result"]["measures"]
     assert len(measures) == 20
     assert all(0.0 <= m <= 2.0 for m in measures)
+    # and an edge square measures its exact 2 / 3^n at every depth up to it
+    from mbpre import SquareSet, projection_measure
+
+    for depth in range(12, 40):
+        edge = SquareSet(depth, [[3**depth - 1, 0]])
+        assert projection_measure(edge) == pytest.approx(2 / 3**depth, rel=1e-15, abs=0)
 
 
 def test_annealed_letter_budget_exit_code(carpet_p04_file):

@@ -35,7 +35,7 @@ def test_carpet_project_result_digest():
     assert code == 0
     result = json.loads(out.getvalue())["result"]
     assert _sha256(json.dumps(result).encode()) == (
-        "1eb0ba0b3cebf6689a8951f10dce47a0298a1cc36ea782d4b7d7e6ee7509aaf7"
+        "c73b8420a3f17785838722396d355658c2f7d1ecf1aca0b6f5667c59148504cb"
     )
 
 

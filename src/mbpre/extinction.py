@@ -302,8 +302,9 @@ def survival_and_growth(model, start_type, trials, horizon, cap=10**6, seed=0):
     Returns ``(survival, half_width, growth_rate, growth_half_width,
     surviving_trials)``: the first two as :func:`survival_probability_mc`
     and the last three as :func:`growth_rate_conditioned` with the same
-    arguments, each trial simulated once. ``horizon`` must be at least 20,
-    which is checked before anything is drawn. Raises
+    arguments, each trial simulated once. With a single surviving trial
+    there is no interval, and ``growth_half_width`` is ``None``. ``horizon``
+    must be at least 20, which is checked before anything is drawn. Raises
     :class:`NoSurvivorsError` when nothing survives.
     """
     if horizon < 20:
@@ -317,7 +318,7 @@ def survival_and_growth(model, start_type, trials, horizon, cap=10**6, seed=0):
     gen = gen[alive]
     rates = (np.log(total[alive]) - np.log(half_total[alive])) / (gen - gen // 2)
     est = float(rates.mean())
-    hw = float(_Z95 * rates.std(ddof=1) / math.sqrt(rates.size)) if rates.size > 1 else 0.0
+    hw = float(_Z95 * rates.std(ddof=1) / math.sqrt(rates.size)) if rates.size > 1 else None
     return (*_wilson(int(rates.size), total.size), est, hw, int(rates.size))
 
 
@@ -337,8 +338,8 @@ def growth_rate_conditioned(model, start_type, trials, horizon, cap=10**6, seed=
 
     Returns ``(estimate, half_width, surviving_trials)``, the last three
     fields of :func:`survival_and_growth`; the half-width is 1.96 standard
-    errors of the per-trial rates. Raises :class:`NoSurvivorsError` when
-    nothing survives. The trials are those of
-    :func:`survival_probability_mc` with the same arguments.
+    errors of the per-trial rates, ``None`` with one survivor. Raises
+    :class:`NoSurvivorsError` when nothing survives. The trials are those
+    of :func:`survival_probability_mc` with the same arguments.
     """
     return survival_and_growth(model, start_type, trials, horizon, cap, seed)[2:]

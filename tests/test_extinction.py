@@ -434,6 +434,12 @@ class TestGrowthRate:
         assert est == 0.0
         assert n == 50
 
+    def test_one_survivor_gives_no_interval(self, deterministic_line_model):
+        # one rate has no spread to estimate, so no half-width, not 0.0
+        *_, rate, rate_hw, n = survival_and_growth(deterministic_line_model, 0, 1, 30, seed=0)
+        assert (rate, rate_hw, n) == (0.0, None, 1)
+        assert growth_rate_conditioned(deterministic_line_model, 0, 1, 30, seed=0)[1] is None
+
     def test_two_children_each_log2(self):
         model = make_point_mass_model([(2, 0), (0, 2)])
         est, hw, n = growth_rate_conditioned(

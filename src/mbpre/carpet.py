@@ -67,7 +67,7 @@ for _m in COLUMN_MATRICES:
 
 _UNIFORM3 = IidEnvironment(np.array([1.0, 1.0, 1.0]) / 3.0)
 
-# Default ceiling on materialized squares in sample_carpet (~16 bytes each).
+# Ceiling on materialized squares in sample_carpet (~16 bytes each).
 MAX_SQUARES = 10**7
 
 _MATRIX_TOL = 1e-12
@@ -231,12 +231,12 @@ _CHILD_DI, _CHILD_DJ = np.array(
 ).T
 
 
-def sample_carpet(p, depth, rng, max_squares=MAX_SQUARES):
+def sample_carpet(p, depth, rng):
     """Sample retained squares of a depth-n random carpet, branch-only.
 
     Expands only surviving squares level by level, each of the 8 non-middle
     children kept independently with probability ``p``. The expected square
-    count (8p)^depth must stay under ``max_squares``, and the budget is also
+    count (8p)^depth must stay under ``MAX_SQUARES``, and the budget is also
     enforced per level before any allocation.
     """
     if not 0.0 < p <= 1.0:
@@ -245,16 +245,16 @@ def sample_carpet(p, depth, rng, max_squares=MAX_SQUARES):
         raise ValueError(
             f"depth must lie in [1, {_MAX_DEPTH}]: deeper square indices overflow int64"
         )
-    if (8.0 * p) ** depth > max_squares:
+    if (8.0 * p) ** depth > MAX_SQUARES:
         raise BudgetError(
             f"expected square count (8p)^depth = {(8.0 * p) ** depth:.3g} "
-            f"exceeds the budget of {max_squares}"
+            f"exceeds the budget of {MAX_SQUARES}"
         )
     x = y = np.zeros(1, dtype=np.int64)
     for _ in range(depth):
-        if x.size * 8 > max_squares:
+        if x.size * 8 > MAX_SQUARES:
             raise BudgetError(
-                f"level population {x.size} * 8 exceeds the budget of {max_squares}"
+                f"level population {x.size} * 8 exceeds the budget of {MAX_SQUARES}"
             )
         kept = np.flatnonzero(rng.random(x.size * 8) < p)
         parent, child = kept >> 3, kept & 7

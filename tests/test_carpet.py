@@ -21,6 +21,7 @@ from mbpre import (
     sample_carpet,
     sample_projection_measures,
 )
+from mbpre import carpet
 from mbpre.carpet import MAX_SQUARES, COLUMN_MATRICES, intervals_to_csv, square_set_to_text
 from mbpre.cli import main
 from oracles import (
@@ -153,6 +154,13 @@ class TestSampleCarpet:
     def test_budget_error_before_allocation(self):
         with pytest.raises(BudgetError):
             sample_carpet(1.0, 12, np.random.default_rng(5))
+
+    def test_level_budget_error_before_allocation(self, monkeypatch):
+        # (8 * 0.5)^3 = 64 expected squares pass, but this draw keeps 16
+        # squares at depth 2, whose 128 children exceed the budget
+        monkeypatch.setattr(carpet, "MAX_SQUARES", 100)
+        with pytest.raises(BudgetError, match="level population 16 "):
+            sample_carpet(0.5, 3, np.random.default_rng(1))
 
     def test_square_set_invariant_enforced(self):
         with pytest.raises(InvariantError):

@@ -167,27 +167,23 @@ def critical_p(estimate):
 def bisect_critical(*, iterations, trials, horizon, cap, seed):
     """Critical retention probability bracket by survival bisection on [0.05, 0.95].
 
-    Each of ``iterations`` steps simulates ``trials`` trials of the carpet
-    model at the bracket's midpoint to ``horizon`` generations (a population
-    over ``cap`` counts as alive), seeded from the next child of
-    ``SeedSequence(seed)``, and moves the upper end down to the midpoint
-    when any trial survives, the lower end up otherwise. Slowly dying
-    subcritical lines still alive at the horizon count as survivors, so the
-    bracket can sit below the critical probability. Returns
-    ``(p_low, p_high)``.
+    Step k simulates ``trials`` carpet trials at the bracket's midpoint to
+    ``horizon`` generations (a population over ``cap`` counts as alive),
+    seeded from child k of ``SeedSequence(seed)``, and moves the upper end
+    to the midpoint when any trial survives, the lower end otherwise.
+    Slowly dying subcritical lines still alive at the horizon count as
+    survivors, so the bracket can sit below the critical probability.
+    Returns ``(p_low, p_high)``.
     """
     from . import extinction  # loaded only when a bisection runs
 
     lo, hi = 0.05, 0.95
     for child in np.random.SeedSequence(seed).spawn(iterations):
         mid = 0.5 * (lo + hi)
+        model = build_carpet_model(mid).model
+        step_seed = int(child.generate_state(1)[0])
         surv, _ = extinction.survival_probability_mc(
-            build_carpet_model(mid).model,
-            0,
-            trials,
-            horizon,
-            cap=cap,
-            seed=int(child.generate_state(1)[0]),
+            model, 0, trials, horizon, cap=cap, seed=step_seed
         )
         if surv > 0:
             hi = mid

@@ -4,9 +4,10 @@ Every subcommand echoes its seed and, in ``params``, every other option
 its parser holds (defaults included, in parser order, ``--json`` left
 out), writes results to stdout (JSON with --json, flat key = value lines
 otherwise) and diagnostics to stderr. Identical command lines produce
-byte-identical JSON. Exit codes: 0 success, 2 usage error (a count option
-below 1 included), 3 model or invariant error, 4 resource-budget error
-(an exponent word over ``LETTER_BUDGET`` letters included).
+byte-identical JSON. Exit codes: 0 success, 2 usage error (any other
+``ValueError``, a count option below 1 included), 3 model or invariant
+error, 4 resource-budget error (an exponent word over ``LETTER_BUDGET``
+letters included), 1 any other failure.
 
 Each handler imports the modules it runs, and numpy only where it uses it,
 so a launch loads only what its subcommand needs and ``--version`` loads
@@ -23,9 +24,9 @@ import sys
 from . import __version__
 from .errors import KINDS, BudgetError, InvariantError, ModelFormatError
 
-_EXIT_USAGE = 2
-_EXIT_MODEL = 3
-_EXIT_BUDGET = 4
+# Exit code of the first entry an error is an instance of; any other error
+# (a degenerate product, no survivors) exits 1.
+_EXIT_CODES = (((ModelFormatError, InvariantError), 3), (ValueError, 2), (BudgetError, 4))
 
 
 def _parse_seed(text):
@@ -86,15 +87,17 @@ def _build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
     # every subcommand ends with --json, and all but check with --seed and
     # --threads before it; they are added once the other options are in place
-    seeded, unseeded = [], []
+    parsers = []  # (subparser, whether it takes --seed and --threads)
 
-    def command(group, name, handler, help, runs=seeded):
+    def command(group, name, handler, help, seeded=True):
         p = group.add_parser(name, help=help)
         p.set_defaults(handler=handler)
-        runs.append(p)
+        parsers.append((p, seeded))
         return p
 
-    p = command(sub, "check", _cmd_check, "verify classification hypotheses on a model", unseeded)
+    p = command(
+        sub, "check", _cmd_check, "verify classification hypotheses on a model", seeded=False
+    )
     p.add_argument("--model", required=True)
     p.add_argument("--max-word-len", type=_parse_positive, default=None)
 
@@ -163,15 +166,15 @@ def _build_parser():
     p.add_argument("--lambda", type=_parse_finite, required=True)
     p.add_argument("--samples", type=_parse_positive, default=10_000)
 
-    for p in seeded:
-        p.add_argument("--seed", type=_parse_seed, default=0, help="RNG seed (or 'random')")
-        p.add_argument(
-            "--threads",
-            type=_parse_positive,
-            default=1,
-            help="no effect: runs in one process",
-        )
-    for p in unseeded + seeded:
+    for p, seeded in parsers:
+        if seeded:
+            p.add_argument("--seed", type=_parse_seed, default=0, help="RNG seed (or 'random')")
+            p.add_argument(
+                "--threads",
+                type=_parse_positive,
+                default=1,
+                help="no effect: runs in one process",
+            )
         p.add_argument("--json", action="store_true", help="machine-readable output")
     return parser
 
@@ -353,17 +356,9 @@ def main(argv=None):
         # the subcommands with --model read it here, in one place
         inputs = [_load_model(args.model)] if "model" in vars(args) else []
         result = args.handler(args, *inputs)
-    except ValueError as exc:
+    except Exception as exc:
         print(f"error: {exc}", file=sys.stderr)
-        if isinstance(exc, (ModelFormatError, InvariantError)):
-            return _EXIT_MODEL
-        return _EXIT_USAGE
-    except BudgetError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return _EXIT_BUDGET
-    except Exception as exc:  # runtime failures: degenerate products, no survivors
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return next((code for kinds, code in _EXIT_CODES if isinstance(exc, kinds)), 1)
     # argparse fills the namespace in parser order, defaults included
     params = {k: v for k, v in vars(args).items() if k not in _NOT_ECHOED}
     command = " ".join(filter(None, (args.command, getattr(args, "carpet_command", None))))

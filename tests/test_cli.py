@@ -460,6 +460,17 @@ def test_exit_code_schema_violation(tmp_path):
     assert "bogus" in err
 
 
+def test_exit_code_runtime_failure(carpet_p015_file):
+    # far below criticality no trial survives, so there is no growth rate
+    code, out, err = run_cli(
+        ["simulate", "--model", carpet_p015_file, "--trials", "20", "--horizon", "40",
+         "--growth"]
+    )
+    assert code == 1
+    assert out == ""
+    assert "survived" in err
+
+
 def test_exit_code_budget():
     code, _, err = run_cli(
         ["carpet", "project", "--p", "1.0", "--depth", "12", "--samples", "1",

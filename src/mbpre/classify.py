@@ -40,19 +40,6 @@ class ConditionReport:
     strongly_regular: bool
     strong_regularity_witness: str | None
 
-    def to_dict(self):
-        return {
-            "ergodic_env_ok": self.ergodic_env_ok,
-            "allowable_ok": self.allowable_ok,
-            "allowability_offenders": [dict(o) for o in self.allowability_offenders],
-            "positive_word": list(self.positive_word) if self.positive_word is not None else None,
-            "positive_word_probability": self.positive_word_probability,
-            "second_moment_bound": self.second_moment_bound,
-            "uniform_alpha": self.uniform_alpha,
-            "strongly_regular": self.strongly_regular,
-            "strong_regularity_witness": self.strong_regularity_witness,
-        }
-
 
 @dataclass(frozen=True)
 class Verdict:
@@ -61,13 +48,6 @@ class Verdict:
     kind: str
     lambda_estimate: object
     rationale: str
-
-    def to_dict(self):
-        return {
-            "kind": self.kind,
-            "lambda_estimate": self.lambda_estimate.to_dict(),
-            "rationale": self.rationale,
-        }
 
 
 def _markov_irreducible(transition):

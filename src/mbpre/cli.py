@@ -182,7 +182,7 @@ def _build_parser():
 def _cmd_check(args, model):
     from .classify import check_conditions
 
-    return check_conditions(model, max_word_len=args.max_word_len).to_dict()
+    return check_conditions(model, max_word_len=args.max_word_len)
 
 
 def _estimate(args, model):
@@ -198,7 +198,7 @@ def _estimate(args, model):
 
 
 def _cmd_lyapunov(args, model):
-    return _estimate(args, model).to_dict()
+    return _estimate(args, model)
 
 
 def _cmd_extinction(args, model):
@@ -250,13 +250,13 @@ def _cmd_classify(args, model):
 
     report = check_conditions(model, max_word_len=args.max_word_len)
     verdict = classify(model, report, _estimate(args, model))
-    return {"report": report.to_dict(), "verdict": verdict.to_dict()}
+    return {"report": report, "verdict": verdict}
 
 
 def _cmd_carpet_lambda_b(args):
     from . import carpet
 
-    return carpet.lambda_b(args.steps, args.batches, args.seed).to_dict()
+    return carpet.lambda_b(args.steps, args.batches, args.seed)
 
 
 def _cmd_carpet_critical(args):
@@ -273,7 +273,7 @@ def _cmd_carpet_critical(args):
         return {"p_low": lo, "p_high": hi, "method": "bisect"}
     est = carpet.lambda_b(args.steps, args.batches, args.seed)
     lo, hi = carpet.critical_p(est)
-    return {"p_low": lo, "p_high": hi, "method": "ci", "lambda_b": est.to_dict()}
+    return {"p_low": lo, "p_high": hi, "method": "ci", "lambda_b": est}
 
 
 def _cmd_carpet_project(args):
@@ -317,7 +317,7 @@ def _cmd_proofkit(args, model):
     report = proofkit.oracle_suite(model, lam, args.samples, args.seed)
     built = proofkit.build_proof_params(model, lam)
     return {
-        "checks": report.to_dicts(),
+        "checks": report.checks,
         "all_passed": report.all_passed,
         "params": {
             "rho": built.rho,
@@ -335,11 +335,25 @@ def _cmd_proofkit(args, model):
 _NOT_ECHOED = frozenset({"seed", "json", "command", "carpet_command", "handler"})
 
 
+def _fields(obj):
+    """``obj`` with every result dataclass in it, itself, a dict value or a
+    tuple entry, as the dict of its own fields in field order."""
+    from dataclasses import asdict, is_dataclass  # its result's module loaded it
+
+    if is_dataclass(obj):
+        return asdict(obj)
+    if isinstance(obj, dict):
+        return {k: _fields(v) for k, v in obj.items()}
+    if isinstance(obj, tuple):
+        return tuple(_fields(v) for v in obj)
+    return obj
+
+
 def _flatten(prefix, obj):
     if isinstance(obj, dict):
         for key, value in obj.items():
             yield from _flatten(f"{prefix}.{key}" if prefix else str(key), value)
-    elif isinstance(obj, list) and obj and isinstance(obj[0], (dict, list)):
+    elif isinstance(obj, (list, tuple)) and obj and isinstance(obj[0], (dict, list, tuple)):
         for i, value in enumerate(obj):
             yield from _flatten(f"{prefix}[{i}]", value)
     else:
@@ -368,7 +382,7 @@ def main(argv=None):
         "command": command,
         "seed": getattr(args, "seed", None),
         "params": params,
-        "result": result,
+        "result": _fields(result),
     }
     if args.json:
         print(json.dumps(envelope, indent=2))

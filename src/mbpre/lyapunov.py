@@ -61,15 +61,6 @@ class LyapunovEstimate:
         if self.half_width < 0:
             raise ValueError("half_width must be >= 0")
 
-    def to_dict(self):
-        return {
-            "kind": self.kind,
-            "point": self.point,
-            "half_width": self.half_width,
-            "steps_per_batch": self.steps_per_batch,
-            "batches": self.batches,
-        }
-
 
 def _check_kind(kind):
     if kind not in KINDS:

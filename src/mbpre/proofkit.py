@@ -12,7 +12,6 @@ corrupted parameter set) can be audited mechanically.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -131,24 +130,10 @@ class OracleCheck:
     samples: int
     counterexample: dict | None
 
-    def to_dict(self):
-        return {
-            "check": self.check,
-            "passed": self.passed,
-            "samples": self.samples,
-            "counterexample": self.counterexample,
-        }
-
 
 @dataclass(frozen=True)
 class OracleReport:
     checks: tuple
-
-    def to_dicts(self):
-        return [c.to_dict() for c in self.checks]
-
-    def to_json(self):
-        return json.dumps(self.to_dicts(), indent=2)
 
     @cached_property
     def by_name(self):

@@ -1,3 +1,6 @@
+import json
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
@@ -103,7 +106,8 @@ class TestCheckConditions:
 
     def test_report_serializes(self):
         report = check_conditions(build_carpet_model(0.4).model)
-        d = report.to_dict()
+        # asdict keeps the tuples, which the JSON text holds as lists
+        d = json.loads(json.dumps(asdict(report)))
         assert d["positive_word"] == [1]
         assert isinstance(d["allowability_offenders"], list)
 
@@ -139,7 +143,7 @@ class TestClassify:
         model = build_carpet_model(0.4).model
         report = check_conditions(model)
         est = fake_estimate(0.3, 0.05)
-        assert classify(model, report, est).to_dict() == classify(model, report, est).to_dict()
+        assert asdict(classify(model, report, est)) == asdict(classify(model, report, est))
 
     def test_verdict_monotone_in_retention(self):
         kinds = []

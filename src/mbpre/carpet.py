@@ -21,7 +21,14 @@ import numpy as np
 
 from .errors import BudgetError, InvariantError
 from .lyapunov import estimate_exponent
-from .model import EnvironmentLetter, IidEnvironment, ModelSpec, OffspringLaw
+from .model import (
+    LETTER_BUDGET,
+    EnvironmentLetter,
+    IidEnvironment,
+    ModelSpec,
+    OffspringLaw,
+    child_seeds,
+)
 
 UPPER, LOWER = 0, 1
 
@@ -178,7 +185,7 @@ def bisect_critical(*, iterations, trials, horizon, cap, seed):
     from . import extinction  # loaded only when a bisection runs
 
     lo, hi = 0.05, 0.95
-    for child in np.random.SeedSequence(seed).spawn(iterations):
+    for child in child_seeds(seed, iterations):
         mid = 0.5 * (lo + hi)
         model = build_carpet_model(mid).model
         step_seed = int(child.generate_state(1)[0])
@@ -303,7 +310,7 @@ def sample_projection_measures(p, depth, samples, seed):
     return np.array(
         [
             projection_measure(sample_carpet(p, depth, np.random.default_rng(child)))
-            for child in np.random.SeedSequence(seed).spawn(samples)
+            for child in child_seeds(seed, samples)
         ]
     )
 
@@ -323,13 +330,20 @@ def empirical_offspring_stats(p, column, parent_type, samples, rng):
     Retains each contributing square independently with probability ``p``
     and counts the surviving sub-triangles of the given parent falling in
     the given column, by child type. The resulting joint pmf must agree
-    with the law ``build_carpet_model`` assigns to the same slot.
+    with the law ``build_carpet_model`` assigns to the same slot. More than
+    ``LETTER_BUDGET`` draws (samples x contributing squares) raise
+    :class:`BudgetError` before the first one.
     """
     if column not in (0, 1, 2):
         raise ValueError("column must be 0, 1, or 2")
     if parent_type not in (UPPER, LOWER):
         raise ValueError("parent_type must be 0 (upper) or 1 (lower)")
     rows = [(sq, child) for sq, child, col in CHILD_SQUARES[parent_type] if col == column]
+    if samples * len(rows) > LETTER_BUDGET:
+        raise BudgetError(
+            f"{samples} samples x {len(rows)} squares exceeds the budget of "
+            f"{LETTER_BUDGET} draws"
+        )
     kept = rng.random((samples, len(rows))) < p
     upper_cols = [k for k, (_, child) in enumerate(rows) if child == UPPER]
     lower_cols = [k for k, (_, child) in enumerate(rows) if child == LOWER]

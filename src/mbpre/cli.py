@@ -3,7 +3,8 @@
 Every subcommand echoes its seed and, in ``params``, every other option
 its parser holds (defaults included, in parser order, ``--json`` left
 out), writes results to stdout (JSON with --json, flat key = value lines
-otherwise) and diagnostics to stderr. Identical command lines produce
+otherwise; a result dataclass as its own fields, in field order) and
+diagnostics to stderr. Identical command lines produce
 byte-identical JSON. Exit codes: 0 success, 2 usage error (any other
 ``ValueError``, a count option below 1 included), 3 model or invariant
 error, 4 resource-budget error (an exponent word over ``LETTER_BUDGET``

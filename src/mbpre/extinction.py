@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BudgetError, NoSurvivorsError
-from .model import LETTER_BUDGET, check_word
+from .model import LETTER_BUDGET, check_word, child_seeds
 
 _Z95 = 1.96
 # First depth probed by the doubling convergence loop.
@@ -85,24 +85,25 @@ def extinction_fixed_env(model, word):
     return ExtinctionVector(q[0], int(word.size))
 
 
-def _converge(model, rngs, tol, max_depth):
-    """Depth doubling for one environment per generator, all in lockstep.
+def _converge(model, n_envs, seeds, tol, max_depth):
+    """Depth doubling for ``n_envs`` environments, one per seed, all in lockstep.
 
-    Each environment extends its own word from its own generator, so row e
-    of the result equals a run of ``rngs[e]`` alone. Returns the (E, N)
-    extinction vectors, the depth each row stopped at and whether it met
-    ``tol``.
+    Each environment extends its own word from its own generator
+    ``default_rng(seed)``, so row e of the result equals a run of seed e
+    alone. The arguments are checked before any generator is built. Returns
+    the (E, N) extinction vectors, the depth each row stopped at and whether
+    it met ``tol``.
     """
     if not 0.0 < tol < math.inf:
         raise ValueError("tol must be positive and finite")
     if max_depth < 2:
         raise ValueError("max_depth must be >= 2")
-    n_envs = len(rngs)
     if n_envs * max_depth > LETTER_BUDGET:
         raise BudgetError(
             f"{n_envs} environments x max_depth {max_depth} exceeds the budget of "
             f"{LETTER_BUDGET} stored letters"
         )
+    rngs = [np.random.default_rng(s) for s in seeds]
     env, table = model.environment, model.pgf_table
     q = np.zeros((n_envs, model.n_types))
     depth = np.zeros(n_envs, dtype=np.int64)
@@ -138,7 +139,7 @@ def extinction_converged(model, seed, tol=1e-9, max_depth=1 << 16):
     ``max_depth`` first returns the last vector with ``converged=False``
     rather than raising: near-critical models legitimately converge slowly.
     """
-    q, depth, converged = _converge(model, [np.random.default_rng(seed)], tol, max_depth)
+    q, depth, converged = _converge(model, 1, [seed], tol, max_depth)
     return ExtinctionVector(q[0], int(depth[0]), bool(converged[0]))
 
 
@@ -153,8 +154,7 @@ def annealed_extinction(model, n_envs, tol=1e-9, max_depth=1 << 16, seed=0):
     """
     if n_envs < 1:
         raise ValueError("n_envs must be >= 1")
-    rngs = [np.random.default_rng(c) for c in np.random.SeedSequence(seed).spawn(n_envs)]
-    q, _, converged = _converge(model, rngs, tol, max_depth)
+    q, _, converged = _converge(model, n_envs, child_seeds(seed, n_envs), tol, max_depth)
     return q.mean(axis=0), float(np.count_nonzero(converged)) / n_envs
 
 
@@ -274,7 +274,7 @@ def _trial_outcomes(model, start_type, trials, horizon, cap, seed):
             f"{rows} trials x (horizon {horizon} + 1) exceeds the budget of "
             f"{LETTER_BUDGET} stored generations"
         )
-    children = np.random.SeedSequence(seed).spawn(-(-trials // _CHUNK))
+    children = child_seeds(seed, -(-trials // _CHUNK))
     parts = [
         _chunk_outcomes(
             model, start_type, min(_CHUNK, trials - c * _CHUNK), horizon, cap,

@@ -33,7 +33,7 @@ import numpy as np
 
 from .errors import KINDS, DegenerateProductError
 from .matcore import boolean_product, col_min, is_allowable, norm_sum, row_min
-from .model import ModelSpec, check_word
+from .model import ModelSpec, check_word, child_seeds
 
 _REDUCTIONS = {"sum": norm_sum, "colmin": col_min, "rowmin": row_min}
 
@@ -223,7 +223,7 @@ def estimate_exponent(
                 environment.sample_word(steps_per_batch, np.random.default_rng(child)),
                 kind,
             )
-            for child in np.random.SeedSequence(seed).spawn(batches)
+            for child in child_seeds(seed, batches)
         ]
     )
     point = float(values.mean())

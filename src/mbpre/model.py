@@ -32,8 +32,9 @@ MASS_TOL = 1e-12
 STATIONARY_TOL = 1e-9
 # Most letters one sampled word (or block of words) may hold; also bounds
 # the letters the depth-doubling loop of ``extinction`` holds at once
-# (n_envs x max_depth, one byte each for alphabets of up to 256 letters)
-# and the (trial, generation) entries of one chunk of trials.
+# (n_envs x max_depth, one byte each for alphabets of up to 256 letters),
+# the (trial, generation) entries of one chunk of trials and the draws of
+# ``carpet.empirical_offspring_stats``.
 LETTER_BUDGET = 1 << 26
 
 # pgf arguments may drift past [0, 1] by accumulated rounding when pgf
@@ -63,6 +64,18 @@ def check_word(word, n_letters):
     if not np.issubdtype(word.dtype, np.integer) or word.min() < 0 or word.max() >= n_letters:
         raise ValueError(f"word letters must be integers in [0, {n_letters})")
     return word
+
+
+def child_seeds(seed, n):
+    """Children 0, ..., n - 1 of ``SeedSequence(seed)``, each built when it is reached.
+
+    Child k is ``SeedSequence(seed, spawn_key=(k,))``, entry k of
+    ``SeedSequence(seed).spawn(n)``, so it gives the same draws without all
+    n children being built first. Every seeded estimator splits its seed so.
+    """
+    entropy = np.random.SeedSequence(seed).entropy
+    for k in range(n):
+        yield np.random.SeedSequence(entropy, spawn_key=(k,))
 
 
 def _check_svalue(s, n_types):

@@ -31,6 +31,12 @@ _DELTA_CAP = 0.9
 
 _TOL = 1e-12
 
+# Longest word of the word-contraction check. It compares column minima with
+# gamma^length, gamma = e^(exponent / 4), which overflows a float for
+# exponents past _MAX_EXPONENT.
+_MAX_WORD = 8
+_MAX_EXPONENT = 4 * math.log(np.finfo(float).max) / _MAX_WORD
+
 
 @dataclass(frozen=True)
 class ProofParams:
@@ -78,13 +84,15 @@ def build_proof_params(model, exponent):
     model with strictness margins; delta follows from its formula; mu and u
     are the least column sum and least positive entry of the shrunk family,
     both capped at 1. A zero (or too small) second moment is replaced by a
-    larger valid bound so that delta stays below 1.
+    larger valid bound so that delta stays below 1. An exponent past
+    ``_MAX_EXPONENT``, or one so small that rho rounds to 1, raises
+    :class:`ValueError`.
     """
-    if not 0.0 < exponent < math.inf:
-        raise ValueError("the exponent must be positive and finite")
+    if not 0.0 < exponent <= _MAX_EXPONENT:
+        raise ValueError(
+            f"the exponent must be positive and finite, and at most {_MAX_EXPONENT!r}"
+        )
     rho = math.exp(-exponent / 2.0)
-    if not 0.0 < rho < 1.0:
-        rho = (math.exp(-exponent) + 1.0) / 2.0
     alpha = _ALPHA_MARGIN * uniform_allowability_alpha(model)
     floor = (1.0 - rho) * alpha / (2.0 * model.n_types * _DELTA_CAP)
     moment = max(_MOMENT_MARGIN * second_moment_bound(model), floor)
@@ -286,7 +294,7 @@ def oracle_suite(model, exponent, samples, seed, params=None):
     checked = 0
     cases = []
     for _ in range(n_words):
-        length = int(rng.integers(2, 9))
+        length = int(rng.integers(2, _MAX_WORD + 1))
         word = rng.integers(0, model.n_letters, size=length)
         aw = product_along_word(mats, word)
         if col_min(aw) < gamma**length:

@@ -419,14 +419,78 @@ def test_non_finite_lambda_is_usage_error(carpet_p04_file, value):
     assert "argument --lambda: must be a finite number" in err
 
 
+@pytest.mark.parametrize(
+    "value, want", [("354", 0), ("356", 2), ("800", 2), ("2000", 2), ("1e-300", 2)]
+)
+def test_finite_lambda_runs_or_is_usage_error(carpet_p04_file, value, want):
+    code, out, err = run_cli(
+        ["proofkit", "--model", carpet_p04_file, "--lambda", value, "--samples", "10"]
+    )
+    assert code == want, err
+    assert (out == "") == (want != 0)
+
+
+def test_offspring_samples_over_budget_is_budget_error_before_any_draw(monkeypatch):
+    import numpy as np
+
+    from mbpre import carpet
+
+    class NoDraw:
+        def random(self, *args, **kwargs):
+            raise AssertionError("drew offspring past the budget")
+
+    monkeypatch.setattr(np.random, "default_rng", lambda seed=None: NoDraw())
+    monkeypatch.setattr(carpet, "LETTER_BUDGET", 99_999)
+    code, out, err = run_cli(
+        ["carpet", "offspring", "--p", "0.5", "--column", "0", "--type", "0",
+         "--samples", "100000"]
+    )
+    assert code == 4
+    assert out == ""
+    assert "budget" in err
+
+
+def test_text_mode_walks_tuple_fields(tmp_path):
+    # letter B has no type-1 children, so its expectation matrix has a zero column
+    model = tmp_path / "not_allowable.json"
+    model.write_text(
+        json.dumps(
+            {
+                "n_types": 2,
+                "letters": [
+                    {"name": "A", "laws": [[{"z": [1, 1], "p": 1.0}], [{"z": [1, 1], "p": 1.0}]]},
+                    {"name": "B", "laws": [[{"z": [2, 0], "p": 1.0}], [{"z": [1, 0], "p": 1.0}]]},
+                ],
+                "environment": {"kind": "iid", "probs": [0.5, 0.5]},
+            }
+        )
+    )
+    offender = ['.allowability_offenders[0].letter = "B"',
+                '.allowability_offenders[0].axis = "column"',
+                ".allowability_offenders[0].index = 1"]
+    code, out, err = run_cli(["check", "--model", str(model)])
+    assert code == 0, err
+    lines = out.splitlines()
+    assert all(f"result{line}" in lines for line in offender)
+    assert "result.positive_word = null" in lines
+    code, out, err = run_cli(
+        ["classify", "--model", str(model), "--steps", "1000", "--batches", "4"]
+    )
+    assert code == 0, err
+    lines = out.splitlines()
+    assert all(f"result.report{line}" in lines for line in offender)
+    assert "result.report.positive_word = null" in lines
+
+
 def _imported_modules(argv):
-    """The numpy and mbpre modules a fresh interpreter holds after ``main(argv)``."""
+    """The numpy, dataclasses and mbpre modules a fresh interpreter holds after ``main(argv)``."""
     code = (
         "import contextlib, io, json, sys\n"
         "from mbpre.cli import main\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         f"    rc = main({argv!r})\n"
-        "names = [m for m in sys.modules if m == 'numpy' or m.startswith('mbpre')]\n"
+        "names = [m for m in sys.modules\n"
+        "         if m in ('numpy', 'dataclasses') or m.startswith('mbpre')]\n"
         "print(json.dumps([rc, sorted(names)]))\n"
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)

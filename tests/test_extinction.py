@@ -178,8 +178,7 @@ class TestKernel:
         assert below_one and any(r.depth < max_depth for r in below_one)
         assert any(not r.converged and r.depth == max_depth for r in singles)
 
-        rngs = [np.random.default_rng(c) for c in children]
-        q, depth, converged = _converge(model, rngs, tol, max_depth)
+        q, depth, converged = _converge(model, len(children), children, tol, max_depth)
         for row, single in enumerate(singles):
             assert np.array_equal(q[row], single.q)
             assert depth[row] == single.depth
@@ -192,15 +191,19 @@ class TestKernel:
         rng = np.random.default_rng(31)
         model = _with_markov_environment(random_model(rng, max_letters=3), rng)
         children = np.random.SeedSequence(8).spawn(6)
-        q, depth, converged = _converge(
-            model, [np.random.default_rng(c) for c in children], 1e-9, 256
-        )
+        q, depth, converged = _converge(model, len(children), children, 1e-9, 256)
         for row, child in enumerate(children):
             single = extinction_converged(model, child, tol=1e-9, max_depth=256)
             assert np.array_equal(q[row], single.q)
             assert (depth[row], converged[row]) == (single.depth, single.converged)
 
-    def test_letter_budget(self, decoupled_supercritical):
+    def test_letter_budget(self, decoupled_supercritical, monkeypatch):
+        def no_seeding(*args, **kwargs):
+            raise AssertionError("seeded a generator before the budget check")
+
+        # refused before one generator per environment is built
+        monkeypatch.setattr(np.random, "SeedSequence", no_seeding)
+        monkeypatch.setattr(np.random, "default_rng", no_seeding)
         max_depth = 1 << 16
         n_envs = LETTER_BUDGET // max_depth + 1
         with pytest.raises(BudgetError):

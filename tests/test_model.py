@@ -22,6 +22,7 @@ from mbpre import (
     uniform_allowability_alpha,
     write_model,
 )
+from mbpre.model import child_seeds
 from oracles import (
     convolve_dicts,
     iid_word_choice,
@@ -436,6 +437,28 @@ class _TopUniform:
         top = 1.0 - 2.0**-53
         return top if size is None else np.full(size, top)
 
+
+
+class TestChildSeeds:
+    def test_equals_spawn(self):
+        for seed in (0, 1, 7, 12345, 2**63 - 1):
+            got = list(child_seeds(seed, 6))
+            want = np.random.SeedSequence(seed).spawn(6)
+            assert len(got) == len(want)
+            for a, b in zip(got, want):
+                assert np.array_equal(a.generate_state(4), b.generate_state(4))
+                draws = [np.random.default_rng(c).random(3) for c in (a, b)]
+                assert np.array_equal(*draws)
+
+    def test_first_of_many_children_is_built_alone(self):
+        tracemalloc.start()
+        try:
+            first = next(child_seeds(3, 10**12))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        assert first.spawn_key == (0,)
 
 
 class TestCodec:

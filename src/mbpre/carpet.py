@@ -22,12 +22,7 @@ import numpy as np
 from .errors import BudgetError, InvariantError
 from .lyapunov import estimate_exponent
 from .model import (
-    LETTER_BUDGET,
-    EnvironmentLetter,
-    IidEnvironment,
-    ModelSpec,
-    OffspringLaw,
-    child_seeds,
+    LETTER_BUDGET, EnvironmentLetter, IidEnvironment, ModelSpec, OffspringLaw, child_seeds
 )
 
 UPPER, LOWER = 0, 1
@@ -330,9 +325,8 @@ def empirical_offspring_stats(p, column, parent_type, samples, rng):
     Retains each contributing square independently with probability ``p``
     and counts the surviving sub-triangles of the given parent falling in
     the given column, by child type. The resulting joint pmf must agree
-    with the law ``build_carpet_model`` assigns to the same slot. More than
-    ``LETTER_BUDGET`` draws (samples x contributing squares) raise
-    :class:`BudgetError` before the first one.
+    with the law ``build_carpet_model`` assigns to the same slot. Over
+    ``LETTER_BUDGET`` draws (samples x squares) is a BudgetError, raised first.
     """
     if column not in (0, 1, 2):
         raise ValueError("column must be 0, 1, or 2")

@@ -3,12 +3,11 @@
 Every subcommand echoes its seed and, in ``params``, every other option
 its parser holds (defaults included, in parser order, ``--json`` left
 out), writes results to stdout (JSON with --json, flat key = value lines
-otherwise; a result dataclass as its own fields, in field order) and
-diagnostics to stderr. Identical command lines produce
-byte-identical JSON. Exit codes: 0 success, 2 usage error (any other
-``ValueError``, a count option below 1 included), 3 model or invariant
-error, 4 resource-budget error (an exponent word over ``LETTER_BUDGET``
-letters included), 1 any other failure.
+otherwise; a result dataclass by its own fields) and diagnostics to
+stderr. Identical command lines produce byte-identical JSON. Exit codes:
+0 success, 2 usage error (any other ``ValueError``, a count option below 1
+included), 3 model or invariant error, 4 resource-budget error (an
+exponent word over ``LETTER_BUDGET`` letters included), 1 any other failure.
 
 Each handler imports the modules it runs, and numpy only where it uses it,
 so a launch loads only what its subcommand needs and ``--version`` loads
@@ -337,8 +336,7 @@ _NOT_ECHOED = frozenset({"seed", "json", "command", "carpet_command", "handler"}
 
 
 def _fields(obj):
-    """``obj`` with every result dataclass in it, itself, a dict value or a
-    tuple entry, as the dict of its own fields in field order."""
+    """``obj`` with each dataclass in it, or in its dict values and tuples, as its fields."""
     from dataclasses import asdict, is_dataclass  # its result's module loaded it
 
     if is_dataclass(obj):

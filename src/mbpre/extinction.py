@@ -88,11 +88,10 @@ def extinction_fixed_env(model, word):
 def _converge(model, n_envs, seeds, tol, max_depth):
     """Depth doubling for ``n_envs`` environments, one per seed, all in lockstep.
 
-    Each environment extends its own word from its own generator
-    ``default_rng(seed)``, so row e of the result equals a run of seed e
-    alone. The arguments are checked before any generator is built. Returns
-    the (E, N) extinction vectors, the depth each row stopped at and whether
-    it met ``tol``.
+    Each environment extends its own word from its own ``default_rng(seed)``,
+    so row e of the result equals a run of seed e alone. The arguments are
+    checked before any generator is built. Returns the (E, N) extinction
+    vectors, the depth each row stopped at and whether it met ``tol``.
     """
     if not 0.0 < tol < math.inf:
         raise ValueError("tol must be positive and finite")

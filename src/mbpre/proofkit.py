@@ -31,9 +31,8 @@ _DELTA_CAP = 0.9
 
 _TOL = 1e-12
 
-# Longest word of the word-contraction check. It compares column minima with
-# gamma^length, gamma = e^(exponent / 4), which overflows a float for
-# exponents past _MAX_EXPONENT.
+# Longest word of the word-contraction check; its gamma^length, gamma =
+# e^(exponent / 4), overflows a float for exponents past _MAX_EXPONENT.
 _MAX_WORD = 8
 _MAX_EXPONENT = 4 * math.log(np.finfo(float).max) / _MAX_WORD
 
@@ -85,13 +84,10 @@ def build_proof_params(model, exponent):
     are the least column sum and least positive entry of the shrunk family,
     both capped at 1. A zero (or too small) second moment is replaced by a
     larger valid bound so that delta stays below 1. An exponent past
-    ``_MAX_EXPONENT``, or one so small that rho rounds to 1, raises
-    :class:`ValueError`.
+    ``_MAX_EXPONENT``, or so small that rho rounds to 1, is a ValueError.
     """
     if not 0.0 < exponent <= _MAX_EXPONENT:
-        raise ValueError(
-            f"the exponent must be positive and finite, and at most {_MAX_EXPONENT!r}"
-        )
+        raise ValueError(f"the exponent must be positive and finite, at most {_MAX_EXPONENT!r}")
     rho = math.exp(-exponent / 2.0)
     alpha = _ALPHA_MARGIN * uniform_allowability_alpha(model)
     floor = (1.0 - rho) * alpha / (2.0 * model.n_types * _DELTA_CAP)

@@ -73,9 +73,8 @@ def child_seeds(seed, n):
     ``SeedSequence(seed).spawn(n)``, so it gives the same draws without all
     n children being built first. Every seeded estimator splits its seed so.
     """
-    entropy = np.random.SeedSequence(seed).entropy
     for k in range(n):
-        yield np.random.SeedSequence(entropy, spawn_key=(k,))
+        yield np.random.SeedSequence(seed, spawn_key=(k,))
 
 
 def _check_svalue(s, n_types):

@@ -326,8 +326,11 @@ def empirical_offspring_stats(p, column, parent_type, samples, rng):
     and counts the surviving sub-triangles of the given parent falling in
     the given column, by child type. The resulting joint pmf must agree
     with the law ``build_carpet_model`` assigns to the same slot. Over
-    ``LETTER_BUDGET`` draws (samples x squares) is a BudgetError, raised first.
+    ``LETTER_BUDGET`` draws (samples x squares) is a BudgetError; it and a
+    ``p`` outside (0, 1] are raised before anything is drawn.
     """
+    if not 0.0 < p <= 1.0:
+        raise ValueError("retention probability must lie in (0, 1]")
     if column not in (0, 1, 2):
         raise ValueError("column must be 0, 1, or 2")
     if parent_type not in (UPPER, LOWER):

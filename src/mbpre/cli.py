@@ -101,7 +101,7 @@ def _build_parser():
     p.add_argument("--model", required=True)
     p.add_argument("--max-word-len", type=_parse_positive, default=None)
 
-    p = command(sub, "lyapunov", _cmd_lyapunov, "estimate a growth exponent")
+    p = command(sub, "lyapunov", _estimate, "estimate a growth exponent")
     p.add_argument("--model", required=True)
     p.add_argument("--kind", choices=KINDS, default="sum")
     _add_steps(p)
@@ -195,10 +195,6 @@ def _estimate(args, model):
         batches=args.batches,
         seed=args.seed,
     )
-
-
-def _cmd_lyapunov(args, model):
-    return _estimate(args, model)
 
 
 def _cmd_extinction(args, model):
@@ -314,8 +310,8 @@ def _cmd_proofkit(args, model):
     from . import proofkit
 
     lam = getattr(args, "lambda")  # a keyword, so not args.lambda
-    report = proofkit.oracle_suite(model, lam, args.samples, args.seed)
     built = proofkit.build_proof_params(model, lam)
+    report = proofkit.oracle_suite(model, lam, args.samples, args.seed, params=built)
     return {
         "checks": report.checks,
         "all_passed": report.all_passed,

@@ -31,9 +31,8 @@ MASS_TOL = 1e-12
 # stationary (the shift must be measure preserving).
 STATIONARY_TOL = 1e-9
 # Most letters one sampled word (or block of words) may hold; also bounds
-# the letters the depth-doubling loop of ``extinction`` holds at once
-# (n_envs x max_depth, one byte each for alphabets of up to 256 letters),
-# the (trial, generation) entries of one chunk of trials and the draws of
+# n_envs x max_depth of the depth-doubling loop of ``extinction``, the
+# (trial, generation) entries of one chunk of trials and the draws of
 # ``carpet.empirical_offspring_stats``.
 LETTER_BUDGET = 1 << 26
 
@@ -202,8 +201,8 @@ class EnvironmentLetter:
         return _readonly(np.stack([law.mean for law in self.laws]))
 
 
-def _word_buffer(n, prefix, rows):
-    """An int64 word of ``n`` letters (a (rows, n) block with ``rows``) holding ``prefix``.
+def _word_buffer(n, rows):
+    """An empty int64 word of ``n`` letters, or a (rows, n) block with ``rows``.
 
     A word of more than ``LETTER_BUDGET`` letters in all raises
     :class:`BudgetError` before anything is allocated.
@@ -214,10 +213,7 @@ def _word_buffer(n, prefix, rows):
             f"a word of {' x '.join(map(str, shape))} letters exceeds the budget of "
             f"{LETTER_BUDGET} letters"
         )
-    word = np.empty(shape, dtype=np.int64)
-    have = np.shape(prefix)[-1]
-    word[..., :have] = prefix
-    return word, have
+    return np.empty(shape, dtype=np.int64)
 
 
 @dataclass(frozen=True)
@@ -243,14 +239,12 @@ class IidEnvironment:
         """Per-letter stationary probability."""
         return self.probs
 
-    def sample_word(self, n, rng, prefix=(), rows=None):
-        """Length-``n`` word of letter indices that continues ``prefix``.
+    def sample_word(self, n, rng, rows=None):
+        """Length-``n`` word of letter indices, drawn whole from ``rng``.
 
-        Resuming draws the same random numbers as one call for the whole
-        word, so a word sampled in pieces equals one sampled whole. With
-        ``rows`` the result is a (rows, n) block of independent words, drawn
-        together, and ``prefix`` has shape (rows, have) or is shared by
-        every row.
+        The word is a prefix of every longer word drawn from the same
+        generator state. With ``rows`` the result is a (rows, n) block of
+        independent words, drawn together.
 
         Each letter takes one uniform u and is the number of entries of
         ``cumsum(probs) / cumsum(probs)[-1]`` that lie at or below u, with
@@ -258,12 +252,11 @@ class IidEnvironment:
         ``rng.choice(p=probs)``, so every word equals that draw. The count
         is one compare-and-add pass per entry, straight into the word.
         """
-        word, have = _word_buffer(n, prefix, rows)
-        tail = word[..., have:]
-        u = rng.random(tail.shape)
-        tail.fill(0)
+        word = _word_buffer(n, rows)
+        u = rng.random(word.shape)
+        word.fill(0)
         for edge in self._cdf:
-            tail += u >= edge
+            word += u >= edge
         return word
 
     @cached_property
@@ -317,15 +310,13 @@ class MarkovEnvironment:
     def letter_mass(self):
         return self.initial
 
-    def sample_word(self, n, rng, prefix=(), rows=None):
-        """Length-``n`` word of letter indices that continues ``prefix``.
+    def sample_word(self, n, rng, rows=None):
+        """Length-``n`` word of letter indices, drawn whole from ``rng``.
 
-        The chain resumes from the last letter of ``prefix``; an empty
-        prefix draws the first letter from the initial vector. Resuming
-        draws the same random numbers as one call for the whole word. With
-        ``rows`` the result is a (rows, n) block of independent words, drawn
-        together, and ``prefix`` has shape (rows, have) or is shared by
-        every row.
+        The first letter comes from the initial vector. The word is a
+        prefix of every longer word drawn from the same generator state.
+        With ``rows`` the result is a (rows, n) block of independent words,
+        drawn together.
 
         Each letter takes one uniform u and is the number of entries of its
         CDF row (the initial vector's for the first letter, else the
@@ -334,24 +325,22 @@ class MarkovEnvironment:
         still gives a letter. One word walks by ``bisect`` in plain Python;
         a block advances one column at a time.
         """
-        word, have = _word_buffer(n, prefix, rows)
-        if have == 0:
-            first = rng.random(rows)
-            word[..., 0] = np.searchsorted(np.cumsum(self.initial)[:-1], first, side="right")
-            have = 1
-        u = rng.random(word[..., have:].shape)
+        word = _word_buffer(n, rows)
+        first = rng.random(rows)
+        word[..., 0] = np.searchsorted(np.cumsum(self.initial)[:-1], first, side="right")
+        u = rng.random(word[..., 1:].shape)
         cdfs = np.cumsum(self.transition, axis=1)[:, :-1]
         if rows is None:
             cdf_rows = cdfs.tolist()
-            state = int(word[have - 1])
+            state = int(word[0])
             path = []
             for x in memoryview(u):
                 state = bisect_right(cdf_rows[state], x)
                 path.append(state)
-            word[have:] = path
+            word[1:] = path
         else:
-            for k in range(have, n):
-                word[:, k] = (cdfs[word[:, k - 1]] <= u[:, k - have, None]).sum(axis=1)
+            for k in range(1, n):
+                word[:, k] = (cdfs[word[:, k - 1]] <= u[:, k - 1, None]).sum(axis=1)
         return word
 
     def cylinder_probability(self, word):

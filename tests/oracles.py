@@ -150,27 +150,19 @@ def mean_exponent_brackets(matrices, depth):
     return tot[0] / tot[2] / depth, tot[1] / tot[2] / depth
 
 
-def markov_word_per_letter(env, n, rng, prefix=()):
+def markov_word_per_letter(env, n, rng):
     """A Markov environment word drawn one ``searchsorted`` call per letter.
 
     This is the sampler's original letter-by-letter loop, kept as the
     reference its words must equal, random draws included.
     """
-    have = len(prefix)
     word = np.empty(n, dtype=np.int64)
-    word[:have] = prefix
-    if have == 0:
-        state = int(np.searchsorted(np.cumsum(env.initial), rng.random(), side="right"))
-        word[0] = min(state, env.n_letters - 1)
-        have = 1
+    state = int(np.searchsorted(np.cumsum(env.initial), rng.random(), side="right"))
+    word[0] = min(state, env.n_letters - 1)
     cdfs = np.cumsum(env.transition, axis=1)
-    state = int(word[have - 1])
-    u = rng.random(n - have)
-    for k in range(have, n):
-        state = min(
-            int(np.searchsorted(cdfs[state], u[k - have], side="right")),
-            env.n_letters - 1,
-        )
+    u = rng.random(n - 1)
+    for k in range(1, n):
+        state = min(int(np.searchsorted(cdfs[state], u[k - 1], side="right")), env.n_letters - 1)
         word[k] = state
     return word
 
@@ -204,18 +196,14 @@ def exponent_sequential(matrices, word, kind="sum"):
     return (log_scale + math.log(reduce(p))) / len(word)
 
 
-def iid_word_choice(env, n, rng, prefix=(), rows=None):
+def iid_word_choice(env, n, rng, rows=None):
     """An i.i.d. environment word drawn by ``rng.choice(p=probs)``.
 
     This is the sampler's original draw, kept as the reference its words
-    must equal, random draws included. With ``rows`` it is a (rows, n) block
-    whose ``prefix`` is shared or given per row.
+    must equal, random draws included. With ``rows`` it is a (rows, n) block.
     """
-    word = np.empty((n,) if rows is None else (rows, n), dtype=np.int64)
-    have = np.shape(prefix)[-1]
-    word[..., :have] = prefix
-    word[..., have:] = rng.choice(env.n_letters, size=word[..., have:].shape, p=env.probs)
-    return word
+    shape = (n,) if rows is None else (rows, n)
+    return rng.choice(env.n_letters, size=shape, p=env.probs)
 
 
 def carpet_levels_broadcast(p, depth, rng):

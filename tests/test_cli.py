@@ -450,6 +450,23 @@ def test_offspring_samples_over_budget_is_budget_error_before_any_draw(monkeypat
     assert "budget" in err
 
 
+@pytest.mark.parametrize("p", ["1.5", "0", "nan"])
+def test_offspring_bad_p_is_usage_error_before_any_draw(monkeypatch, p):
+    import numpy as np
+
+    class NoDraw:
+        def random(self, *args, **kwargs):
+            raise AssertionError("drew offspring with a bad p")
+
+    monkeypatch.setattr(np.random, "default_rng", lambda seed=None: NoDraw())
+    code, out, err = run_cli(
+        ["carpet", "offspring", "--p", p, "--column", "1", "--type", "0", "--samples", "100"]
+    )
+    assert code == 2
+    assert out == ""
+    assert err == "error: retention probability must lie in (0, 1]\n"
+
+
 def test_text_mode_walks_tuple_fields(tmp_path):
     # letter B has no type-1 children, so its expectation matrix has a zero column
     model = tmp_path / "not_allowable.json"

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -133,6 +134,14 @@ class TestConverged:
         with pytest.raises(ValueError, match="tol"):
             annealed_extinction(model, 4, tol=tol, max_depth=64, seed=0)
 
+    @pytest.mark.parametrize(
+        "seed", [np.random.default_rng(0), np.random.PCG64(0)], ids=["generator", "bit-generator"]
+    )
+    def test_generator_seed_rejected(self, decoupled_supercritical, seed):
+        # default_rng would continue a generator at each depth, not restart it
+        with pytest.raises(ValueError, match="generator"):
+            extinction_converged(decoupled_supercritical, seed)
+
     def test_non_convergence_flagged(self):
         # critical line (mean 1): q_n -> 1 only polynomially, so a tight
         # tolerance cannot be met by depth 128
@@ -218,6 +227,32 @@ class TestKernel:
 
 
 class TestAnnealed:
+    def test_chunks_equal_one_pass_and_single_runs(self, monkeypatch):
+        model = _mixed_model()
+        tol, max_depth, n_envs = 1e-7, 512, 11
+        whole = annealed_extinction(model, n_envs, tol=tol, max_depth=max_depth, seed=9)
+        children = np.random.SeedSequence(9).spawn(n_envs)
+        singles = [extinction_converged(model, c, tol=tol, max_depth=max_depth) for c in children]
+        monkeypatch.setattr(extinction, "_CHUNK", 3)
+        chunked = annealed_extinction(model, n_envs, tol=tol, max_depth=max_depth, seed=9)
+        assert np.array_equal(chunked[0], whole[0]) and chunked[1] == whole[1]
+        q, depth, converged = _converge(model, n_envs, children, tol, max_depth)
+        for row, single in enumerate(singles):
+            assert np.array_equal(q[row], single.q)
+            assert (depth[row], converged[row]) == (single.depth, single.converged)
+
+    def test_memory_does_not_grow_with_the_environments(self):
+        # one generator per environment for the whole run peaked at 17.7 MB;
+        # chunks of 1024 that keep no generator peak at about 2.4 MB
+        model = build_carpet_model(0.4).model
+        tracemalloc.start()
+        try:
+            annealed_extinction(model, 10**4, max_depth=2, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6
+
     def test_single_letter_alphabet_equals_converged(self, decoupled_supercritical):
         mean_q, share = annealed_extinction(decoupled_supercritical, 5, seed=4)
         single = extinction_converged(decoupled_supercritical, seed=0)

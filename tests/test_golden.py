@@ -39,27 +39,26 @@ def test_carpet_project_result_digest():
     )
 
 
-# (environment, n, prefix, rows, seed, digest of the word as little-endian int64)
+# (environment, n, rows, seed, digest of the word as little-endian int64)
 _WORDS = {
     "iid3-word": (
-        IidEnvironment(np.full(3, 1 / 3)), 10_000, (), None, 21,
+        IidEnvironment(np.full(3, 1 / 3)), 10_000, None, 21,
         "32c542433de82bfdf4ba5fb49bf1fd78f6e11885b5d812d42b57e3572f5d6314",
     ),
-    "iid5-shared-prefix-block": (
-        IidEnvironment(np.array([0.1, 0.2, 0.3, 0.25, 0.15])), 100, [4, 0], 64, 22,
-        "c0d8fdee4df661dbe6d51fc377bdb6c03fae3dbd32e4b84a472abccc5ac7b352",
+    "iid5-block": (
+        IidEnvironment(np.array([0.1, 0.2, 0.3, 0.25, 0.15])), 100, 64, 22,
+        "155cc230272ae6425c33ce568f37d7b84a88277d1dd4d677922cd6e4e126c6bc",
     ),
-    "iid16-per-row-prefix-block": (
-        IidEnvironment(np.arange(1, 17) / 136),
-        100, np.arange(64 * 3).reshape(64, 3) % 16, 64, 23,
-        "0b2d29105c2ad56f2ab7a260a7106d0aed11afc3e44df26ba9e35a70e6c283cd",
+    "iid16-block": (
+        IidEnvironment(np.arange(1, 17) / 136), 100, 64, 23,
+        "1fb9e09dbebe1aef4e736e4379336875ee6af56dcfb922e7d33447211f5f5f46",
     ),
     "markov3-word": (
-        MarkovEnvironment(np.full(3, 1 / 3), _MARKOV3), 10_000, (), None, 24,
+        MarkovEnvironment(np.full(3, 1 / 3), _MARKOV3), 10_000, None, 24,
         "e18dfb980fddbad43f6e606fa4316c8d431b022c9c9a1021efe1da4220d74d87",
     ),
     "markov3-block": (
-        MarkovEnvironment(np.full(3, 1 / 3), _MARKOV3), 100, (), 64, 25,
+        MarkovEnvironment(np.full(3, 1 / 3), _MARKOV3), 100, 64, 25,
         "eb341dcbf3f00558779a7c5e8e3c392e4ca3afefa09a1cb9540bd1a766f9a14e",
     ),
 }
@@ -67,6 +66,6 @@ _WORDS = {
 
 @pytest.mark.parametrize("case", list(_WORDS))
 def test_word_digest(case):
-    env, n, prefix, rows, seed, digest = _WORDS[case]
-    word = env.sample_word(n, np.random.default_rng(seed), prefix=prefix, rows=rows)
+    env, n, rows, seed, digest = _WORDS[case]
+    word = env.sample_word(n, np.random.default_rng(seed), rows=rows)
     assert _sha256(word.astype("<i8").tobytes()) == digest

@@ -247,61 +247,33 @@ class TestEnvironmentSampling:
         ],
         ids=["iid", "markov"],
     )
-    def test_word_sampled_in_pieces_equals_whole(self, env):
-        rng = np.random.default_rng(7)
-        whole = env.sample_word(300, rng)
-        after_whole = rng.random()
-        rng = np.random.default_rng(7)
-        word = np.empty(0, dtype=np.uint8)
-        for n in (1, 2, 64, 65, 300):
-            word = env.sample_word(n, rng, prefix=word).astype(np.uint8)
-        assert np.array_equal(word, whole)
-        assert rng.random() == after_whole
+    def test_shorter_word_is_a_prefix_of_longer(self, env):
+        # depth doubling redraws each word whole and relies on this
+        for d in (1, 2, 64, 65, 300):
+            short = env.sample_word(d, np.random.default_rng(7))
+            assert np.array_equal(short, env.sample_word(2 * d, np.random.default_rng(7))[:d])
 
-    @pytest.mark.parametrize(
-        "n, prefix", [(1, ()), (2, ()), (500, ()), (500, [2]), (500, [0, 1, 2])]
-    )
-    def test_markov_word_equals_per_letter_reference(self, n, prefix):
+    @pytest.mark.parametrize("n", [1, 2, 500])
+    def test_markov_word_equals_per_letter_reference(self, n):
         env = MarkovEnvironment(np.full(3, 1 / 3), _MARKOV3)
         rng, ref_rng = np.random.default_rng(8), np.random.default_rng(8)
-        word = env.sample_word(n, rng, prefix=prefix)
+        word = env.sample_word(n, rng)
         assert word.dtype == np.int64
-        assert np.array_equal(word, markov_word_per_letter(env, n, ref_rng, prefix))
-        assert rng.random() == ref_rng.random()
-
-    def test_iid_word_keeps_its_draws(self):
-        env = IidEnvironment(np.array([0.2, 0.3, 0.5]))
-        rng, ref_rng = np.random.default_rng(9), np.random.default_rng(9)
-        word = env.sample_word(50, rng, prefix=[1, 1])
-        ref = np.concatenate([[1, 1], ref_rng.choice(3, size=48, p=env.probs)])
-        assert np.array_equal(word, ref)
+        assert np.array_equal(word, markov_word_per_letter(env, n, ref_rng))
         assert rng.random() == ref_rng.random()
 
     @pytest.mark.parametrize("n_letters", [1, 2, 3, 16, 64, 256])
     @pytest.mark.parametrize(
-        "n, prefix, rows",
-        [
-            (1, (), None),
-            (700, (), None),
-            (700, "ends", None),
-            (90, (), 7),
-            (90, "ends", 7),
-            (90, "per-row", 7),
-        ],
-        ids=["one-letter", "word", "prefix", "block", "shared-prefix", "per-row-prefix"],
+        "n, rows", [(1, None), (700, None), (90, 7)], ids=["one-letter", "word", "block"]
     )
-    def test_iid_word_equals_choice_reference(self, n_letters, n, prefix, rows):
+    def test_iid_word_equals_choice_reference(self, n_letters, n, rows):
         # uneven masses with a zero among them, so a wrong edge moves letters
         masses = np.random.default_rng(n_letters).random(n_letters) + 0.05
         masses[n_letters // 2] = 0.0 if n_letters > 1 else masses[0]
         env = IidEnvironment(masses / masses.sum())
-        if prefix == "ends":
-            prefix = [n_letters - 1, 0]
-        elif prefix == "per-row":
-            prefix = np.random.default_rng(1).integers(0, n_letters, size=(rows, 3))
         rng, ref_rng = np.random.default_rng(17), np.random.default_rng(17)
-        word = env.sample_word(n, rng, prefix=prefix, rows=rows)
-        ref = iid_word_choice(env, n, ref_rng, prefix=prefix, rows=rows)
+        word = env.sample_word(n, rng, rows=rows)
+        ref = iid_word_choice(env, n, ref_rng, rows=rows)
         assert word.dtype == np.int64
         assert np.array_equal(word, ref)
         assert rng.random() == ref_rng.random()
@@ -344,9 +316,6 @@ class TestEnvironmentSampling:
         assert np.all(transition[block[:, :-1], block[:, 1:]] > 0)
         for k in range(3):
             assert abs((block == k).mean() - 1 / 3) < 0.01
-        pinned = env.sample_word(5, np.random.default_rng(12), prefix=[[2]] * 300, rows=300)
-        assert np.all(pinned[:, 0] == 2)
-        assert np.all(transition[pinned[:, :-1], pinned[:, 1:]] > 0)
 
     def test_iid_block_shape_and_frequencies(self):
         env = IidEnvironment(np.array([0.2, 0.3, 0.5]))
@@ -410,10 +379,7 @@ class TestEnvironmentSampling:
         transition = np.array([[0.3, 0.3, short]] * 3)
         env = MarkovEnvironment(np.array([0.3, 0.3, short]), transition)
         assert np.array_equal(env.sample_word(5, _TopUniform()), [2] * 5)
-        assert np.array_equal(env.sample_word(5, _TopUniform(), prefix=[0]), [0, 2, 2, 2, 2])
         assert np.array_equal(env.sample_word(5, _TopUniform(), rows=4), np.full((4, 5), 2))
-        pinned = env.sample_word(5, _TopUniform(), prefix=[[1]] * 4, rows=4)
-        assert np.array_equal(pinned[:, 1:], np.full((4, 4), 2))
 
     @pytest.mark.parametrize("n_letters", [3, 16])
     def test_top_uniform_draws_the_last_iid_letter(self, n_letters):

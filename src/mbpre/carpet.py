@@ -20,7 +20,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BudgetError, InvariantError
-from .lyapunov import estimate_exponent
 from .model import (
     LETTER_BUDGET, EnvironmentLetter, IidEnvironment, ModelSpec, OffspringLaw, child_seeds
 )
@@ -142,6 +141,8 @@ def build_carpet_model(p):
 
 def lambda_b(steps_per_batch, batches, seed):
     """Monte Carlo estimate of the growth exponent of the p = 1 matrices."""
+    from .lyapunov import estimate_exponent  # loaded only when an exponent runs
+
     return estimate_exponent(
         COLUMN_MATRICES,
         _UNIFORM3,

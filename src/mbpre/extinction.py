@@ -70,13 +70,21 @@ def _compose(table, words, s):
     clipped to [0, 1], so every step's argument stays in range.
     """
     exps, masses = table
+    # power casts integer exponents to float at every step; cast them once
+    fexps, masses = exps.astype(float), masses[..., None]
     for j in range(words.shape[1] - 1, -1, -1):
         idx = words[:, j]
-        # (E, 1, 1, N) ** (E, N, K, N) -> monomials (E, N, K). A batched
-        # matmul, not .sum(-1), takes the same dot product as OffspringLaw.pgf,
-        # so laws of the largest support size give identical bits.
-        v = np.prod(s[:, None, None, :] ** exps[idx], axis=-1)
-        s = np.clip((v[..., None, :] @ masses[idx][..., :, None])[..., 0, 0], 0.0, 1.0)
+        # (E, 1, 1, N) ** (E, N, K, N) -> type factors, multiplied left to
+        # right as np.prod does -> monomials (E, N, 1, K). A batched matmul,
+        # not .sum(-1), takes the same dot product as OffspringLaw.pgf, so
+        # laws of the largest support size give identical bits.
+        t = np.power(s[:, None, None, :], fexps.take(idx, axis=0))
+        v = t[..., None, :, 0]
+        for i in range(1, t.shape[-1]):
+            v = v * t[..., None, :, i]
+        s = (v @ masses.take(idx, axis=0))[..., 0, 0]
+        np.maximum(s, 0.0, out=s)
+        np.minimum(s, 1.0, out=s)
     return s
 
 
@@ -93,10 +101,11 @@ def _converge(model, n_envs, seeds, tol, max_depth):
     Chunks of ``_CHUNK`` environments run one after another. At depth d each
     environment still active redraws its whole depth-d word from a fresh
     ``default_rng(seed)``, which starts with its shorter words, so no
-    generator and no word is kept between depths, and row e of the result
-    equals a run of seed e alone. The arguments are checked before any seed
-    is reached. Returns the (E, N) extinction vectors, the depth each row
-    stopped at and whether it met ``tol``.
+    generator and no word is kept between depths, and row e of a chunk
+    equals a run of its seed alone. The arguments are checked before any
+    seed is reached. Yields, chunk by chunk, the chunk's (E, N) extinction
+    vectors, the depth each row stopped at and whether it met ``tol``; no
+    chunk is kept once the next one starts.
     """
     if not 0.0 < tol < math.inf:
         raise ValueError("tol must be positive and finite")
@@ -108,20 +117,20 @@ def _converge(model, n_envs, seeds, tol, max_depth):
             f"{LETTER_BUDGET} stored letters"
         )
     env, table = model.environment, model.pgf_table
-    q = np.zeros((n_envs, model.n_types))
-    depth = np.zeros(n_envs, dtype=np.int64)
-    converged = np.zeros(n_envs, dtype=bool)
     seeds = iter(seeds)
-    for start in range(0, n_envs, _CHUNK):
+    for _ in range(0, n_envs, _CHUNK):
         chunk = list(islice(seeds, _CHUNK))
-        active = np.arange(start, start + len(chunk))
+        q = np.zeros((len(chunk), model.n_types))
+        depth = np.zeros(len(chunk), dtype=np.int64)
+        converged = np.zeros(len(chunk), dtype=bool)
+        active = np.arange(len(chunk))
         prev = None
         d = _DEPTH0
         while active.size:
             d = min(d, max_depth)
             words = np.empty((active.size, d), dtype=np.min_scalar_type(model.n_letters - 1))
             for row, e in enumerate(active):
-                words[row] = env.sample_word(d, np.random.default_rng(chunk[e - start]))
+                words[row] = env.sample_word(d, np.random.default_rng(chunk[e]))
             cur = _compose(table, words, np.zeros((active.size, model.n_types)))
             # 1 is absorbing for pgf compositions: deeper words cannot move it
             done = np.all(cur == 1.0, axis=1)
@@ -132,7 +141,7 @@ def _converge(model, n_envs, seeds, tol, max_depth):
                 break
             active, prev = active[~done], cur[~done]
             d *= 2
-    return q, depth, converged
+        yield q, depth, converged
 
 
 def extinction_converged(model, seed, tol=1e-9, max_depth=1 << 16):
@@ -146,7 +155,7 @@ def extinction_converged(model, seed, tol=1e-9, max_depth=1 << 16):
     """
     if isinstance(seed, (np.random.Generator, np.random.BitGenerator)):
         raise ValueError("seed must be an int or SeedSequence, not a generator")
-    q, depth, converged = _converge(model, 1, [seed], tol, max_depth)
+    [(q, depth, converged)] = _converge(model, 1, [seed], tol, max_depth)
     return ExtinctionVector(q[0], int(depth[0]), bool(converged[0]))
 
 
@@ -157,12 +166,18 @@ def annealed_extinction(model, n_envs, tol=1e-9, max_depth=1 << 16, seed=0):
     environments advance together in chunks of ``_CHUNK``. Returns
     ``(mean_q, share_converged)`` where the share counts realizations whose
     depth-doubling loop met ``tol``. ``n_envs * max_depth`` may not exceed
-    ``LETTER_BUDGET`` (:class:`BudgetError`).
+    ``LETTER_BUDGET`` (:class:`BudgetError`). Memory does not grow with
+    ``n_envs``: each chunk's rows are added to a running total and dropped.
     """
     if n_envs < 1:
         raise ValueError("n_envs must be >= 1")
-    q, _, converged = _converge(model, n_envs, child_seeds(seed, n_envs), tol, max_depth)
-    return q.mean(axis=0), float(np.count_nonzero(converged)) / n_envs
+    total, n_converged = np.zeros(model.n_types), 0
+    for q, _, converged in _converge(model, n_envs, child_seeds(seed, n_envs), tol, max_depth):
+        # with the total as its first row, the chunk's axis-0 sum adds every
+        # row in environment order, as one q.mean(axis=0) over all rows does
+        total = np.concatenate((total[None], q)).sum(axis=0)
+        n_converged += int(np.count_nonzero(converged))
+    return total / n_envs, n_converged / n_envs
 
 
 def _check_cap(model, cap):

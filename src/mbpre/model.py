@@ -22,7 +22,6 @@ from functools import cached_property
 import numpy as np
 
 from .errors import BudgetError, InvariantError, ModelFormatError, NotAllowableError
-from .matcore import allowability_offenders
 
 # Probability mass must balance to this absolute tolerance; masses are never
 # renormalized silently.
@@ -84,7 +83,8 @@ def _check_svalue(s, n_types):
             f"pgf argument has dimension {s.shape[-1] if s.ndim else 0}, "
             f"expected {n_types}"
         )
-    if np.any(s < -_S_RANGE_TOL) or np.any(s > 1.0 + _S_RANGE_TOL):
+    # tested as "inside", so that NaN, which fails every comparison, is outside
+    if not np.all((s >= -_S_RANGE_TOL) & (s <= 1.0 + _S_RANGE_TOL)):
         raise ValueError("pgf argument outside [0, 1]")
     return np.clip(s, 0.0, 1.0)
 
@@ -141,8 +141,13 @@ class OffspringLaw:
     def pgf(self, s):
         """Evaluate the pgf at ``s`` (with 0^0 = 1); batched over leading axes."""
         s = _check_svalue(s, self.n_types)
-        # (..., 1, N) ** (K, N) -> (..., K, N); product over types, mass-weighted sum
-        value = np.prod(s[..., None, :] ** self.counts, axis=-1) @ self.probs
+        # (..., 1, N) ** (K, N) -> (..., K, N); product over types, left to
+        # right as np.prod does, then the mass-weighted sum
+        t = s[..., None, :] ** self.counts
+        v = t[..., 0]
+        for i in range(1, self.n_types):
+            v = v * t[..., i]
+        value = v @ self.probs
         # masses balance only to MASS_TOL, so shave float dust off [0, 1]
         return np.clip(value, 0.0, 1.0)
 
@@ -432,6 +437,8 @@ def uniform_allowability_alpha(model):
     allowable (a positive entry in each row and column); otherwise a
     :class:`NotAllowableError` names the offender.
     """
+    from .matcore import allowability_offenders  # loaded only when this check runs
+
     best = np.inf
     for letter in model.letters:
         m = letter.expectation

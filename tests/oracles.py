@@ -239,3 +239,27 @@ def projection_intervals_unique(squares, depth):
     starts[1:] = lo[1:] > run_hi[:-1]
     idx = np.flatnonzero(starts)
     return np.column_stack([lo[starts], run_hi[np.r_[idx[1:] - 1, len(d) - 1]]])
+
+
+def compose_prod_clip(table, words, s):
+    """Backward pgf composition as the kernel first computed it.
+
+    Integer exponents, ``np.prod`` over the type axis and ``np.clip``: kept
+    as the reference whose bits ``extinction._compose`` must equal.
+    """
+    exps, masses = table
+    for j in range(words.shape[1] - 1, -1, -1):
+        idx = words[:, j]
+        v = np.prod(s[:, None, None, :] ** exps[idx], axis=-1)
+        s = np.clip((v[..., None, :] @ masses[idx][..., :, None])[..., 0, 0], 0.0, 1.0)
+    return s
+
+
+def pgf_prod_clip(law, s):
+    """``law``'s pgf at ``s`` in [0, 1]^N as ``OffspringLaw.pgf`` first computed it.
+
+    Integer exponents, ``np.prod`` over the type axis and ``np.clip``: kept
+    as the reference whose bits ``OffspringLaw.pgf`` must equal.
+    """
+    s = np.asarray(s, dtype=float)
+    return np.clip(np.prod(s[..., None, :] ** law.counts, axis=-1) @ law.probs, 0.0, 1.0)

@@ -527,6 +527,33 @@ def test_carpet_critical_imports_only_what_it_runs():
     assert not names & {"mbpre.proofkit", "mbpre.classify", "mbpre.extinction"}
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["extinction", "--mode", "annealed", "--envs", "2", "--max-depth", "64"],
+        ["simulate", "--trials", "20", "--horizon", "10"],
+    ],
+)
+def test_extinction_and_simulate_load_no_matrix_module(carpet_p04_file, argv):
+    names = _imported_modules([argv[0], "--model", carpet_p04_file, *argv[1:]])
+    assert "mbpre.extinction" in names
+    assert not names & {"mbpre.matcore", "mbpre.lyapunov"}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["carpet", "project", "--p", "0.6", "--depth", "2", "--samples", "2"],
+        ["carpet", "critical", "--bisect", "--iterations", "2", "--trials", "10",
+         "--horizon", "10"],
+    ],
+)
+def test_carpet_project_and_bisect_load_no_exponent_module(argv):
+    names = _imported_modules(argv)
+    assert "mbpre.carpet" in names
+    assert "mbpre.lyapunov" not in names
+
+
 def test_threads_defaults_to_one(carpet_p04_file):
     # the echoed default must not depend on the machine's CPU count
     env = run_json(["extinction", "--model", carpet_p04_file, "--mode", "fixed", "--word", "0,1"])

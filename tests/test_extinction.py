@@ -23,8 +23,9 @@ from mbpre import (
 )
 from mbpre import extinction
 from mbpre.extinction import LETTER_BUDGET, _chunk_outcomes, _compose, _converge, _trial_outcomes
+from mbpre.model import child_seeds
 from conftest import make_point_mass_model
-from oracles import extinction_by_enumeration, random_model
+from oracles import compose_prod_clip, extinction_by_enumeration, pgf_prod_clip, random_model
 
 
 def _with_markov_environment(model, rng):
@@ -58,6 +59,36 @@ def _mixed_model():
         EnvironmentLetter("bad", (_line_law(0, 0.25), _line_law(1, 0.6))),
     )
     return ModelSpec(2, letters, IidEnvironment([0.003, 0.5, 0.497]))
+
+
+def _three_types_18_atoms(rng):
+    """Three letters of 3-type laws; the first law has 18 atoms, the rest 1 to 18."""
+    grid = np.stack(np.meshgrid(*[np.arange(3)] * 3, indexing="ij"), axis=-1).reshape(-1, 3)
+
+    def law(k):
+        probs = rng.random(k) + 1e-3
+        return OffspringLaw(grid[rng.choice(27, size=k, replace=False)], probs / probs.sum())
+
+    sizes = [18, *rng.integers(1, 19, size=8)]
+    letters = tuple(
+        EnvironmentLetter(f"L{li}", tuple(law(int(k)) for k in sizes[3 * li : 3 * li + 3]))
+        for li in range(3)
+    )
+    return ModelSpec(3, letters, IidEnvironment([0.2, 0.3, 0.5]))
+
+
+def _kernel_models():
+    """The carpet at p = 0.4 and 1.0, a 3-type 18-atom table, padded random models."""
+    rng = np.random.default_rng(32)
+    models = [build_carpet_model(0.4).model, build_carpet_model(1.0).model]
+    models.append(_three_types_18_atoms(rng))
+    models += [random_model(rng, n_types=int(rng.integers(2, 4)), max_letters=4) for _ in range(4)]
+    return models
+
+
+def _converge_rows(*args):
+    """The (q, depth, converged) rows of every chunk of ``_converge``, joined."""
+    return tuple(np.concatenate(field) for field in zip(*_converge(*args)))
 
 
 class TestFixedEnvironment:
@@ -174,6 +205,28 @@ class TestKernel:
                     want = model.letters[idx].pgf_vector(want)
                 assert np.max(np.abs(got[row] - want)) <= 1e-15, sizes
 
+    @pytest.mark.parametrize("rows", [1, 8, 1025])
+    def test_bits_equal_prod_and_clip_reference(self, rows):
+        rng = np.random.default_rng(rows)
+        for model in _kernel_models():
+            words = rng.integers(0, model.n_letters, size=(rows, 12))
+            shape = (rows, model.n_types)
+            for s0 in (np.zeros(shape), rng.random(shape), np.ones(shape)):
+                got = _compose(model.pgf_table, words, s0)
+                want = compose_prod_clip(model.pgf_table, words, s0)
+                assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    @pytest.mark.parametrize("rows", [1, 8, 1025])
+    def test_pgf_bits_equal_prod_and_clip_reference(self, rows):
+        rng = np.random.default_rng(rows)
+        for model in _kernel_models():
+            shape = (rows, model.n_types)
+            for s0 in (np.zeros(shape), rng.random(shape), np.ones(shape)):
+                for letter in model.letters:
+                    for law in letter.laws:
+                        got, want = law.pgf(s0), pgf_prod_clip(law, s0)
+                        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
     def test_rows_equal_single_environment_runs(self):
         model = _mixed_model()
         tol, max_depth = 1e-7, 512
@@ -187,7 +240,7 @@ class TestKernel:
         assert below_one and any(r.depth < max_depth for r in below_one)
         assert any(not r.converged and r.depth == max_depth for r in singles)
 
-        q, depth, converged = _converge(model, len(children), children, tol, max_depth)
+        q, depth, converged = _converge_rows(model, len(children), children, tol, max_depth)
         for row, single in enumerate(singles):
             assert np.array_equal(q[row], single.q)
             assert depth[row] == single.depth
@@ -200,7 +253,7 @@ class TestKernel:
         rng = np.random.default_rng(31)
         model = _with_markov_environment(random_model(rng, max_letters=3), rng)
         children = np.random.SeedSequence(8).spawn(6)
-        q, depth, converged = _converge(model, len(children), children, 1e-9, 256)
+        q, depth, converged = _converge_rows(model, len(children), children, 1e-9, 256)
         for row, child in enumerate(children):
             single = extinction_converged(model, child, tol=1e-9, max_depth=256)
             assert np.array_equal(q[row], single.q)
@@ -236,22 +289,36 @@ class TestAnnealed:
         monkeypatch.setattr(extinction, "_CHUNK", 3)
         chunked = annealed_extinction(model, n_envs, tol=tol, max_depth=max_depth, seed=9)
         assert np.array_equal(chunked[0], whole[0]) and chunked[1] == whole[1]
-        q, depth, converged = _converge(model, n_envs, children, tol, max_depth)
+        assert np.array_equal(chunked[0], np.array([r.q for r in singles]).mean(axis=0))
+        q, depth, converged = _converge_rows(model, n_envs, children, tol, max_depth)
         for row, single in enumerate(singles):
             assert np.array_equal(q[row], single.q)
             assert (depth[row], converged[row]) == (single.depth, single.converged)
 
-    def test_memory_does_not_grow_with_the_environments(self):
-        # one generator per environment for the whole run peaked at 17.7 MB;
-        # chunks of 1024 that keep no generator peak at about 2.4 MB
+    def test_mean_keeps_the_bits_of_one_mean_over_every_row(self, monkeypatch):
+        # summing each chunk first and then the chunk sums moves the last bits
+        monkeypatch.setattr(extinction, "_CHUNK", 64)
         model = build_carpet_model(0.4).model
-        tracemalloc.start()
-        try:
-            annealed_extinction(model, 10**4, max_depth=2, seed=1)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 4e6
+        mean_q, _ = annealed_extinction(model, 3000, max_depth=64, seed=2)
+        q = _converge_rows(model, 3000, child_seeds(2, 3000), 1e-9, 64)[0]
+        assert np.array_equal(mean_q, q.mean(axis=0))
+
+    def test_memory_does_not_grow_with_the_environments(self, monkeypatch):
+        # in chunks of 64 the peak stays near 116 kB at 10^3 and 10^4
+        # environments; one result row per environment took it from 137 kB
+        # to 360 kB, and one generator per environment to 17.7 MB at 10^4
+        monkeypatch.setattr(extinction, "_CHUNK", 64)
+        model = build_carpet_model(0.4).model
+        annealed_extinction(model, 128, max_depth=2, seed=1)
+        peaks = []
+        for n_envs in (10**3, 10**4):
+            tracemalloc.start()
+            try:
+                annealed_extinction(model, n_envs, max_depth=2, seed=1)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < peaks[0] + 20_000, peaks
 
     def test_single_letter_alphabet_equals_converged(self, decoupled_supercritical):
         mean_q, share = annealed_extinction(decoupled_supercritical, 5, seed=4)

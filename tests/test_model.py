@@ -56,6 +56,15 @@ class TestPgfEval:
         with pytest.raises(ValueError):
             l.pgf([0.5, 0.5, 0.5])
 
+    @pytest.mark.parametrize("s", [[np.nan, 0.5], [np.nan, np.nan], [0.5, np.inf], [-0.1, 0.5]])
+    def test_argument_outside_unit_box_rejected(self, s):
+        # NaN fails every comparison, so it must be tested as not inside
+        l = law([((0, 0), 0.5), ((1, 1), 0.5)])
+        with pytest.raises(ValueError, match="outside"):
+            l.pgf(s)
+        with pytest.raises(ValueError, match="outside"):
+            EnvironmentLetter("a", (l, l)).pgf_vector(s)
+
     def test_monotone_in_s(self):
         rng = np.random.default_rng(7)
         for _ in range(200):

@@ -71,6 +71,10 @@ _UNIFORM3 = IidEnvironment(np.array([1.0, 1.0, 1.0]) / 3.0)
 # Ceiling on materialized squares in sample_carpet (~16 bytes each).
 MAX_SQUARES = 10**7
 
+# Ceiling on carpets in sample_projection_measures: every measure is kept
+# and the CLI prints them all, about 140 bytes a sample.
+MAX_PROJECTION_SAMPLES = 2**20
+
 _MATRIX_TOL = 1e-12
 
 # Deepest carpet whose square indices fit in int64: 3^39 < 2^63 < 3^40.
@@ -301,8 +305,14 @@ def sample_projection_measures(p, depth, samples, seed):
     """Projection measures of ``samples`` independent depth-``depth`` carpets.
 
     Carpet k draws from child k of ``SeedSequence(seed)``, so a measure
-    does not depend on how many samples follow it.
+    does not depend on how many samples follow it. Over
+    ``MAX_PROJECTION_SAMPLES`` samples is a BudgetError, raised before the
+    first carpet.
     """
+    if samples > MAX_PROJECTION_SAMPLES:
+        raise BudgetError(
+            f"{samples} samples exceed the budget of {MAX_PROJECTION_SAMPLES} carpets"
+        )
     return np.array(
         [
             projection_measure(sample_carpet(p, depth, np.random.default_rng(child)))

@@ -31,6 +31,10 @@ _DELTA_CAP = 0.9
 
 _TOL = 1e-12
 
+# The sampled checks draw and check their points in chunks of at most this
+# many rows, so the suite's memory does not grow with its sample count.
+_CHUNK = 2048
+
 # Longest word of the word-contraction check; its gamma^length, gamma =
 # e^(exponent / 4), overflows a float for exponents past _MAX_EXPONENT.
 _MAX_WORD = 8
@@ -172,13 +176,28 @@ def _case(ok, head, **points):
     return {**head, **{k: _point(v[bad[0]]) for k, v in points.items()}}
 
 
+def _pieces(total):
+    """Consecutive row counts of at most ``_CHUNK`` summing to ``total``.
+
+    Zero rows still make one empty piece, so every check runs.
+    """
+    for start in range(0, max(total, 1), _CHUNK):
+        yield min(_CHUNK, total - start)
+
+
 def oracle_suite(model, exponent, samples, seed, params=None):
     """Run every majorant inequality on seeded random points.
 
     Checks named below must hold pointwise for valid parameters; the first
-    violating point (if any) is attached as the counterexample, so failures
-    reproduce from the seed. ``params`` overrides the built parameters,
-    letting deliberately corrupted values demonstrate detection.
+    violating point in draw order (if any) is attached as the
+    counterexample, so failures reproduce from the seed. ``params``
+    overrides the built parameters, letting deliberately corrupted values
+    demonstrate detection.
+
+    Points are drawn and checked in chunks of at most ``_CHUNK`` rows, so
+    memory does not grow with ``samples``. Each check's count sums over
+    the chunks. The word checks draw their own points once, inside the
+    first chunk, in pieces of at most ``_CHUNK`` rows.
     """
     if params is None:
         params = build_proof_params(model, exponent)
@@ -187,141 +206,161 @@ def oracle_suite(model, exponent, samples, seed, params=None):
     mats = shrunk_matrices(model, params.rho)
     pairs = list(zip(mats, model.letters))
     rng = np.random.default_rng(seed)
-    checks = []
+    counts = {}
+    found = {}
 
     def record(name, count, cases):
-        # cases: the _case results in order; the first counterexample fails the check
+        # counts add up over chunks; the first counterexample in draw order,
+        # cases holding the _case results in that order, fails the check
+        counts[name] = counts.get(name, 0) + count
         ce = next((c for c in cases if c is not None), None)
-        checks.append(OracleCheck(name, ce is None, count, ce))
+        if ce is not None:
+            found.setdefault(name, ce)
 
-    # clamp dominates its argument and preserves the componentwise order
-    s = rng.random((samples, n))
-    t = s + (1.0 - s) * rng.random((samples, n))
-    ok = np.all(psi(s, delta) >= s, axis=1) & np.all(psi(s, delta) <= psi(t, delta), axis=1)
-    record("clamp_monotone", samples, [_case(ok, {}, s=s, t=t)])
-
-    # inside the clamp box the clamp is the identity, so h and g agree exactly
-    sb = 1.0 - delta * rng.random((samples, n))
-    cases = [
-        _case(np.all(h_eval(a, sb, delta) == g_eval(a, sb), axis=1), {"letter": letter.name}, s=sb)
-        for a, letter in pairs
-    ]
-    record("h_equals_g_near_one", samples, cases)
-
-    # h fixes the all-ones vector
-    ones = np.ones(n)
-    cases = [
-        _case(np.all(h_eval(a, ones, delta) == 1.0), {"letter": letter.name})
-        for a, letter in pairs
-    ]
-    record("h_fixes_one", len(mats), cases)
-
-    # h is componentwise monotone
-    cases = [
-        _case(
-            np.all(h_eval(a, s, delta) <= h_eval(a, t, delta) + _TOL, axis=1),
-            {"letter": letter.name},
-            s=s,
-            t=t,
-        )
-        for a, letter in pairs
-    ]
-    record("h_monotone", samples, cases)
-
-    # compositions of h dominate the matching pgf compositions
     h_fns = [
         (lambda a: (lambda x: np.clip(h_eval(a, x, delta), 0.0, 1.0)))(a) for a in mats
     ]
     f_fns = [letter.pgf_vector for letter in model.letters]
     n_words = 32
     per_word = max(1, samples // n_words)
-    cases = []
-    for _ in range(n_words):
-        length = int(rng.integers(1, 6))
-        word = rng.integers(0, model.n_letters, size=length)
-        sw = rng.random((per_word, n))
-        hv = _compose_letters(h_fns, word, sw)
-        fv = _compose_letters(f_fns, word, sw)
-        cases.append(_case(np.all(hv >= fv - _TOL, axis=1), {"word": word.tolist()}, s=sw))
-    record("h_dominates_pgf_on_words", n_words * per_word, cases)
-
-    # h never goes negative
-    cases = [
-        _case(np.all(h_eval(a, s, delta) >= -_TOL, axis=1), {"letter": letter.name}, s=s)
-        for a, letter in pairs
-    ]
-    record("h_nonnegative", samples, cases)
-
-    # a large h norm is only possible for arguments already near one:
-    # outside the box, ||h(s)|| stays below every v > N - u * delta
-    outside = s[np.max(1.0 - s, axis=1) > delta]
-    vs = (n - u * delta) + u * delta * rng.random(len(outside))
-    cases = []
-    for a, letter in pairs:
-        norms = h_eval(a, outside, delta).sum(axis=1)
-        cases.append(_case(norms < vs, {"letter": letter.name}, s=outside, v=vs, h_norm=norms))
-    record("high_norm_forces_near_one", len(outside), cases)
-
-    # inside the box the affine map dominates the pgf itself
-    cases = [
-        _case(
-            np.all(g_eval(a, sb) >= letter.pgf_vector(sb) - _TOL, axis=1),
-            {"letter": letter.name},
-            s=sb,
-        )
-        for a, letter in pairs
-    ]
-    record("majorant_dominates_pgf_near_one", samples, cases)
-
-    # wherever g is componentwise non-negative its norm contracts under phi_mu
-    checked = 0
-    cases = []
-    for a, letter in pairs:
-        gv = g_eval(a, s)
-        mask = np.all(gv >= 0.0, axis=1)
-        checked += int(mask.sum())
-        good = gv[mask].sum(axis=1) <= phi(mu, s[mask].sum(axis=1), n) + _TOL
-        cases.append(_case(good, {"letter": letter.name}, s=s[mask]))
-    record("affine_norm_contraction", checked, cases)
-
-    # along words whose product keeps a column-sum margin gamma^n, the norm
-    # contracts under phi_gamma; only qualifying words are checked
     gamma = math.sqrt(params.rho * math.exp(params.exponent))
-    checked = 0
-    cases = []
-    for _ in range(n_words):
-        length = int(rng.integers(2, _MAX_WORD + 1))
-        word = rng.integers(0, model.n_letters, size=length)
-        aw = product_along_word(mats, word)
-        if col_min(aw) < gamma**length:
-            continue
-        sw = rng.random((per_word, n))
-        gv = 1.0 - (1.0 - sw) @ aw.T
-        mask = np.all(gv >= 0.0, axis=1)
-        checked += int(mask.sum())
-        good = gv[mask].sum(axis=1) <= phi(gamma, sw[mask].sum(axis=1), n) + _TOL
-        cases.append(_case(good, {"word": word.tolist()}, s=sw[mask]))
-    record("word_norm_contraction", checked, cases)
-
-    # a pgf drops strictly below 1 - (alpha/2) * dtilde whenever some child
-    # type with positive mean count has its coordinate below 1 - dtilde
     p_star = params.alpha / 2.0
-    dtildes = rng.random(samples)
-    sx = rng.random((samples, n))
-    checked = 0
-    cases = []
-    for letter in model.letters:
-        m = letter.expectation
-        for k, law in enumerate(letter.laws):
-            support = m[k] > 0
-            if not support.any():
+
+    def word_domination():
+        # compositions of h dominate the matching pgf compositions
+        for _ in range(n_words):
+            length = int(rng.integers(1, 6))
+            word = rng.integers(0, model.n_letters, size=length)
+            for rows in _pieces(per_word):
+                sw = rng.random((rows, n))
+                hv = _compose_letters(h_fns, word, sw)
+                fv = _compose_letters(f_fns, word, sw)
+                case = _case(np.all(hv >= fv - _TOL, axis=1), {"word": word.tolist()}, s=sw)
+                record("h_dominates_pgf_on_words", rows, [case])
+
+    def word_contraction():
+        # along words whose product keeps a column-sum margin gamma^n, the
+        # norm contracts under phi_gamma; only qualifying words are checked,
+        # and the check is reported even when no word qualifies
+        record("word_norm_contraction", 0, [])
+        for _ in range(n_words):
+            length = int(rng.integers(2, _MAX_WORD + 1))
+            word = rng.integers(0, model.n_letters, size=length)
+            aw = product_along_word(mats, word)
+            if col_min(aw) < gamma**length:
                 continue
-            hit = np.any(sx[:, support] < (1.0 - dtildes)[:, None], axis=1)
-            checked += int(hit.sum())
-            good = law.pgf(sx[hit]) < 1.0 - p_star * dtildes[hit]
-            head = {"letter": letter.name, "parent_type": k}
-            cases.append(_case(good, head, s=sx[hit], dtilde=dtildes[hit]))
-    record("pgf_strict_drop", checked, cases)
+            for rows in _pieces(per_word):
+                sw = rng.random((rows, n))
+                gv = 1.0 - (1.0 - sw) @ aw.T
+                mask = np.all(gv >= 0.0, axis=1)
+                good = gv[mask].sum(axis=1) <= phi(gamma, sw[mask].sum(axis=1), n) + _TOL
+                case = _case(good, {"word": word.tolist()}, s=sw[mask])
+                record("word_norm_contraction", int(mask.sum()), [case])
+
+    for chunk, rows in enumerate(_pieces(samples)):
+        # clamp dominates its argument and preserves the componentwise order
+        s = rng.random((rows, n))
+        t = s + (1.0 - s) * rng.random((rows, n))
+        ok = np.all(psi(s, delta) >= s, axis=1) & np.all(psi(s, delta) <= psi(t, delta), axis=1)
+        record("clamp_monotone", rows, [_case(ok, {}, s=s, t=t)])
+
+        # inside the clamp box the clamp is the identity, so h and g agree exactly
+        sb = 1.0 - delta * rng.random((rows, n))
+        cases = [
+            _case(
+                np.all(h_eval(a, sb, delta) == g_eval(a, sb), axis=1),
+                {"letter": letter.name},
+                s=sb,
+            )
+            for a, letter in pairs
+        ]
+        record("h_equals_g_near_one", rows, cases)
+
+        if chunk == 0:
+            # h fixes the all-ones vector
+            ones = np.ones(n)
+            cases = [
+                _case(np.all(h_eval(a, ones, delta) == 1.0), {"letter": letter.name})
+                for a, letter in pairs
+            ]
+            record("h_fixes_one", len(mats), cases)
+
+        # h is componentwise monotone
+        cases = [
+            _case(
+                np.all(h_eval(a, s, delta) <= h_eval(a, t, delta) + _TOL, axis=1),
+                {"letter": letter.name},
+                s=s,
+                t=t,
+            )
+            for a, letter in pairs
+        ]
+        record("h_monotone", rows, cases)
+
+        # the word checks draw their own points once, inside the first chunk
+        if chunk == 0:
+            word_domination()
+
+        # h never goes negative
+        cases = [
+            _case(np.all(h_eval(a, s, delta) >= -_TOL, axis=1), {"letter": letter.name}, s=s)
+            for a, letter in pairs
+        ]
+        record("h_nonnegative", rows, cases)
+
+        # a large h norm is only possible for arguments already near one:
+        # outside the box, ||h(s)|| stays below every v > N - u * delta
+        outside = s[np.max(1.0 - s, axis=1) > delta]
+        vs = (n - u * delta) + u * delta * rng.random(len(outside))
+        cases = []
+        for a, letter in pairs:
+            norms = h_eval(a, outside, delta).sum(axis=1)
+            cases.append(_case(norms < vs, {"letter": letter.name}, s=outside, v=vs, h_norm=norms))
+        record("high_norm_forces_near_one", len(outside), cases)
+
+        # inside the box the affine map dominates the pgf itself
+        cases = [
+            _case(
+                np.all(g_eval(a, sb) >= letter.pgf_vector(sb) - _TOL, axis=1),
+                {"letter": letter.name},
+                s=sb,
+            )
+            for a, letter in pairs
+        ]
+        record("majorant_dominates_pgf_near_one", rows, cases)
+
+        # wherever g is componentwise non-negative its norm contracts under phi_mu
+        checked = 0
+        cases = []
+        for a, letter in pairs:
+            gv = g_eval(a, s)
+            mask = np.all(gv >= 0.0, axis=1)
+            checked += int(mask.sum())
+            good = gv[mask].sum(axis=1) <= phi(mu, s[mask].sum(axis=1), n) + _TOL
+            cases.append(_case(good, {"letter": letter.name}, s=s[mask]))
+        record("affine_norm_contraction", checked, cases)
+
+        if chunk == 0:
+            word_contraction()
+
+        # a pgf drops strictly below 1 - (alpha/2) * dtilde whenever some child
+        # type with positive mean count has its coordinate below 1 - dtilde
+        dtildes = rng.random(rows)
+        sx = rng.random((rows, n))
+        checked = 0
+        cases = []
+        for letter in model.letters:
+            m = letter.expectation
+            for k, law in enumerate(letter.laws):
+                support = m[k] > 0
+                if not support.any():
+                    continue
+                hit = np.any(sx[:, support] < (1.0 - dtildes)[:, None], axis=1)
+                checked += int(hit.sum())
+                good = law.pgf(sx[hit]) < 1.0 - p_star * dtildes[hit]
+                head = {"letter": letter.name, "parent_type": k}
+                cases.append(_case(good, head, s=sx[hit], dtilde=dtildes[hit]))
+        record("pgf_strict_drop", checked, cases)
 
     # a zero expectation entry forces zero mass on every atom bearing that type
     checked = 0
@@ -338,4 +377,9 @@ def oracle_suite(model, exponent, samples, seed, params=None):
                 cases.append(_case(mass <= 0, head))
     record("zero_column_zero_mass", checked, cases)
 
-    return OracleReport(tuple(checks))
+    return OracleReport(
+        tuple(
+            OracleCheck(name, name not in found, count, found.get(name))
+            for name, count in counts.items()
+        )
+    )

@@ -587,6 +587,28 @@ def test_exit_code_budget():
     assert code == 4
 
 
+def test_project_samples_over_budget_is_budget_error_before_any_carpet(monkeypatch):
+    import numpy as np
+
+    from mbpre import carpet
+
+    class NoDraw:
+        def random(self, *args, **kwargs):
+            raise AssertionError("drew a carpet past the budget")
+
+    argv = ["carpet", "project", "--p", "0.5", "--depth", "2", "--seed", "0", "--samples"]
+    over = carpet.MAX_PROJECTION_SAMPLES + 1
+    monkeypatch.setattr(np.random, "default_rng", lambda seed=None: NoDraw())
+    code, out, err = run_cli(argv + [str(over)])
+    assert (code, out) == (4, "")
+    assert "budget" in err
+    monkeypatch.undo()
+    # the budget itself is allowed, one more sample is not
+    monkeypatch.setattr(carpet, "MAX_PROJECTION_SAMPLES", 5)
+    assert len(run_json(argv + ["5"])["result"]["measures"]) == 5
+    assert run_cli(argv + ["6"])[0] == 4
+
+
 @pytest.mark.parametrize("depth", ["40", "45"])
 def test_carpet_depth_past_int64_is_usage_error_before_any_draw(monkeypatch, depth):
     import numpy as np

@@ -199,9 +199,31 @@ def bisect_critical(*, iterations, trials, horizon, cap, seed):
     return lo, hi
 
 
+def _digit_blocks(v, depth):
+    """Values of the base-3 digits of ``v``, ``_TABLE_DIGITS`` at a time, lowest first.
+
+    Divides only while digits remain past the block, into one quotient and
+    one remainder reused by every later division; the last block is the
+    quotient itself, or ``v`` when it has at most ``_TABLE_DIGITS`` digits.
+    """
+    rem = None
+    for _ in range(depth, _TABLE_DIGITS, -_TABLE_DIGITS):
+        v, rem = np.divmod(v, _TABLE_SIZE, out=(None, None) if rem is None else (v, rem))
+        yield rem
+    yield v
+
+
 @dataclass(frozen=True)
 class SquareSet:
-    """Retained squares (i, j) of a depth-n carpet approximation."""
+    """Retained squares (i, j) of a depth-n carpet approximation.
+
+    Construction rejects an index outside [0, 3^n) and a square whose two
+    indices share a base-3 digit 1 at some position, a square inside a
+    removed middle cell. The digits are checked ``_TABLE_DIGITS`` at a time
+    by table lookup, straight from the two columns: at depth 8 or less the
+    check allocates two bytes a square, and a deeper one adds one quotient
+    and one remainder per coordinate.
+    """
 
     depth: int
     squares: np.ndarray
@@ -215,13 +237,12 @@ class SquareSet:
         if sq.size:
             if sq.min() < 0 or sq.max() >= 3**self.depth:
                 raise InvariantError("square indices out of range for the depth")
-            xy = sq.T.copy()
-            for _ in range(0, self.depth, _TABLE_DIGITS):
-                high = xy // _TABLE_SIZE
-                ones = _ONE_DIGITS[xy - _TABLE_SIZE * high]
-                if np.any(ones[0] & ones[1]):
+            x, y = sq.T  # views of the columns
+            for low_x, low_y in zip(_digit_blocks(x, self.depth), _digit_blocks(y, self.depth)):
+                ones = _ONE_DIGITS[low_x]
+                ones &= _ONE_DIGITS[low_y]
+                if ones.any():
                     raise InvariantError("a square has the middle-cell digit pair (1, 1)")
-                xy = high
 
     def __len__(self):
         return self.squares.shape[0]

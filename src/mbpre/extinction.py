@@ -245,27 +245,32 @@ def _chunk_outcomes(model, start_type, rows, horizon, cap, rng):
 
     Each generation draws the atom counts of every live (trial, parent
     type) pair in one multinomial call over the ``pgf_table`` masses of
-    that trial's letter, and sums the atoms' count vectors.
+    that trial's letter, and sums the atoms' count vectors by one integer
+    matmul of the hits against the letter's (N K, N) exponent rows. Live
+    trials are compacted only in a generation where some trial stopped.
     """
     exps, masses = model.pgf_table
+    n_letters, n_types, k_max, _ = exps.shape
+    exps = exps.reshape(n_letters, n_types * k_max, n_types)
     words = model.environment.sample_word(horizon, rng, rows=rows)
     totals = np.zeros((rows, horizon + 1), dtype=np.int64)
     totals[:, 0] = 1
     gen = np.full(rows, horizon)
     live = np.arange(rows)
-    z = np.zeros((rows, model.n_types), dtype=np.int64)
+    z = np.zeros((rows, n_types), dtype=np.int64)
     z[:, start_type] = 1
     for g in range(1, horizon + 1):
         letters = words[live, g - 1]
-        hits = rng.multinomial(z, masses[letters])
-        z = np.einsum("ank,ankm->am", hits, exps[letters])
+        hits = rng.multinomial(z, masses.take(letters, axis=0))
+        z = np.matmul(hits.reshape(-1, 1, n_types * k_max), exps.take(letters, axis=0))[:, 0]
         total = z.sum(axis=1)
         totals[live, g] = total
-        stop = (total == 0) | (total > cap)
-        gen[live[stop]] = g
-        live, z = live[~stop], z[~stop]
-        if not live.size:
-            break
+        if total.min() == 0 or total.max() > cap:
+            stop = (total == 0) | (total > cap)
+            gen[live[stop]] = g
+            live, z = live[~stop], z[~stop]
+            if not live.size:
+                break
     r = np.arange(rows)
     return gen, totals[r, gen], totals[r, gen // 2]
 

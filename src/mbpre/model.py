@@ -35,6 +35,10 @@ STATIONARY_TOL = 1e-9
 # ``carpet.empirical_offspring_stats``.
 LETTER_BUDGET = 1 << 26
 
+# Uniforms drawn at a time by the word samplers: their stream order is that
+# of one whole draw, so a word keeps its bits at any slice size.
+_WORD_SLICE = 1 << 14
+
 # pgf arguments may drift past [0, 1] by accumulated rounding when pgf
 # outputs are fed back in; anything worse is a caller bug.
 _S_RANGE_TOL = 1e-9
@@ -254,14 +258,20 @@ class IidEnvironment:
         Each letter takes one uniform u and is the number of entries of
         ``cumsum(probs) / cumsum(probs)[-1]`` that lie at or below u, with
         the last entry left out: the CDF and the uniforms of
-        ``rng.choice(p=probs)``, so every word equals that draw. The count
-        is one compare-and-add pass per entry, straight into the word.
+        ``rng.choice(p=probs)``, so every word equals that draw. The
+        uniforms come ``_WORD_SLICE`` at a time in stream order over the
+        letters in row-major order, and each slice is counted by one
+        compare-and-add pass per entry straight into the word, so sampling
+        holds the word and 128 kB of uniforms.
         """
         word = _word_buffer(n, rows)
-        u = rng.random(word.shape)
-        word.fill(0)
-        for edge in self._cdf:
-            word += u >= edge
+        letters = word.reshape(-1)  # a view: the buffer is C-contiguous
+        for start in range(0, letters.size, _WORD_SLICE):
+            part = letters[start : start + _WORD_SLICE]
+            u = rng.random(part.size)
+            part.fill(0)
+            for edge in self._cdf:
+                part += u >= edge
         return word
 
     @cached_property
@@ -327,23 +337,26 @@ class MarkovEnvironment:
         CDF row (the initial vector's for the first letter, else the
         previous letter's transition row) that lie at or below u, with the
         row's last entry left out, so a total mass a rounding short of 1
-        still gives a letter. One word walks by ``bisect`` in plain Python;
-        a block advances one column at a time.
+        still gives a letter. One word walks by ``bisect`` in plain Python,
+        over its uniforms drawn ``_WORD_SLICE`` at a time. A block advances
+        one column at a time, so it draws its (rows, n - 1) uniforms at
+        once; the callers' chunks of rows bound that draw.
         """
         word = _word_buffer(n, rows)
         first = rng.random(rows)
         word[..., 0] = np.searchsorted(np.cumsum(self.initial)[:-1], first, side="right")
-        u = rng.random(word[..., 1:].shape)
         cdfs = np.cumsum(self.transition, axis=1)[:, :-1]
         if rows is None:
             cdf_rows = cdfs.tolist()
             state = int(word[0])
-            path = []
-            for x in memoryview(u):
-                state = bisect_right(cdf_rows[state], x)
-                path.append(state)
-            word[1:] = path
+            for start in range(1, n, _WORD_SLICE):
+                path = []
+                for x in memoryview(rng.random(min(_WORD_SLICE, n - start))):
+                    state = bisect_right(cdf_rows[state], x)
+                    path.append(state)
+                word[start : start + len(path)] = path
         else:
+            u = rng.random((rows, n - 1))
             for k in range(1, n):
                 word[:, k] = (cdfs[word[:, k - 1]] <= u[:, k - 1, None]).sum(axis=1)
         return word

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -194,8 +195,14 @@ class TestSampleCarpet:
         assert rng.random() == np.random.default_rng(1).random()
 
 
+# depths past 17 take three to five passes of 8 digits; the last pass of
+# depth 24 and 32 holds 8 digits and needs no division, that of 25 and 39
+# holds 1 and 7 digits after a division
+_CHECK_DEPTHS = [*range(1, 18), 24, 25, 32, 39]
+
+
 class TestSquareSetCheck:
-    @pytest.mark.parametrize("depth", range(1, 18))
+    @pytest.mark.parametrize("depth", _CHECK_DEPTHS)
     def test_middle_digit_pair_raises_at_every_position(self, depth):
         # digit k of x and of y is 1, every other digit pair is (2, 0), so
         # only the pass that holds digit k can see it
@@ -206,7 +213,7 @@ class TestSquareSetCheck:
             with pytest.raises(InvariantError, match="middle-cell"):
                 SquareSet(depth, np.array(ok + [bad] + ok))
 
-    @pytest.mark.parametrize("depth", range(1, 18))
+    @pytest.mark.parametrize("depth", _CHECK_DEPTHS)
     def test_lone_middle_digits_pass_at_every_position(self, depth):
         ones = (3**depth - 1) // 2  # every digit 1
         for k in range(depth):
@@ -218,6 +225,22 @@ class TestSquareSetCheck:
         for bad in ((3**depth, 0), (0, 3**depth), (-1, 0), (0, -1)):
             with pytest.raises(InvariantError, match="out of range"):
                 SquareSet(depth, np.array([(0, 0), bad]))
+
+    @pytest.mark.parametrize("depth, bound", [(8, 0.25), (24, 2.25)])
+    def test_check_memory(self, depth, bound):
+        # a depth-8 check looks the columns up in place, two bytes a square
+        # (0.125x), so any copy of a column fails it; a depth-24 one adds
+        # one quotient and one remainder per coordinate (2.125x)
+        carpet = sample_carpet(0.62, 8, np.random.default_rng(3))
+        assert 3 * 10**5 < len(carpet) < 5 * 10**5
+        squares = carpet.squares * 3 ** (depth - 8)
+        tracemalloc.start()
+        try:
+            SquareSet(depth, squares)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound * squares.nbytes
 
 
 class TestProjection:

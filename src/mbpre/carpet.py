@@ -274,19 +274,30 @@ def sample_carpet(p, depth, rng):
             f"expected square count (8p)^depth = {(8.0 * p) ** depth:.3g} "
             f"exceeds the budget of {MAX_SQUARES}"
         )
-    x = y = np.zeros(1, dtype=np.int64)
+    squares = np.zeros((1, 2), dtype=np.int64)
     for _ in range(depth):
-        if x.size * 8 > MAX_SQUARES:
+        if len(squares) * 8 > MAX_SQUARES:
             raise BudgetError(
-                f"level population {x.size} * 8 exceeds the budget of {MAX_SQUARES}"
+                f"level population {len(squares)} * 8 exceeds the budget of {MAX_SQUARES}"
             )
-        kept = np.flatnonzero(rng.random(x.size * 8) < p)
-        parent, child = kept >> 3, kept & 7
-        x = 3 * x[parent] + _CHILD_DI[child]
-        y = 3 * y[parent] + _CHILD_DJ[child]
-        if x.size == 0:
+        kept = np.flatnonzero(rng.random(len(squares) * 8) < p)
+        child = kept & 7
+        kept >>= 3  # now each kept child's parent
+        # each level is built in the (n, 2) array that SquareSet keeps
+        squares = squares[kept]
+        squares *= 3
+        squares[:, 0] += _CHILD_DI[child]
+        squares[:, 1] += _CHILD_DJ[child]
+        if len(squares) == 0:
             break
-    return SquareSet(depth, np.column_stack((x, y)))
+    return SquareSet(depth, squares)
+
+
+def _sorted_diagonals(square_set):
+    """The integer diagonals i - j of the squares, sorted in place."""
+    d = square_set.squares[:, 0] - square_set.squares[:, 1]
+    d.sort()
+    return d
 
 
 def projection_intervals(square_set):
@@ -300,7 +311,7 @@ def projection_intervals(square_set):
     """
     if len(square_set) == 0:
         return np.empty((0, 2))
-    d = np.sort(square_set.squares[:, 0] - square_set.squares[:, 1])
+    d = _sorted_diagonals(square_set)
     starts = np.ones(len(d), dtype=bool)
     starts[1:] = np.diff(d) > 2
     idx = np.flatnonzero(starts)
@@ -318,8 +329,9 @@ def projection_measure(square_set):
     """
     if len(square_set) == 0:
         return 0.0
-    d = np.sort(square_set.squares[:, 0] - square_set.squares[:, 1])
-    return int(2 + np.minimum(np.diff(d), 2).sum()) / 3**square_set.depth
+    gaps = np.diff(_sorted_diagonals(square_set))
+    np.minimum(gaps, 2, out=gaps)
+    return int(2 + gaps.sum()) / 3**square_set.depth
 
 
 def sample_projection_measures(p, depth, samples, seed):

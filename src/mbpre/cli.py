@@ -11,12 +11,15 @@ exponent word over ``LETTER_BUDGET`` letters included), 1 any other failure.
 
 Each handler imports the modules it runs, and numpy only where it uses it,
 so a launch loads only what its subcommand needs and ``--version`` loads
-no numpy.
+no numpy. A process enters through ``launch``, which runs ``main`` and
+then freezes the collector's heap so that shutdown does not walk it;
+``main`` leaves the collector as it found it.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import math
 import sys
@@ -387,5 +390,20 @@ def main(argv=None):
     return 0
 
 
+def launch():
+    """Run ``main`` as the process's entry point and return its exit code.
+
+    ``gc.freeze`` then moves every object the collector tracks (numpy,
+    argparse, site and whatever else the run loaded) to a generation it
+    never visits, so the interpreter's last collections at exit skip that
+    heap and the OS reclaims it whole. stdout and stderr are still flushed
+    and atexit handlers still run, and the freeze follows the last output,
+    so it changes no output.
+    """
+    code = main()
+    gc.freeze()
+    return code
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(launch())

@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import gc
 import io
 import json
 import subprocess
@@ -10,9 +11,11 @@ import pytest
 
 jsonschema = pytest.importorskip("jsonschema")
 
+from mbpre import __version__
 from mbpre.cli import main
 
-SCHEMA_DIR = Path(__file__).resolve().parents[1] / "schemas"
+ROOT = Path(__file__).resolve().parents[1]
+SCHEMA_DIR = ROOT / "schemas"
 ENVELOPE_SCHEMA = json.loads((SCHEMA_DIR / "cli_output.schema.json").read_text())
 MODEL_SCHEMA = json.loads((SCHEMA_DIR / "model.schema.json").read_text())
 
@@ -663,3 +666,67 @@ def test_console_entry_point(carpet_p1_file):
     assert proc.returncode == 0
     envelope = json.loads(proc.stdout)
     jsonschema.validate(envelope, ENVELOPE_SCHEMA)
+
+
+def _launch(argv):
+    return subprocess.run([sys.executable, "-m", "mbpre.cli", *argv], capture_output=True)
+
+
+def test_launch_prints_what_main_prints(carpet_p04_file):
+    argv = ["extinction", "--model", carpet_p04_file, "--mode", "annealed", "--envs", "8"]
+    for fmt in ([], ["--json"]):
+        proc = _launch(argv + fmt)
+        code, out, err = run_cli(argv + fmt)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (code, out.encode(), b"")
+
+
+@pytest.mark.parametrize(
+    "argv, want",
+    [
+        (["extinction", "--mode", "annealed", "--envs", "0"], 2),
+        (["carpet", "project", "--p", "0.5", "--depth", "2", "--samples", "1048577"], 4),
+    ],
+)
+def test_launch_exit_codes(carpet_p04_file, argv, want):
+    if argv[0] == "extinction":
+        argv = [argv[0], "--model", carpet_p04_file, *argv[1:]]
+    proc = _launch(argv)
+    assert (proc.returncode, proc.stdout) == (want, b"")
+    assert proc.stderr.startswith(b"error: ")
+
+
+def test_module_launch_freezes_the_heap():
+    # `python -m mbpre.cli` runs launch, which freezes the collector's heap
+    # once main has returned, so shutdown does not walk it
+    code = (
+        "import gc, runpy, sys\n"
+        "sys.argv = ['mbpre', '--version']\n"
+        "try:\n"
+        "    runpy.run_module('mbpre.cli', run_name='__main__')\n"
+        "except SystemExit as exc:\n"
+        "    print(exc.code, gc.isenabled(), gc.get_freeze_count() > 0)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.stdout.splitlines() == [f"mbpre {__version__}", "0 True True"], proc.stderr
+
+
+def test_console_script_is_launch():
+    import importlib
+
+    from mbpre import cli
+
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11 on
+    scripts = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]["scripts"]
+    module, _, name = scripts["mbpre"].partition(":")
+    assert getattr(importlib.import_module(module), name) is cli.launch
+
+
+@pytest.mark.parametrize("argv", [["extinction", "--mode", "annealed", "--envs", "8"], ["--version"]])
+def test_main_leaves_the_collector_as_it_found_it(carpet_p04_file, argv):
+    # only launch freezes: in-process callers of main keep a collector
+    # that still visits their heap
+    if argv[0] == "extinction":
+        argv = [argv[0], "--model", carpet_p04_file, *argv[1:]]
+    before = (gc.isenabled(), gc.get_freeze_count())
+    assert run_cli(argv)[0] == 0
+    assert (gc.isenabled(), gc.get_freeze_count()) == before

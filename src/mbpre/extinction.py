@@ -24,6 +24,8 @@ _DEPTH0 = 64
 # Trials or annealed environments run together; trial chunk c draws from
 # child c of SeedSequence(seed).
 _CHUNK = 1024
+# Ceiling on trials in one run, which keeps about 48.5 bytes a trial.
+MAX_TRIALS = 2**22
 
 
 @dataclass(frozen=True)
@@ -196,7 +198,7 @@ def _check_cap(model, cap):
         )
 
 
-def simulate_generations(model, word, z0, horizon=None, cap=10**6, rng=None):
+def simulate_generations(model, word, z0, horizon=None, cap=10**6, *, rng):
     """Simulate the population generation by generation along ``word``.
 
     Generation n sums, over parent types i, the offspring of the
@@ -204,8 +206,6 @@ def simulate_generations(model, word, z0, horizon=None, cap=10**6, rng=None):
     ``word[n-1]``. Stops at extinction, at the horizon, or once the total
     population exceeds ``cap`` (the crossing state and generation are kept).
     """
-    if rng is None:
-        raise ValueError("an explicit random generator is required")
     z = np.asarray(z0, dtype=np.int64).copy()
     if z.sum() < 1:
         raise ValueError("initial population must be non-empty")
@@ -246,8 +246,8 @@ def _chunk_outcomes(model, start_type, rows, horizon, cap, rng):
     Each generation draws the atom counts of every live (trial, parent
     type) pair in one multinomial call over the ``pgf_table`` masses of
     that trial's letter, and sums the atoms' count vectors by one integer
-    matmul of the hits against the letter's (N K, N) exponent rows. Live
-    trials are compacted only in a generation where some trial stopped.
+    matmul of the hits against the letter's (N K, N) exponent rows. Trials
+    that stopped are dropped from the live rows after every generation.
     """
     exps, masses = model.pgf_table
     n_letters, n_types, k_max, _ = exps.shape
@@ -265,12 +265,11 @@ def _chunk_outcomes(model, start_type, rows, horizon, cap, rng):
         z = np.matmul(hits.reshape(-1, 1, n_types * k_max), exps.take(letters, axis=0))[:, 0]
         total = z.sum(axis=1)
         totals[live, g] = total
-        if total.min() == 0 or total.max() > cap:
-            stop = (total == 0) | (total > cap)
-            gen[live[stop]] = g
-            live, z = live[~stop], z[~stop]
-            if not live.size:
-                break
+        stop = (total == 0) | (total > cap)
+        gen[live[stop]] = g
+        live, z = live[~stop], z[~stop]
+        if not live.size:
+            break
     r = np.arange(rows)
     return gen, totals[r, gen], totals[r, gen // 2]
 
@@ -284,12 +283,14 @@ def _trial_outcomes(model, start_type, trials, horizon, cap, seed):
     simulated generation. Z_{n*} tells how it ended: 0 when extinct, above
     ``cap`` when capped. Trials run in chunks of ``_CHUNK``, chunk c from
     child c of ``SeedSequence(seed)``, so a chunk's outcomes do not depend
-    on how many trials follow it. A chunk holding more than
-    ``LETTER_BUDGET`` (trial, generation) entries raises
-    :class:`BudgetError` before anything is drawn.
+    on how many trials follow it. More than ``MAX_TRIALS`` trials, or a
+    chunk holding more than ``LETTER_BUDGET`` (trial, generation) entries,
+    raises :class:`BudgetError` before anything is drawn.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    if trials > MAX_TRIALS:
+        raise BudgetError(f"{trials} trials exceed the budget of {MAX_TRIALS} trials")
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
     _check_cap(model, cap)

@@ -337,28 +337,23 @@ class MarkovEnvironment:
         CDF row (the initial vector's for the first letter, else the
         previous letter's transition row) that lie at or below u, with the
         row's last entry left out, so a total mass a rounding short of 1
-        still gives a letter. One word walks by ``bisect`` in plain Python,
-        over its uniforms drawn ``_WORD_SLICE`` at a time. A block advances
-        one column at a time, so it draws its (rows, n - 1) uniforms at
-        once; the callers' chunks of rows bound that draw.
+        still gives a letter. All rows draw their first letters together;
+        then each row in turn walks its other n - 1 letters by ``bisect``
+        in plain Python, over uniforms drawn ``_WORD_SLICE`` at a time, in
+        the stream order of one row-major draw. A word is the one-row case.
         """
         word = _word_buffer(n, rows)
         first = rng.random(rows)
         word[..., 0] = np.searchsorted(np.cumsum(self.initial)[:-1], first, side="right")
-        cdfs = np.cumsum(self.transition, axis=1)[:, :-1]
-        if rows is None:
-            cdf_rows = cdfs.tolist()
-            state = int(word[0])
+        cdf_rows = np.cumsum(self.transition, axis=1)[:, :-1].tolist()
+        for row in word.reshape(-1, n):
+            state = int(row[0])
             for start in range(1, n, _WORD_SLICE):
                 path = []
                 for x in memoryview(rng.random(min(_WORD_SLICE, n - start))):
                     state = bisect_right(cdf_rows[state], x)
                     path.append(state)
-                word[start : start + len(path)] = path
-        else:
-            u = rng.random((rows, n - 1))
-            for k in range(1, n):
-                word[:, k] = (cdfs[word[:, k - 1]] <= u[:, k - 1, None]).sum(axis=1)
+                row[start : start + len(path)] = path
         return word
 
     def cylinder_probability(self, word):

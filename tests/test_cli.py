@@ -159,6 +159,27 @@ def test_simulate_horizon_over_budget_is_budget_error(carpet_p04_file, monkeypat
         assert "budget" in err
 
 
+def test_simulate_trials_over_budget_is_budget_error(carpet_p04_file, monkeypatch):
+    from mbpre import extinction
+    from mbpre.model import IidEnvironment
+
+    def no_draw(*args, **kwargs):
+        raise AssertionError("sampled a word past the trial budget")
+
+    monkeypatch.setattr(extinction, "MAX_TRIALS", 10)
+    # the budget itself is allowed, one more trial is not
+    for argv in (
+        ["simulate", "--model", carpet_p04_file, "--horizon", "5", "--trials"],
+        ["carpet", "critical", "--bisect", "--iterations", "1", "--horizon", "5", "--trials"],
+    ):
+        assert run_cli(argv + ["10"])[0] == 0
+        with monkeypatch.context() as m:
+            m.setattr(IidEnvironment, "sample_word", no_draw)
+            code, out, err = run_cli(argv + ["11"])
+        assert (code, out) == (4, "")
+        assert "budget" in err
+
+
 def test_simulate_growth_short_horizon_is_usage_error(carpet_p04_file):
     code, _, err = run_cli(
         ["simulate", "--model", carpet_p04_file, "--trials", "10", "--horizon", "10",

@@ -485,6 +485,10 @@ class TestTrialKernel:
             _trial_outcomes(model, 0, 10, 204, 10**6, 0)
         with pytest.raises(BudgetError):
             survival_probability_mc(model, 0, 10**6, 2, seed=0)
+        # the trial count has its own ceiling, checked before the first chunk
+        monkeypatch.setattr(extinction, "MAX_TRIALS", 2999)
+        with pytest.raises(BudgetError, match="3000 trials"):
+            _trial_outcomes(model, 0, 3000, 1, 10**6, 0)
 
     def test_cap_overflow_raises_before_any_draw(self, monkeypatch):
         # at p = 1 the largest atom total is 4: cap x 4 must fit in int64

@@ -188,10 +188,7 @@ def bisect_critical(*, iterations, trials, horizon, cap, seed):
     for child in child_seeds(seed, iterations):
         mid = 0.5 * (lo + hi)
         model = build_carpet_model(mid).model
-        step_seed = int(child.generate_state(1)[0])
-        surv, _ = extinction.survival_probability_mc(
-            model, 0, trials, horizon, cap=cap, seed=step_seed
-        )
+        surv, _ = extinction.survival_probability_mc(model, 0, trials, horizon, cap=cap, seed=child)
         if surv > 0:
             hi = mid
         else:

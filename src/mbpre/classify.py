@@ -18,7 +18,6 @@ import numpy as np
 
 from .matcore import (
     allowability_offenders,
-    boolean_product,
     find_positive_product_word,
     positivity_pattern,
     product_along_word,
@@ -48,15 +47,6 @@ class Verdict:
     kind: str
     lambda_estimate: object
     rationale: str
-
-
-def _markov_irreducible(transition):
-    pat = transition > 0
-    n = pat.shape[0]
-    reach = np.eye(n, dtype=bool)
-    for _ in range(n):
-        reach = boolean_product(reach, reach | pat)
-    return bool(reach.all())
 
 
 def check_conditions(model, max_word_len=None):
@@ -105,7 +95,10 @@ def check_conditions(model, max_word_len=None):
             witness = letter.name
             break
 
-    ergodic = True if env.kind == "iid" else _markov_irreducible(env.transition)
+    # a chain is irreducible iff some power of I + T is positive
+    ergodic = env.kind == "iid" or find_positive_product_word(
+        [np.eye(len(env.transition), dtype=bool) | (env.transition > 0)], [True], [[True]]
+    ) is not None
 
     return ConditionReport(
         ergodic_env_ok=ergodic,

@@ -72,7 +72,7 @@ def boolean_product(p, q):
     return (p.astype(np.uint8) @ q.astype(np.uint8)) > 0
 
 
-def find_positive_product_word(patterns, start, allowed, max_word_len=None, max_states=None):
+def find_positive_product_word(patterns, start, allowed, max_word_len=None):
     """Shortest admissible word whose letter-pattern product is all-positive, or None.
 
     A word is admissible when its first letter ``i`` has ``start[i]`` and each
@@ -81,8 +81,9 @@ def find_positive_product_word(patterns, start, allowed, max_word_len=None, max_
     Breadth-first search over (pattern, last letter) states under right
     multiplication; among shortest witnesses the lexicographically smallest
     word is returned. Words longer than ``max_word_len`` are not explored.
-    Exceeding ``max_states`` explored states raises :class:`BudgetError`,
-    which is distinct from the search closing without a witness (None).
+    Exploring more than ``min(2 ** (n * n) * L, MAX_PATTERN_STATES)`` states
+    raises :class:`BudgetError`, which is distinct from the search closing
+    without a witness (None).
     """
     pats = [np.asarray(p, dtype=bool) for p in patterns]
     n, L = pats[0].shape[0], len(pats)
@@ -92,10 +93,7 @@ def find_positive_product_word(patterns, start, allowed, max_word_len=None, max_
     allowed = np.asarray(allowed, dtype=bool)
     if start.shape != (L,) or allowed.shape != (L, L):
         raise ValueError(f"start must have shape ({L},) and allowed shape ({L}, {L})")
-    if max_states is None:
-        max_states = min(2 ** (n * n) * L, MAX_PATTERN_STATES)
-    if max_states < 1:
-        raise ValueError("max_states must be >= 1")
+    max_states = min(2 ** (n * n) * L, MAX_PATTERN_STATES)
     if max_word_len is not None and max_word_len < 1:
         raise ValueError("max_word_len must be >= 1")
     successors = [np.flatnonzero(row).tolist() for row in allowed]

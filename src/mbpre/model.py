@@ -69,14 +69,18 @@ def check_word(word, n_letters):
 
 
 def child_seeds(seed, n):
-    """Children 0, ..., n - 1 of ``SeedSequence(seed)``, each built when it is reached.
+    """Children 0, ..., n - 1 of ``seed``, each built when it is reached.
 
-    Child k is ``SeedSequence(seed, spawn_key=(k,))``, entry k of
-    ``SeedSequence(seed).spawn(n)``, so it gives the same draws without all
-    n children being built first. Every seeded estimator splits its seed so.
+    ``seed`` is an int or a ``SeedSequence`` parent; child k has the parent's
+    entropy and k appended to its spawn key. That is entry k of the spawn(n)
+    of a parent that has not spawned yet, built without the other children.
+    Every seeded estimator splits its seed so.
     """
+    parent = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     for k in range(n):
-        yield np.random.SeedSequence(seed, spawn_key=(k,))
+        yield np.random.SeedSequence(
+            parent.entropy, spawn_key=parent.spawn_key + (k,), pool_size=parent.pool_size
+        )
 
 
 def _check_svalue(s, n_types):

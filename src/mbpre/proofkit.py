@@ -192,7 +192,8 @@ def oracle_suite(model, exponent, samples, seed, params=None):
     violating point in draw order (if any) is attached as the
     counterexample, so failures reproduce from the seed. ``params``
     overrides the built parameters, letting deliberately corrupted values
-    demonstrate detection.
+    demonstrate detection; its ``exponent`` must equal ``exponent``, or
+    ValueError is raised.
 
     Points are drawn and checked in chunks of at most ``_CHUNK`` rows, so
     memory does not grow with ``samples``. Each check's count sums over
@@ -201,6 +202,8 @@ def oracle_suite(model, exponent, samples, seed, params=None):
     """
     if params is None:
         params = build_proof_params(model, exponent)
+    elif params.exponent != exponent:
+        raise ValueError(f"params were built for exponent {params.exponent!r}, not {exponent!r}")
     n = model.n_types
     delta, mu, u = params.delta, params.mu, params.u
     mats = shrunk_matrices(model, params.rho)
@@ -216,6 +219,15 @@ def oracle_suite(model, exponent, samples, seed, params=None):
         ce = next((c for c in cases if c is not None), None)
         if ce is not None:
             found.setdefault(name, ce)
+
+    def each_letter(name, count, ok, **points):
+        # one case per letter; a point fails where ok(a, letter) is False
+        # in any of its components
+        cases = [
+            _case(np.all(ok(a, letter), axis=-1), {"letter": letter.name}, **points)
+            for a, letter in pairs
+        ]
+        record(name, count, cases)
 
     h_fns = [
         (lambda a: (lambda x: np.clip(h_eval(a, x, delta), 0.0, 1.0)))(a) for a in mats
@@ -266,47 +278,27 @@ def oracle_suite(model, exponent, samples, seed, params=None):
 
         # inside the clamp box the clamp is the identity, so h and g agree exactly
         sb = 1.0 - delta * rng.random((rows, n))
-        cases = [
-            _case(
-                np.all(h_eval(a, sb, delta) == g_eval(a, sb), axis=1),
-                {"letter": letter.name},
-                s=sb,
-            )
-            for a, letter in pairs
-        ]
-        record("h_equals_g_near_one", rows, cases)
+        each_letter(
+            "h_equals_g_near_one", rows, lambda a, _: h_eval(a, sb, delta) == g_eval(a, sb), s=sb
+        )
 
         if chunk == 0:
             # h fixes the all-ones vector
             ones = np.ones(n)
-            cases = [
-                _case(np.all(h_eval(a, ones, delta) == 1.0), {"letter": letter.name})
-                for a, letter in pairs
-            ]
-            record("h_fixes_one", len(mats), cases)
+            each_letter("h_fixes_one", len(mats), lambda a, _: h_eval(a, ones, delta) == 1.0)
 
         # h is componentwise monotone
-        cases = [
-            _case(
-                np.all(h_eval(a, s, delta) <= h_eval(a, t, delta) + _TOL, axis=1),
-                {"letter": letter.name},
-                s=s,
-                t=t,
-            )
-            for a, letter in pairs
-        ]
-        record("h_monotone", rows, cases)
+        each_letter(
+            "h_monotone", rows, lambda a, _: h_eval(a, s, delta) <= h_eval(a, t, delta) + _TOL,
+            s=s, t=t,
+        )
 
         # the word checks draw their own points once, inside the first chunk
         if chunk == 0:
             word_domination()
 
         # h never goes negative
-        cases = [
-            _case(np.all(h_eval(a, s, delta) >= -_TOL, axis=1), {"letter": letter.name}, s=s)
-            for a, letter in pairs
-        ]
-        record("h_nonnegative", rows, cases)
+        each_letter("h_nonnegative", rows, lambda a, _: h_eval(a, s, delta) >= -_TOL, s=s)
 
         # a large h norm is only possible for arguments already near one:
         # outside the box, ||h(s)|| stays below every v > N - u * delta
@@ -319,15 +311,10 @@ def oracle_suite(model, exponent, samples, seed, params=None):
         record("high_norm_forces_near_one", len(outside), cases)
 
         # inside the box the affine map dominates the pgf itself
-        cases = [
-            _case(
-                np.all(g_eval(a, sb) >= letter.pgf_vector(sb) - _TOL, axis=1),
-                {"letter": letter.name},
-                s=sb,
-            )
-            for a, letter in pairs
-        ]
-        record("majorant_dominates_pgf_near_one", rows, cases)
+        each_letter(
+            "majorant_dominates_pgf_near_one", rows,
+            lambda a, letter: g_eval(a, sb) >= letter.pgf_vector(sb) - _TOL, s=sb,
+        )
 
         # wherever g is componentwise non-negative its norm contracts under phi_mu
         checked = 0

@@ -263,3 +263,24 @@ def pgf_prod_clip(law, s):
     """
     s = np.asarray(s, dtype=float)
     return np.clip(np.prod(s[..., None, :] ** law.counts, axis=-1) @ law.probs, 0.0, 1.0)
+
+
+def markov_irreducible_by_dfs(transition):
+    """True iff every letter reaches every other along positive transitions.
+
+    Depth-first search from each letter over the graph a -> b whenever
+    ``transition[a, b] > 0``.
+    """
+    n = len(transition)
+    for root in range(n):
+        seen = {root}
+        stack = [root]
+        while stack:
+            a = stack.pop()
+            for b in range(n):
+                if transition[a][b] > 0 and b not in seen:
+                    seen.add(b)
+                    stack.append(b)
+        if len(seen) < n:
+            return False
+    return True

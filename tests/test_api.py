@@ -113,3 +113,30 @@ def test_cli_only_parses_and_prints():
         if isinstance(node, ast.Call)
     }
     assert "SeedSequence" not in called
+
+
+def test_classify_asks_the_positive_word_search_about_irreducibility():
+    # irreducibility is one more question for find_positive_product_word,
+    # not a second positivity closure
+    tree = ast.parse((PACKAGE / "classify.py").read_text())
+    defined = {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+    assert "_markov_irreducible" not in defined
+    imported = {
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for alias in node.names
+    }
+    assert "boolean_product" not in imported
+
+
+@pytest.mark.parametrize("module", MODULES + ["__init__"])
+def test_no_module_draws_raw_seed_state(module):
+    # seeds split by model.child_seeds, whose children are passed on whole
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text())
+    called = {
+        node.func.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+    }
+    assert "generate_state" not in called

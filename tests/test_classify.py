@@ -16,6 +16,7 @@ from mbpre import (
     classify,
     estimate_exponent,
 )
+from oracles import markov_irreducible_by_dfs
 
 
 def law(pairs):
@@ -24,6 +25,18 @@ def law(pairs):
 
 def fake_estimate(point, half_width):
     return LyapunovEstimate("sum", point, half_width, 1000, 8)
+
+
+def stationary(transition):
+    """A stationary distribution: the least-norm solution of pi T = pi, sum(pi) = 1.
+
+    For a reducible chain it mixes the closed classes' distributions with
+    positive weights, so it is non-negative up to rounding.
+    """
+    size = len(transition)
+    system = np.vstack([transition.T - np.eye(size), np.ones(size)])
+    pi = np.linalg.lstsq(system, np.eye(size + 1)[-1], rcond=None)[0].clip(0.0)
+    return pi / pi.sum()
 
 
 class TestCheckConditions:
@@ -83,6 +96,32 @@ class TestCheckConditions:
             MarkovEnvironment(np.array([0.5, 0.5]), np.array([[0.5, 0.5], [0.5, 0.5]])),
         )
         assert check_conditions(mixing).ergodic_env_ok
+
+    def test_markov_ergodicity_matches_graph_search(self):
+        rng = np.random.default_rng(11)
+        verdicts = []
+        for _ in range(300):
+            size = int(rng.integers(1, 7))
+            # sparse rows, each with one guaranteed positive entry
+            weights = (rng.random((size, size)) < 0.3) * rng.random((size, size))
+            weights[np.arange(size), rng.integers(0, size, size)] += 1.0
+            transition = weights / weights.sum(axis=1, keepdims=True)
+            laws = (law([((1, 1), 1.0)]), law([((1, 1), 1.0)]))
+            model = ModelSpec(
+                2,
+                tuple(EnvironmentLetter(f"e{i}", laws) for i in range(size)),
+                MarkovEnvironment(stationary(transition), transition),
+            )
+            want = markov_irreducible_by_dfs(transition)
+            assert check_conditions(model).ergodic_env_ok == want, transition
+            verdicts.append(want)
+        assert 50 < sum(verdicts) < 250  # reducible and irreducible chains both occur
+
+    def test_iid_with_zero_mass_letter_is_ergodic(self):
+        laws = (law([((1, 1), 1.0)]), law([((1, 1), 1.0)]))
+        letters = (EnvironmentLetter("a", laws), EnvironmentLetter("b", laws))
+        model = ModelSpec(2, letters, IidEnvironment([1.0, 0.0]))
+        assert check_conditions(model).ergodic_env_ok
 
     def test_markov_positive_word_respects_transitions(self):
         # a pattern witness needs both letters, but the frozen chain never

@@ -12,6 +12,7 @@ from mbpre import (
     row_min,
 )
 from mbpre.carpet import COLUMN_MATRICES
+from mbpre import matcore
 from mbpre.matcore import allowability_offenders, boolean_product
 from oracles import random_allowable_matrix
 
@@ -123,9 +124,10 @@ class TestPositiveProductWord:
     def test_two_letter_witness_lexicographic(self):
         assert search([_UPPER, _LOWER]) == [0, 1]
 
-    def test_budget_error_distinct_from_absence(self):
+    def test_budget_error_distinct_from_absence(self, monkeypatch):
+        monkeypatch.setattr(matcore, "MAX_PATTERN_STATES", 1)
         with pytest.raises(BudgetError):
-            search([_LOWER, _LOWER.T], max_states=1)
+            search([_LOWER, _LOWER.T])
 
     def test_witness_product_is_strictly_positive(self):
         rng = np.random.default_rng(3)

@@ -423,11 +423,14 @@ class _TopUniform:
 
 class TestChildSeeds:
     def test_equals_spawn(self):
-        for seed in (0, 1, 7, 12345, 2**63 - 1):
+        # int seeds, and SeedSequence parents that are themselves children
+        for seed in (0, 1, 7, 12345, 2**63 - 1, *np.random.SeedSequence(9).spawn(2)):
             got = list(child_seeds(seed, 6))
-            want = np.random.SeedSequence(seed).spawn(6)
+            is_sequence = isinstance(seed, np.random.SeedSequence)
+            want = (seed if is_sequence else np.random.SeedSequence(seed)).spawn(6)
             assert len(got) == len(want)
             for a, b in zip(got, want):
+                assert a.spawn_key == b.spawn_key
                 assert np.array_equal(a.generate_state(4), b.generate_state(4))
                 draws = [np.random.default_rng(c).random(3) for c in (a, b)]
                 assert np.array_equal(*draws)

@@ -266,3 +266,12 @@ class TestOracleSuite:
         a = oracle_suite(model, LAMBDA_04, samples=500, seed=3)
         b = oracle_suite(model, LAMBDA_04, samples=500, seed=3)
         assert dataclasses.asdict(a) == dataclasses.asdict(b)
+
+    def test_params_for_another_exponent_rejected(self):
+        # gamma and the shrink come from params, so a mismatch must not pass silently
+        model = build_carpet_model(0.4).model
+        params = build_proof_params(model, 2 * LAMBDA_04)
+        with pytest.raises(ValueError, match="exponent"):
+            oracle_suite(model, LAMBDA_04, samples=10, seed=0, params=params)
+        report = oracle_suite(model, 2 * LAMBDA_04, samples=10, seed=0, params=params)
+        assert report.all_passed

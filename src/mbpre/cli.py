@@ -11,9 +11,10 @@ exponent word over ``LETTER_BUDGET`` letters included), 1 any other failure.
 
 Each handler imports the modules it runs, and numpy only where it uses it,
 so a launch loads only what its subcommand needs and ``--version`` loads
-no numpy. A process enters through ``launch``, which runs ``main`` and
-then freezes the collector's heap so that shutdown does not walk it;
-``main`` leaves the collector as it found it.
+no numpy. A process enters through ``launch``, which turns the cyclic
+collector off, runs ``main``, flushes the output and ends the process
+without interpreter teardown; ``main`` leaves the collector as it found
+it. A result that cannot be written exits 1.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ import argparse
 import gc
 import json
 import math
+import os
 import sys
 
 from . import __version__
@@ -391,19 +393,37 @@ def main(argv=None):
 
 
 def launch():
-    """Run ``main`` as the process's entry point and return its exit code.
+    """Run ``main`` as the process's entry point and end the process with its exit code.
 
-    ``gc.freeze`` then moves every object the collector tracks (numpy,
-    argparse, site and whatever else the run loaded) to a generation it
-    never visits, so the interpreter's last collections at exit skip that
-    heap and the OS reclaims it whole. stdout and stderr are still flushed
-    and atexit handlers still run, and the freeze follows the last output,
-    so it changes no output.
+    The cyclic collector is off from here to the end of the process: a
+    launch is short, and its collections would walk mostly the objects its
+    imports made (numpy, argparse, ``site``). Once ``main`` has returned,
+    stdout and stderr are flushed and ``os._exit`` ends the process, so
+    interpreter teardown and atexit handlers do not run and the OS
+    reclaims the heap whole. A result that cannot be written (a closed
+    stdout, a closed pipe, a full disk) is reported on stderr as one
+    ``cannot write output`` line and exits 1.
     """
-    code = main()
-    gc.freeze()
-    return code
+    gc.disable()
+    if sys.stdout is None:  # fd 1 was closed at startup, and print would drop the result
+        code = _output_error("stdout is closed")
+    else:
+        try:
+            code = main()
+            sys.stdout.flush()
+        except OSError as exc:  # main handles every other error; this one is its output's
+            code = _output_error(exc)
+    try:
+        sys.stderr.flush()
+    except (AttributeError, OSError):  # no stderr, or one that takes nothing more
+        pass
+    os._exit(code)
+
+
+def _output_error(reason):
+    print(f"error: cannot write output: {reason}", file=sys.stderr)
+    return 1
 
 
 if __name__ == "__main__":
-    sys.exit(launch())
+    launch()

@@ -3,6 +3,7 @@ import contextlib
 import gc
 import io
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -11,7 +12,6 @@ import pytest
 
 jsonschema = pytest.importorskip("jsonschema")
 
-from mbpre import __version__
 from mbpre.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -689,16 +689,23 @@ def test_console_entry_point(carpet_p1_file):
     jsonschema.validate(envelope, ENVELOPE_SCHEMA)
 
 
+_MODULE = [sys.executable, "-m", "mbpre.cli"]
+# a result well over a pipe's 64 kB buffer, in either format
+_LARGE = ["carpet", "project", "--p", "0.6", "--depth", "3", "--samples", "5000"]
+
+
 def _launch(argv):
-    return subprocess.run([sys.executable, "-m", "mbpre.cli", *argv], capture_output=True)
+    return subprocess.run([*_MODULE, *argv], capture_output=True)
 
 
 def test_launch_prints_what_main_prints(carpet_p04_file):
-    argv = ["extinction", "--model", carpet_p04_file, "--mode", "annealed", "--envs", "8"]
-    for fmt in ([], ["--json"]):
-        proc = _launch(argv + fmt)
-        code, out, err = run_cli(argv + fmt)
-        assert (proc.returncode, proc.stdout, proc.stderr) == (code, out.encode(), b"")
+    small = ["extinction", "--model", carpet_p04_file, "--mode", "annealed", "--envs", "8"]
+    for argv in (small, _LARGE):
+        for fmt in ([], ["--json"]):
+            proc = _launch(argv + fmt)
+            code, out, err = run_cli(argv + fmt)
+            assert (proc.returncode, proc.stdout, proc.stderr) == (code, out.encode(), b"")
+            assert (len(proc.stdout) > 1 << 16) == (argv is _LARGE)
 
 
 @pytest.mark.parametrize(
@@ -716,19 +723,88 @@ def test_launch_exit_codes(carpet_p04_file, argv, want):
     assert proc.stderr.startswith(b"error: ")
 
 
-def test_module_launch_freezes_the_heap():
-    # `python -m mbpre.cli` runs launch, which freezes the collector's heap
-    # once main has returned, so shutdown does not walk it
-    code = (
-        "import gc, runpy, sys\n"
-        "sys.argv = ['mbpre', '--version']\n"
-        "try:\n"
-        "    runpy.run_module('mbpre.cli', run_name='__main__')\n"
-        "except SystemExit as exc:\n"
-        "    print(exc.code, gc.isenabled(), gc.get_freeze_count() > 0)\n"
+# Runs `python -m mbpre.cli` with two spies: a collector callback that counts
+# the collections made while the module's `main` is on the stack, and an
+# `os._exit` that reports the code, the collector's state and that count on
+# stderr before it ends the process. An atexit handler marks teardown.
+_SPIED_MODULE_LAUNCH = """
+import atexit, gc, os, runpy, sys
+in_main = []
+def on_collection(phase, info):
+    frame = sys._getframe(1)
+    while phase == "start" and frame is not None:
+        if frame.f_code.co_name == "main" and frame.f_code.co_filename.endswith("cli.py"):
+            in_main.append(info["generation"])
+            break
+        frame = frame.f_back
+gc.callbacks.append(on_collection)
+atexit.register(os.write, 2, b"teardown\\n")
+real_exit = os._exit
+def spy_exit(code):
+    os.write(2, f"{code} {gc.isenabled()} {gc.get_freeze_count()} {len(in_main)}\\n".encode())
+    real_exit(code)
+os._exit = spy_exit
+sys.argv = ["mbpre", *sys.argv[1:]]
+runpy.run_module("mbpre.cli", run_name="__main__")
+"""
+
+
+def test_module_launch_runs_without_the_collector_and_skips_teardown(carpet_p04_file):
+    # `python -m mbpre.cli` runs launch: the collector is off while main runs
+    # (numpy's import alone would otherwise collect dozens of times), nothing
+    # is frozen, and os._exit ends the process with main's code before any
+    # teardown; stdout is what main prints
+    annealed = ["extinction", "--model", carpet_p04_file, "--mode", "annealed", "--envs"]
+    for argv, want in ((["--version"], 0), (annealed + ["8"], 0), (annealed + ["0"], 2)):
+        proc = subprocess.run(
+            [sys.executable, "-c", _SPIED_MODULE_LAUNCH, *argv], capture_output=True, text=True
+        )
+        code, out, _ = run_cli(argv)
+        assert (proc.returncode, proc.stdout) == (want, out) == (code, out)
+        assert proc.stderr.splitlines()[-1] == f"{want} False 0 0", proc.stderr
+
+
+def _assert_one_output_error(proc_code, stderr, reason):
+    assert proc_code == 1
+    assert stderr.decode().splitlines() == [f"error: cannot write output: {reason}"]
+
+
+def test_launch_into_a_closed_pipe_is_one_error_line():
+    # `mbpre ... | head -c 100`: the reader goes away before the result ends
+    proc = subprocess.Popen(
+        [*_MODULE, *_LARGE, "--json"], stdout=subprocess.PIPE, stderr=subprocess.PIPE
     )
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
-    assert proc.stdout.splitlines() == [f"mbpre {__version__}", "0 True True"], proc.stderr
+    head = proc.stdout.read(100)
+    proc.stdout.close()
+    stderr = proc.stderr.read()
+    proc.stderr.close()
+    assert head.startswith(b"{")
+    _assert_one_output_error(proc.wait(timeout=120), stderr, "[Errno 32] Broken pipe")
+
+
+@pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs /dev/full")
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["final-flush", "print"])
+def test_launch_onto_a_full_device_is_one_error_line(carpet_p04_file, unbuffered):
+    # buffered, the small result fails at launch's final flush; unbuffered,
+    # at main's print
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    argv = ["extinction", "--model", carpet_p04_file, "--mode", "annealed", "--envs", "8"]
+    with open("/dev/full", "wb") as full:
+        proc = subprocess.run([*_MODULE, *argv], stdout=full, stderr=subprocess.PIPE, env=env)
+    _assert_one_output_error(
+        proc.returncode, proc.stderr, "[Errno 28] No space left on device"
+    )
+
+
+def test_launch_with_stdout_closed_is_one_error_line(carpet_p04_file):
+    # `mbpre ... >&-`: with fd 1 closed at startup, sys.stdout is None
+    argv = ["extinction", "--model", carpet_p04_file, "--mode", "annealed", "--envs", "8"]
+    proc = subprocess.run(
+        [*_MODULE, *argv], stderr=subprocess.PIPE, preexec_fn=lambda: os.close(1)
+    )
+    _assert_one_output_error(proc.returncode, proc.stderr, "stdout is closed")
 
 
 def test_console_script_is_launch():
@@ -744,10 +820,60 @@ def test_console_script_is_launch():
 
 @pytest.mark.parametrize("argv", [["extinction", "--mode", "annealed", "--envs", "8"], ["--version"]])
 def test_main_leaves_the_collector_as_it_found_it(carpet_p04_file, argv):
-    # only launch freezes: in-process callers of main keep a collector
+    # only launch turns the collector off: in-process callers of main keep one
     # that still visits their heap
     if argv[0] == "extinction":
         argv = [argv[0], "--model", carpet_p04_file, *argv[1:]]
     before = (gc.isenabled(), gc.get_freeze_count())
     assert run_cli(argv)[0] == 0
     assert (gc.isenabled(), gc.get_freeze_count()) == before
+
+
+@pytest.fixture(scope="module")
+def markov3_file(tmp_path_factory):
+    """The carpet's three columns at p = 0.4 under a 3-state Markov chain."""
+    import numpy as np
+
+    from mbpre import MarkovEnvironment, ModelSpec, build_carpet_model, write_model
+
+    carpet = build_carpet_model(0.4).model
+    transition = np.full((3, 3), 0.25) + np.eye(3) * 0.25
+    env = MarkovEnvironment(np.full(3, 1.0 / 3.0), transition)
+    path = tmp_path_factory.mktemp("markov") / "markov3.json"
+    path.write_text(write_model(ModelSpec(carpet.n_types, carpet.letters, env)))
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "argv, small, large",
+    [
+        (["extinction", "--model", "CARPET", "--mode", "annealed", "--max-depth", "64",
+          "--envs"], "8", "2048"),
+        (["simulate", "--model", "CARPET", "--growth", "--trials"], "100", "3000"),
+        (["carpet", "project", "--p", "0.6", "--depth", "4", "--samples"], "5", "200"),
+        (["proofkit", "--model", "CARPET", "--lambda", "0.1", "--samples"], "100", "6000"),
+        (["classify", "--model", "MARKOV", "--batches", "4", "--steps"], "100", "20000"),
+        (["carpet", "critical", "--bisect", "--trials", "100", "--horizon", "50",
+          "--iterations"], "2", "12"),
+    ],
+    ids=lambda v: v[0] if isinstance(v, list) else None,
+)
+def test_main_makes_no_cyclic_garbage_that_grows_with_its_input(
+    carpet_p04_file, markov3_file, argv, small, large
+):
+    # a launch runs with the collector off, so a cycle made per trial,
+    # environment, sample or step would stay until the process ends
+    argv = [{"CARPET": carpet_p04_file, "MARKOV": markov3_file}.get(a, a) for a in argv]
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        assert run_cli(argv + [small])[0] == 0  # first-run imports and caches
+        unreachable = []
+        for size in (small, large):
+            gc.collect()
+            assert run_cli(argv + [size])[0] == 0
+            unreachable.append(gc.collect())
+    finally:
+        if enabled:
+            gc.enable()
+    assert abs(unreachable[1] - unreachable[0]) <= 8, unreachable

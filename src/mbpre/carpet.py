@@ -366,7 +366,8 @@ def empirical_offspring_stats(p, column, parent_type, samples, rng):
     Retains each contributing square independently with probability ``p``
     and counts the surviving sub-triangles of the given parent falling in
     the given column, by child type. The resulting joint pmf must agree
-    with the law ``build_carpet_model`` assigns to the same slot. Over
+    with the law ``build_carpet_model`` assigns to the same slot. ``rng``
+    is a Generator or a seed, passed through ``np.random.default_rng``. Over
     ``LETTER_BUDGET`` draws (samples x squares) is a BudgetError; it and a
     ``p`` outside (0, 1] are raised before anything is drawn.
     """
@@ -382,7 +383,7 @@ def empirical_offspring_stats(p, column, parent_type, samples, rng):
             f"{samples} samples x {len(rows)} squares exceeds the budget of "
             f"{LETTER_BUDGET} draws"
         )
-    kept = rng.random((samples, len(rows))) < p
+    kept = np.random.default_rng(rng).random((samples, len(rows))) < p
     upper_cols = [k for k, (_, child) in enumerate(rows) if child == UPPER]
     lower_cols = [k for k, (_, child) in enumerate(rows) if child == LOWER]
     n_upper = kept[:, upper_cols].sum(axis=1)

@@ -14,7 +14,7 @@ so a launch loads only what its subcommand needs and ``--version`` loads
 no numpy. A process enters through ``launch``, which turns the cyclic
 collector off, runs ``main``, flushes the output and ends the process
 without interpreter teardown; ``main`` leaves the collector as it found
-it. A result that cannot be written exits 1.
+it. A result, ``--help`` or ``--version`` that cannot be written exits 1.
 """
 
 from __future__ import annotations
@@ -83,8 +83,23 @@ def _add_steps(p):
     p.add_argument("--batches", type=int, default=32)
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose writes to stdout raise OSError.
+
+    argparse drops an OSError from writing ``--help`` or ``--version``
+    text; here it reaches ``launch``, which reports it as it does a
+    result's. Writes to stderr (usage errors) are argparse's own.
+    """
+
+    def _print_message(self, message, file=None):
+        if message and file is not None and file is sys.stdout:
+            file.write(message)
+        else:
+            super()._print_message(message, file)
+
+
 def _build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="mbpre",
         description="Multitype branching processes in random environments",
     )
@@ -291,12 +306,11 @@ def _cmd_carpet_project(args):
 
 
 def _cmd_carpet_offspring(args):
-    import numpy as np
-
     from . import carpet
 
-    rng = np.random.default_rng(args.seed)
-    stats = carpet.empirical_offspring_stats(args.p, args.column, args.type, args.samples, rng)
+    stats = carpet.empirical_offspring_stats(
+        args.p, args.column, args.type, args.samples, args.seed
+    )
     law = carpet.build_carpet_model(args.p).model.letters[args.column].laws[args.type]
     model_pmf = {
         (int(z[0]), int(z[1])): float(p) for z, p in zip(law.counts, law.probs)

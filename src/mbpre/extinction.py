@@ -113,9 +113,10 @@ def _converge(model, n_envs, seeds, tol, max_depth):
         raise ValueError("tol must be positive and finite")
     if max_depth < 2:
         raise ValueError("max_depth must be >= 2")
-    if n_envs * max_depth > LETTER_BUDGET:
+    rows = min(n_envs, _CHUNK)
+    if rows * max_depth > LETTER_BUDGET:
         raise BudgetError(
-            f"{n_envs} environments x max_depth {max_depth} exceeds the budget of "
+            f"{rows} environments x max_depth {max_depth} exceeds the budget of "
             f"{LETTER_BUDGET} stored letters"
         )
     env, table = model.environment, model.pgf_table
@@ -167,9 +168,10 @@ def annealed_extinction(model, n_envs, tol=1e-9, max_depth=1 << 16, seed=0):
     Environment e samples its word from child e of ``SeedSequence(seed)``;
     environments advance together in chunks of ``_CHUNK``. Returns
     ``(mean_q, share_converged)`` where the share counts realizations whose
-    depth-doubling loop met ``tol``. ``n_envs * max_depth`` may not exceed
-    ``LETTER_BUDGET`` (:class:`BudgetError`). Memory does not grow with
-    ``n_envs``: each chunk's rows are added to a running total and dropped.
+    depth-doubling loop met ``tol``. ``min(n_envs, _CHUNK) * max_depth``,
+    the letters of one chunk, may not exceed ``LETTER_BUDGET``
+    (:class:`BudgetError`). Memory does not grow with ``n_envs``: each
+    chunk's rows are added to a running total and dropped.
     """
     if n_envs < 1:
         raise ValueError("n_envs must be >= 1")

@@ -30,9 +30,9 @@ MASS_TOL = 1e-12
 # stationary (the shift must be measure preserving).
 STATIONARY_TOL = 1e-9
 # Most letters one sampled word (or block of words) may hold; also bounds
-# n_envs x max_depth of the depth-doubling loop of ``extinction``, the
-# (trial, generation) entries of one chunk of trials and the draws of
-# ``carpet.empirical_offspring_stats``.
+# the letters of one chunk of environments in the depth-doubling loop of
+# ``extinction``, the (trial, generation) entries of one chunk of trials and
+# the draws of ``carpet.empirical_offspring_stats``.
 LETTER_BUDGET = 1 << 26
 
 # Uniforms drawn at a time by the word samplers: their stream order is that

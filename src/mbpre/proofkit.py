@@ -195,10 +195,13 @@ def oracle_suite(model, exponent, samples, seed, params=None):
     demonstrate detection; its ``exponent`` must equal ``exponent``, or
     ValueError is raised.
 
-    Points are drawn and checked in chunks of at most ``_CHUNK`` rows, so
-    memory does not grow with ``samples``. Each check's count sums over
-    the chunks. The word checks draw their own points once, inside the
-    first chunk, in pieces of at most ``_CHUNK`` rows.
+    The checks run in three stages, listed in the report in that order:
+    the two that draw nothing, the point checks on chunks of at most
+    ``_CHUNK`` rows, then the two word checks on pieces of at most
+    ``_CHUNK`` rows. Each chunk draws s, t, the box points, v, dtilde and
+    the strict-drop points, in that order, so a full chunk draws the same
+    points at any ``samples``. Memory does not grow with ``samples``, and
+    each check's count sums over the chunks or pieces.
     """
     if params is None:
         params = build_proof_params(model, exponent)
@@ -229,63 +232,43 @@ def oracle_suite(model, exponent, samples, seed, params=None):
         ]
         record(name, count, cases)
 
-    h_fns = [
-        (lambda a: (lambda x: np.clip(h_eval(a, x, delta), 0.0, 1.0)))(a) for a in mats
-    ]
-    f_fns = [letter.pgf_vector for letter in model.letters]
-    n_words = 32
-    per_word = max(1, samples // n_words)
-    gamma = math.sqrt(params.rho * math.exp(params.exponent))
+    # h fixes the all-ones vector
+    ones = np.ones(n)
+    each_letter("h_fixes_one", len(mats), lambda a, _: h_eval(a, ones, delta) == 1.0)
+
+    # a zero expectation entry forces zero mass on every atom bearing that type
+    checked = 0
+    cases = []
+    for letter in model.letters:
+        m = letter.expectation
+        for k, law in enumerate(letter.laws):
+            for i in range(n):
+                if m[k, i] > 0:
+                    continue
+                checked += 1
+                mass = law.probs[law.counts[:, i] > 0]
+                head = {"letter": letter.name, "parent_type": k, "child_type": i}
+                cases.append(_case(mass <= 0, head))
+    record("zero_column_zero_mass", checked, cases)
+
     p_star = params.alpha / 2.0
-
-    def word_domination():
-        # compositions of h dominate the matching pgf compositions
-        for _ in range(n_words):
-            length = int(rng.integers(1, 6))
-            word = rng.integers(0, model.n_letters, size=length)
-            for rows in _pieces(per_word):
-                sw = rng.random((rows, n))
-                hv = _compose_letters(h_fns, word, sw)
-                fv = _compose_letters(f_fns, word, sw)
-                case = _case(np.all(hv >= fv - _TOL, axis=1), {"word": word.tolist()}, s=sw)
-                record("h_dominates_pgf_on_words", rows, [case])
-
-    def word_contraction():
-        # along words whose product keeps a column-sum margin gamma^n, the
-        # norm contracts under phi_gamma; only qualifying words are checked,
-        # and the check is reported even when no word qualifies
-        record("word_norm_contraction", 0, [])
-        for _ in range(n_words):
-            length = int(rng.integers(2, _MAX_WORD + 1))
-            word = rng.integers(0, model.n_letters, size=length)
-            aw = product_along_word(mats, word)
-            if col_min(aw) < gamma**length:
-                continue
-            for rows in _pieces(per_word):
-                sw = rng.random((rows, n))
-                gv = 1.0 - (1.0 - sw) @ aw.T
-                mask = np.all(gv >= 0.0, axis=1)
-                good = gv[mask].sum(axis=1) <= phi(gamma, sw[mask].sum(axis=1), n) + _TOL
-                case = _case(good, {"word": word.tolist()}, s=sw[mask])
-                record("word_norm_contraction", int(mask.sum()), [case])
-
-    for chunk, rows in enumerate(_pieces(samples)):
-        # clamp dominates its argument and preserves the componentwise order
+    for rows in _pieces(samples):
         s = rng.random((rows, n))
         t = s + (1.0 - s) * rng.random((rows, n))
+        sb = 1.0 - delta * rng.random((rows, n))
+        outside = s[np.max(1.0 - s, axis=1) > delta]
+        vs = (n - u * delta) + u * delta * rng.random(len(outside))
+        dtildes = rng.random(rows)
+        sx = rng.random((rows, n))
+
+        # clamp dominates its argument and preserves the componentwise order
         ok = np.all(psi(s, delta) >= s, axis=1) & np.all(psi(s, delta) <= psi(t, delta), axis=1)
         record("clamp_monotone", rows, [_case(ok, {}, s=s, t=t)])
 
         # inside the clamp box the clamp is the identity, so h and g agree exactly
-        sb = 1.0 - delta * rng.random((rows, n))
         each_letter(
             "h_equals_g_near_one", rows, lambda a, _: h_eval(a, sb, delta) == g_eval(a, sb), s=sb
         )
-
-        if chunk == 0:
-            # h fixes the all-ones vector
-            ones = np.ones(n)
-            each_letter("h_fixes_one", len(mats), lambda a, _: h_eval(a, ones, delta) == 1.0)
 
         # h is componentwise monotone
         each_letter(
@@ -293,17 +276,11 @@ def oracle_suite(model, exponent, samples, seed, params=None):
             s=s, t=t,
         )
 
-        # the word checks draw their own points once, inside the first chunk
-        if chunk == 0:
-            word_domination()
-
         # h never goes negative
         each_letter("h_nonnegative", rows, lambda a, _: h_eval(a, s, delta) >= -_TOL, s=s)
 
         # a large h norm is only possible for arguments already near one:
         # outside the box, ||h(s)|| stays below every v > N - u * delta
-        outside = s[np.max(1.0 - s, axis=1) > delta]
-        vs = (n - u * delta) + u * delta * rng.random(len(outside))
         cases = []
         for a, letter in pairs:
             norms = h_eval(a, outside, delta).sum(axis=1)
@@ -327,13 +304,8 @@ def oracle_suite(model, exponent, samples, seed, params=None):
             cases.append(_case(good, {"letter": letter.name}, s=s[mask]))
         record("affine_norm_contraction", checked, cases)
 
-        if chunk == 0:
-            word_contraction()
-
         # a pgf drops strictly below 1 - (alpha/2) * dtilde whenever some child
         # type with positive mean count has its coordinate below 1 - dtilde
-        dtildes = rng.random(rows)
-        sx = rng.random((rows, n))
         checked = 0
         cases = []
         for letter in model.letters:
@@ -349,20 +321,42 @@ def oracle_suite(model, exponent, samples, seed, params=None):
                 cases.append(_case(good, head, s=sx[hit], dtilde=dtildes[hit]))
         record("pgf_strict_drop", checked, cases)
 
-    # a zero expectation entry forces zero mass on every atom bearing that type
-    checked = 0
-    cases = []
-    for letter in model.letters:
-        m = letter.expectation
-        for k, law in enumerate(letter.laws):
-            for i in range(n):
-                if m[k, i] > 0:
-                    continue
-                checked += 1
-                mass = law.probs[law.counts[:, i] > 0]
-                head = {"letter": letter.name, "parent_type": k, "child_type": i}
-                cases.append(_case(mass <= 0, head))
-    record("zero_column_zero_mass", checked, cases)
+    n_words = 32
+    per_word = max(1, samples // n_words)
+
+    # compositions of h dominate the matching pgf compositions
+    h_fns = [
+        (lambda a: (lambda x: np.clip(h_eval(a, x, delta), 0.0, 1.0)))(a) for a in mats
+    ]
+    f_fns = [letter.pgf_vector for letter in model.letters]
+    for _ in range(n_words):
+        length = int(rng.integers(1, 6))
+        word = rng.integers(0, model.n_letters, size=length)
+        for rows in _pieces(per_word):
+            sw = rng.random((rows, n))
+            hv = _compose_letters(h_fns, word, sw)
+            fv = _compose_letters(f_fns, word, sw)
+            case = _case(np.all(hv >= fv - _TOL, axis=1), {"word": word.tolist()}, s=sw)
+            record("h_dominates_pgf_on_words", rows, [case])
+
+    # along words whose product keeps a column-sum margin gamma^n, the norm
+    # contracts under phi_gamma; only qualifying words are checked, and the
+    # check is reported even when no word qualifies
+    gamma = math.sqrt(params.rho * math.exp(params.exponent))
+    record("word_norm_contraction", 0, [])
+    for _ in range(n_words):
+        length = int(rng.integers(2, _MAX_WORD + 1))
+        word = rng.integers(0, model.n_letters, size=length)
+        aw = product_along_word(mats, word)
+        if col_min(aw) < gamma**length:
+            continue
+        for rows in _pieces(per_word):
+            sw = rng.random((rows, n))
+            gv = 1.0 - (1.0 - sw) @ aw.T
+            mask = np.all(gv >= 0.0, axis=1)
+            good = gv[mask].sum(axis=1) <= phi(gamma, sw[mask].sum(axis=1), n) + _TOL
+            case = _case(good, {"word": word.tolist()}, s=sw[mask])
+            record("word_norm_contraction", int(mask.sum()), [case])
 
     return OracleReport(
         tuple(

@@ -112,7 +112,7 @@ def test_cli_only_parses_and_prints():
         for node in ast.walk(tree)
         if isinstance(node, ast.Call)
     }
-    assert "SeedSequence" not in called
+    assert not called & {"SeedSequence", "default_rng"}
 
 
 def test_classify_asks_the_positive_word_search_about_irreducibility():

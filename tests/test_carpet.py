@@ -270,7 +270,9 @@ class TestProjection:
         assert np.allclose(segs[0], [-1.0, 1.0])
 
     def test_empty_set(self):
-        assert projection_measure(SquareSet(3, np.empty((0, 2), dtype=np.int64))) == 0.0
+        empty = SquareSet(3, np.empty((0, 2), dtype=np.int64))
+        assert projection_measure(empty) == 0.0
+        assert projection_intervals(empty).shape == (0, 2)
 
     def test_single_square_formula(self):
         sq = SquareSet(2, np.array([[0, 0]]))

@@ -160,13 +160,16 @@ class TestClassify:
         assert classify(model, report, fake_estimate(0.01, 0.1)).kind == "critical_extinction"
 
     def test_straddle_without_strong_regularity(self):
-        letter = EnvironmentLetter(
-            "s", (law([((0, 0), 0.5), ((1, 0), 0.5)]), law([((0, 1), 1.0)]))
-        )
+        # a positive mean matrix, but every law bears exactly one child
+        one_child = law([((1, 0), 0.5), ((0, 1), 0.5)])
+        letter = EnvironmentLetter("s", (one_child, one_child))
         model = ModelSpec(2, (letter,), IidEnvironment([1.0]))
         report = check_conditions(model)
+        assert report.allowable_ok and report.positive_word is not None
+        assert not report.strongly_regular
         verdict = classify(model, report, fake_estimate(0.0, 0.1))
         assert verdict.kind == "inconclusive"
+        assert "strong regularity is unavailable" in verdict.rationale
 
     def test_hypothesis_gate(self):
         letter = EnvironmentLetter(

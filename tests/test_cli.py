@@ -670,7 +670,7 @@ def test_carpet_depth_39_projects():
 def test_annealed_letter_budget_exit_code(carpet_p04_file):
     code, out, err = run_cli(
         ["extinction", "--model", carpet_p04_file, "--mode", "annealed",
-         "--envs", "2000", "--max-depth", "65536", "--threads", "1"]
+         "--envs", "1024", "--max-depth", "65537", "--threads", "1"]
     )
     assert code == 4
     assert out == ""
@@ -783,14 +783,23 @@ def test_launch_into_a_closed_pipe_is_one_error_line():
 
 
 @pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs /dev/full")
-@pytest.mark.parametrize("unbuffered", [False, True], ids=["final-flush", "print"])
-def test_launch_onto_a_full_device_is_one_error_line(carpet_p04_file, unbuffered):
-    # buffered, the small result fails at launch's final flush; unbuffered,
-    # at main's print
+@pytest.mark.parametrize(
+    "output, unbuffered",
+    [(output, unbuffered) for output in ("result", "version", "help") for unbuffered in (False, True)],
+    ids=["final-flush", "print", "version-final-flush", "version-print", "help-final-flush",
+         "help-print"],
+)
+def test_launch_onto_a_full_device_is_one_error_line(carpet_p04_file, output, unbuffered):
+    # buffered, the small output fails at launch's final flush; unbuffered,
+    # at main's print or argparse's write
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
     if unbuffered:
         env["PYTHONUNBUFFERED"] = "1"
-    argv = ["extinction", "--model", carpet_p04_file, "--mode", "annealed", "--envs", "8"]
+    argv = {
+        "result": ["extinction", "--model", carpet_p04_file, "--mode", "annealed", "--envs", "8"],
+        "version": ["--version"],
+        "help": ["check", "--help"],
+    }[output]
     with open("/dev/full", "wb") as full:
         proc = subprocess.run([*_MODULE, *argv], stdout=full, stderr=subprocess.PIPE, env=env)
     _assert_one_output_error(

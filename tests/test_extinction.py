@@ -266,12 +266,25 @@ class TestKernel:
         # refused before one generator per environment is built
         monkeypatch.setattr(np.random, "SeedSequence", no_seeding)
         monkeypatch.setattr(np.random, "default_rng", no_seeding)
-        max_depth = 1 << 16
-        n_envs = LETTER_BUDGET // max_depth + 1
+        # one chunk of environments holds one letter too many
+        max_depth = LETTER_BUDGET // extinction._CHUNK + 1
         with pytest.raises(BudgetError):
-            annealed_extinction(decoupled_supercritical, n_envs, max_depth=max_depth)
+            annealed_extinction(decoupled_supercritical, 10**6, max_depth=max_depth)
         with pytest.raises(BudgetError):
             extinction_converged(decoupled_supercritical, 0, max_depth=LETTER_BUDGET + 1)
+
+    def test_letter_budget_counts_one_chunk(self, monkeypatch):
+        # memory holds one chunk of words, so a budget that one chunk fits
+        # lets any number of environments run
+        model = build_carpet_model(0.4).model
+        monkeypatch.setattr(extinction, "_CHUNK", 8)
+        want = annealed_extinction(model, 100, max_depth=64, seed=3)
+        monkeypatch.setattr(extinction, "LETTER_BUDGET", 8 * 64)
+        got = annealed_extinction(model, 100, max_depth=64, seed=3)
+        assert np.array_equal(got[0], want[0]) and got[1] == want[1]
+        annealed_extinction(model, 5, max_depth=65, seed=3)
+        with pytest.raises(BudgetError):
+            annealed_extinction(model, 100, max_depth=65, seed=3)
 
     def test_fixed_word_letters_validated(self, decoupled_supercritical):
         for word in ([], [0, 1], [-1], [0.5]):

@@ -373,6 +373,14 @@ class TestEnvironmentSampling:
         )
         assert model.environment.cylinder_probability([0, 1, 1]) == pytest.approx(0.2 * 0.8 * 0.8)
 
+    def test_markov_cylinder_probability(self):
+        # doubly stochastic, so the uniform initial vector is stationary
+        transition = np.array([[0.2, 0.5, 0.3], [0.3, 0.2, 0.5], [0.5, 0.3, 0.2]])
+        env = MarkovEnvironment(np.full(3, 1 / 3), transition)
+        assert env.cylinder_probability([2]) == pytest.approx(1 / 3)
+        # initial[0] * T[0, 2] * T[2, 1] * T[1, 1]
+        assert env.cylinder_probability([0, 2, 1, 1]) == pytest.approx(0.3 * 0.3 * 0.2 / 3)
+
     @pytest.mark.parametrize(
         "n, rows, bound", [(100_000, None, 6), (100, 1024, 1.5)], ids=["word", "block"]
     )

@@ -3,6 +3,8 @@
 import dataclasses
 import tracemalloc
 
+import pytest
+
 from mbpre import build_carpet_model, build_proof_params, oracle_suite
 from mbpre.proofkit import _CHUNK
 
@@ -58,6 +60,22 @@ def test_multi_chunk_run_keeps_the_first_counterexample():
     assert len(shared) >= 3
     for name in shared:
         assert many[name].counterexample == one[name].counterexample, name
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_strict_drop_counterexample_same_at_any_sample_count(seed):
+    # alpha x 5, delta by its formula, trips only pgf_strict_drop. Its
+    # points are the last a chunk draws, and a full chunk draws the same
+    # points whatever the sample count, so the first counterexample holds.
+    model = carpet_04()
+    good = build_proof_params(model, LAMBDA_04)
+    alpha = 5.0 * good.alpha
+    delta = (1.0 - good.rho) * alpha / (2.0 * good.n_types * good.moment_bound)
+    bad = dataclasses.replace(good, alpha=alpha, delta=delta)
+    one = oracle_suite(model, LAMBDA_04, samples=_CHUNK, seed=seed, params=bad).by_name
+    many = oracle_suite(model, LAMBDA_04, samples=SAMPLES, seed=seed, params=bad).by_name
+    assert not one["pgf_strict_drop"].passed
+    assert many["pgf_strict_drop"].counterexample == one["pgf_strict_drop"].counterexample
 
 
 def traced_peak(model, samples):

@@ -20,7 +20,6 @@ from mbpre import (
     build_carpet_model,
     extinction_converged,
     extinction_fixed_env,
-    simulate_generations,
     survival_probability_mc,
 )
 
@@ -36,11 +35,6 @@ print(f"composition:  q = {q.q}  (depth {q.depth}, analytic 1/3)")
 
 surv, hw = survival_probability_mc(model, 0, trials=20_000, horizon=200, seed=1)
 print(f"simulation:   1 - q^(0) ~ {surv:.4f} +/- {hw:.4f}  (analytic 2/3)")
-
-# A single simulated trajectory, for flavour.
-rng = np.random.default_rng(2)
-traj = simulate_generations(model, [0] * 30, [1, 1], cap=10**6, rng=rng)
-print("one trajectory:", [int(z.sum()) for z in traj.states], "->", traj.outcome)
 
 # Finite-depth extinction probabilities increase with depth.
 word = [0] * 16

@@ -42,12 +42,10 @@ _EXPORTS = {
     ),
     "extinction": (
         "ExtinctionVector",
-        "SimulationResult",
         "annealed_extinction",
         "extinction_converged",
         "extinction_fixed_env",
         "growth_rate_conditioned",
-        "simulate_generations",
         "survival_and_growth",
         "survival_probability_mc",
     ),

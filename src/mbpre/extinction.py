@@ -44,25 +44,6 @@ class ExtinctionVector:
             raise ValueError("extinction probabilities must lie in [0, 1]")
 
 
-@dataclass(frozen=True)
-class SimulationResult:
-    """Trajectory of population count vectors and how the run ended.
-
-    ``outcome`` is "extinct", "alive", or "cap_exceeded"; ``generation`` is
-    the generation at which the run stopped (the horizon when alive). The
-    trajectory starts with the initial population, one entry per simulated
-    generation after that, frozen at the cap-crossing state when capped.
-    """
-
-    states: list
-    outcome: str
-    generation: int
-
-    @property
-    def final(self):
-        return self.states[-1]
-
-
 def _compose(table, words, s):
     """Backward pgf composition along each row of ``words``, starting at ``s``.
 
@@ -198,40 +179,6 @@ def _check_cap(model, cap):
         raise ValueError(
             f"cap {cap} x largest offspring total {largest} overflows int64 counts"
         )
-
-
-def simulate_generations(model, word, z0, horizon=None, cap=10**6, *, rng):
-    """Simulate the population generation by generation along ``word``.
-
-    Generation n sums, over parent types i, the offspring of the
-    Z_{n-1}^(i) type-i parents drawn i.i.d. from the type-i law of letter
-    ``word[n-1]``. Stops at extinction, at the horizon, or once the total
-    population exceeds ``cap`` (the crossing state and generation are kept).
-    """
-    z = np.asarray(z0, dtype=np.int64).copy()
-    if z.sum() < 1:
-        raise ValueError("initial population must be non-empty")
-    _check_cap(model, cap)
-    word = np.asarray(word, dtype=np.intp)
-    if horizon is None:
-        horizon = len(word)
-    if horizon < 1 or horizon > len(word):
-        raise ValueError("horizon must be in [1, len(word)]")
-    states = [z.copy()]
-    for gen in range(1, horizon + 1):
-        letter = model.letters[word[gen - 1]]
-        nxt = np.zeros(model.n_types, dtype=np.int64)
-        for i in range(model.n_types):
-            if z[i] > 0:
-                nxt += letter.laws[i].sample_sum(int(z[i]), rng)
-        z = nxt
-        states.append(z.copy())
-        total = int(z.sum())
-        if total == 0:
-            return SimulationResult(states, "extinct", gen)
-        if total > cap:
-            return SimulationResult(states, "cap_exceeded", gen)
-    return SimulationResult(states, "alive", horizon)
 
 
 def _wilson(successes, n):

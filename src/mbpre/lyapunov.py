@@ -6,21 +6,23 @@ minimum row sum ("rowmin"). For a good family all three share one almost
 sure limit, estimated here by Monte Carlo with batch-means confidence
 intervals.
 
-One kernel serves every matrix size and every alphabet. It first builds a
-table of all L^k products of k consecutive letters, each divided by its
-entry sum with the log of the sum kept; k is the largest value with
-max(L, 2)^k <= min(``_CHUNK``, n // 16), so the table costs at most n / 8
-small products. The word is read as n // k base-L symbols, each naming
-one table entry, plus the fewer than k tail letters. The symbols are
-gathered ``_CHUNK`` at a time into one (C, N, N) stack and multiplied as a
-pairwise tree, adjacent pairs in order; at each level every product is
-divided by its entry sum and the logs of the divisors are summed. Each
-chunk's product is folded into one running product, renormalized the same
-way, so words of 1e7 steps neither overflow nor underflow. Products of
-allowable matrices are allowable, so an allowable family needs no step
-checks. For any other family the positivity patterns of all letter
-prefixes are scanned first, ``_CHUNK`` letters at a time, and the first
-step at which a reduction of the prefix is zero raises
+One kernel serves every matrix size and every alphabet. Its chunk length
+C is ``_CHUNK``, or ``_FLOATS`` // N^2 where that is smaller, so memory
+stays bounded in the type count N. It first builds a table of all L^k
+products of k consecutive letters, each divided by its entry sum with the
+log of the sum kept; k is the largest value with
+max(L, 2)^k <= min(C, n // 16), so the table holds at most C products and
+costs at most n / 8 small ones. The word is read as n // k base-L
+symbols, each naming one table entry, plus the fewer than k tail letters.
+The symbols are gathered C at a time into one (C, N, N) stack and
+multiplied as a pairwise tree, adjacent pairs in order; at each level
+every product is divided by its entry sum and the logs of the divisors
+are summed. Each chunk's product is folded into one running product,
+renormalized the same way, so words of 1e7 steps neither overflow nor
+underflow. Products of allowable matrices are allowable, so an allowable
+family needs no step checks. For any other family the positivity
+patterns of all letter prefixes are scanned first, C letters at a time,
+and the first step at which a reduction of the prefix is zero raises
 :class:`DegenerateProductError`.
 """
 
@@ -39,8 +41,10 @@ _REDUCTIONS = {"sum": norm_sum, "colmin": col_min, "rowmin": row_min}
 
 # Symbols per gathered chunk, letters per prefix-scan chunk, and the table
 # size cap: (C, N, N) floats stay small, and a chunk is long enough that the
-# per-level numpy calls are amortized.
+# per-level numpy calls are amortized. Past N = 32 the cap is _FLOATS / N^2,
+# so the table and a chunk hold at most 32 MB each.
 _CHUNK = 4096
+_FLOATS = 1 << 22
 
 # 95% normal quantile for the batch-means interval; batches are i.i.d. by
 # construction, the normal approximation is a documented heuristic.
@@ -98,12 +102,12 @@ def _scan_prefixes(carry, patterns, kind, offset):
     return patterns[-1]
 
 
-def _symbol_length(n_letters, n):
-    """Letters per table symbol: the largest k >= 1 with max(L, 2)^k <= min(_CHUNK, n // 16).
+def _symbol_length(n_letters, n, chunk):
+    """Letters per table symbol: the largest k >= 1 with max(L, 2)^k <= min(chunk, n // 16).
 
     The base is at least 2 so that a one-letter family still gets a finite k.
     """
-    base, cap = max(n_letters, 2), min(_CHUNK, n // 16)
+    base, cap = max(n_letters, 2), min(chunk, n // 16)
     k = 1
     while base ** (k + 1) <= cap:
         k += 1
@@ -136,14 +140,15 @@ def exponent_along_word(matrices, word, kind="sum"):
     produce, raises :class:`DegenerateProductError` naming the first such
     step. A product that is not zero but underflows to zero in floating
     point raises too, naming the last step of the chunk where it shows; a
-    chunk spans ``_CHUNK`` symbols of k letters, the last one also the tail.
+    chunk spans C symbols of k letters, the last one also the tail.
     """
     _check_kind(kind)
     mats = _family(matrices)
     word = check_word(word, len(mats))
     n_letters, n = mats.shape[:2]
     check_steps = not all(is_allowable(m) for m in mats)
-    k = _symbol_length(n_letters, word.size)
+    size = max(1, min(_CHUNK, _FLOATS // (n * n)))
+    k = _symbol_length(n_letters, word.size, size)
     n_symbols = word.size // k
     digits = word[: n_symbols * k].reshape(n_symbols, k)
     symbols = np.ravel_multi_index(digits.T, (n_letters,) * k)
@@ -151,17 +156,17 @@ def exponent_along_word(matrices, word, kind="sum"):
     run, pattern, log_scale = np.eye(n), np.eye(n, dtype=bool), 0.0
     with np.errstate(divide="ignore", invalid="ignore"):
         table, table_logs = _product_table(mats, k)
-        for first in range(0, n_symbols, _CHUNK):
-            chunk = symbols[first : first + _CHUNK]
+        for first in range(0, n_symbols, size):
+            chunk = symbols[first : first + size]
             block = table[chunk]
             log_scale += float(table_logs[chunk].sum())
             start, end = first * k, (first + len(chunk)) * k
-            if first + _CHUNK >= n_symbols:
+            if first + size >= n_symbols:
                 block = np.concatenate((block, mats[word[end:]]))
                 end = word.size
             if check_steps:
-                for at in range(start, end, _CHUNK):
-                    letters = mats[word[at : at + _CHUNK]]
+                for at in range(start, end, size):
+                    letters = mats[word[at : at + size]]
                     pattern = _scan_prefixes(pattern, letters > 0, kind, at)
             while len(block) > 1:
                 if len(block) % 2:

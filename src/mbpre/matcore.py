@@ -16,6 +16,9 @@ import numpy as np
 from .errors import BudgetError
 
 MAX_PATTERN_STATES = 10**6
+# Bytes of N x N pattern keys the positive-word search may hold: at most
+# this many over N^2 states are explored, so N <= 16 keeps the full budget.
+PATTERN_BYTES = 1 << 28
 
 
 def norm_sum(b):
@@ -68,8 +71,11 @@ def positivity_pattern(b):
 
 
 def boolean_product(p, q):
-    """Pattern of the product of two matrices with these patterns."""
-    return (p.astype(np.uint8) @ q.astype(np.uint8)) > 0
+    """Pattern of the product of two matrices with these boolean patterns.
+
+    numpy's boolean matmul ORs the ANDs, so no count of witnesses can wrap.
+    """
+    return np.matmul(p, q)
 
 
 def find_positive_product_word(patterns, start, allowed, max_word_len=None):
@@ -81,9 +87,9 @@ def find_positive_product_word(patterns, start, allowed, max_word_len=None):
     Breadth-first search over (pattern, last letter) states under right
     multiplication; among shortest witnesses the lexicographically smallest
     word is returned. Words longer than ``max_word_len`` are not explored.
-    Exploring more than ``min(2 ** (n * n) * L, MAX_PATTERN_STATES)`` states
-    raises :class:`BudgetError`, which is distinct from the search closing
-    without a witness (None).
+    Exploring more than ``min(MAX_PATTERN_STATES, PATTERN_BYTES // N**2)``
+    states raises :class:`BudgetError`, which is distinct from the search
+    closing without a witness (None).
     """
     pats = [np.asarray(p, dtype=bool) for p in patterns]
     n, L = pats[0].shape[0], len(pats)
@@ -93,7 +99,7 @@ def find_positive_product_word(patterns, start, allowed, max_word_len=None):
     allowed = np.asarray(allowed, dtype=bool)
     if start.shape != (L,) or allowed.shape != (L, L):
         raise ValueError(f"start must have shape ({L},) and allowed shape ({L}, {L})")
-    max_states = min(2 ** (n * n) * L, MAX_PATTERN_STATES)
+    max_states = min(MAX_PATTERN_STATES, PATTERN_BYTES // (n * n))
     if max_word_len is not None and max_word_len < 1:
         raise ValueError("max_word_len must be >= 1")
     successors = [np.flatnonzero(row).tolist() for row in allowed]

@@ -177,13 +177,6 @@ class OffspringLaw:
         """Draw one count vector, or ``size`` of them as a (size, N) array."""
         return self.counts[np.searchsorted(self._cdf, rng.random(size), side="right")]
 
-    def sample_sum(self, n, rng):
-        """Sum of ``n`` independent draws, via multinomial atom counts."""
-        if n == 0:
-            return np.zeros(self.n_types, dtype=np.int64)
-        hits = rng.multinomial(n, self.probs)
-        return hits @ self.counts
-
 
 @dataclass(frozen=True)
 class EnvironmentLetter:
@@ -285,7 +278,7 @@ class IidEnvironment:
 
     def cylinder_probability(self, word):
         """Probability that the environment starts with the given finite word."""
-        return float(np.prod(self.probs[np.asarray(word, dtype=np.intp)]))
+        return float(np.prod(self.probs[check_word(word, self.n_letters)]))
 
 
 @dataclass(frozen=True)
@@ -362,7 +355,7 @@ class MarkovEnvironment:
 
     def cylinder_probability(self, word):
         """Probability that the environment starts with the given finite word."""
-        word = np.asarray(word, dtype=np.intp)
+        word = check_word(word, self.n_letters)
         p = float(self.initial[word[0]])
         for a, b in zip(word[:-1], word[1:]):
             p *= float(self.transition[a, b])

@@ -88,6 +88,26 @@ def extinction_by_enumeration(model, word, start_type):
     return float(sum(dist[a, b] * p0**a * p1**b for a, b in zip(z0s, z1s)))
 
 
+def point_mass_trajectory(model, word, z0, cap):
+    """Population vectors z_0, z_1, ... of a point-mass model along ``word``.
+
+    When every law is a point mass the population moves deterministically:
+    z_n = z_{n-1} M_{w_n}, with M_a the integer matrix of letter a's atoms.
+    Like a simulated trial, the run stops after the first generation whose
+    total is 0 or exceeds ``cap``.
+    """
+    if any(law.probs.size != 1 for letter in model.letters for law in letter.laws):
+        raise ValueError("every law must be a point mass")
+    z = np.asarray(z0, dtype=np.int64)
+    states = [z]
+    for a in word:
+        z = z @ np.stack([law.counts[0] for law in model.letters[a].laws])
+        states.append(z)
+        if not 0 < z.sum() <= cap:
+            break
+    return states
+
+
 def random_law(rng, n_types=2, max_count=2, zero_heavy=False):
     """A random finite-support law with counts in {0..max_count}^N."""
     grid = np.stack(

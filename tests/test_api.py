@@ -140,3 +140,18 @@ def test_no_module_draws_raw_seed_state(module):
         if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
     }
     assert "generate_state" not in called
+
+
+def test_one_simulator():
+    # the lockstep trial kernel is the only simulator: no per-trajectory
+    # simulator, its result type or its per-law sum of draws remains
+    defined = {
+        node.name
+        for module in MODULES + ["__init__"]
+        for node in ast.walk(ast.parse((PACKAGE / f"{module}.py").read_text()))
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+    }
+    assert not defined & {"simulate_generations", "SimulationResult", "sample_sum"}
+    import mbpre
+
+    assert not {"simulate_generations", "SimulationResult"} & set(mbpre.__all__)

@@ -377,6 +377,23 @@ class TestOffspringStats:
         assert abs(cov_stats) < sigma
 
 
+@pytest.mark.parametrize(
+    "build, error, message",
+    [
+        (lambda: SquareSet(-1, np.zeros((0, 2))), InvariantError, "depth must be non-negative"),
+        (lambda: sample_carpet(0.0, 3, np.random.default_rng(0)), ValueError, r"\(0, 1\]"),
+        (lambda: sample_carpet(1.5, 3, np.random.default_rng(0)), ValueError, r"\(0, 1\]"),
+        (lambda: sample_carpet(math.nan, 3, np.random.default_rng(0)), ValueError, r"\(0, 1\]"),
+        (lambda: empirical_offspring_stats(0.5, 3, 0, 10, 0), ValueError, "column must be"),
+        (lambda: empirical_offspring_stats(0.5, 0, 2, 10, 0), ValueError, "parent_type must be"),
+    ],
+    ids=["negative-depth", "p-zero", "p-above-one", "p-nan", "bad-column", "bad-type"],
+)
+def test_argument_errors(build, error, message):
+    with pytest.raises(error, match=message):
+        build()
+
+
 class TestExports:
     def test_square_set_text(self):
         sq = SquareSet(1, np.array([[2, 1], [0, 0]]))

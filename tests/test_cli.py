@@ -10,14 +10,23 @@ from pathlib import Path
 
 import pytest
 
-jsonschema = pytest.importorskip("jsonschema")
-
 from mbpre.cli import main
+
+try:
+    import jsonschema
+except ImportError:  # the optional ``test`` extra: only the schema checks need it
+    jsonschema = None
 
 ROOT = Path(__file__).resolve().parents[1]
 SCHEMA_DIR = ROOT / "schemas"
 ENVELOPE_SCHEMA = json.loads((SCHEMA_DIR / "cli_output.schema.json").read_text())
 MODEL_SCHEMA = json.loads((SCHEMA_DIR / "model.schema.json").read_text())
+
+
+def validate(instance, schema):
+    """Check ``instance`` against a JSON schema, where jsonschema is installed."""
+    if jsonschema is not None:
+        jsonschema.validate(instance, schema)
 
 
 def run_cli(argv):
@@ -31,20 +40,38 @@ def run_json(argv):
     code, out, err = run_cli(argv + ["--json"])
     assert code == 0, err
     envelope = json.loads(out)
-    jsonschema.validate(envelope, ENVELOPE_SCHEMA)
+    validate(envelope, ENVELOPE_SCHEMA)
     return envelope
 
 
 def test_model_files_validate_against_schema(carpet_p04_file):
     doc = json.loads(Path(carpet_p04_file).read_text())
-    jsonschema.validate(doc, MODEL_SCHEMA)
+    pytest.importorskip("jsonschema").validate(doc, MODEL_SCHEMA)
+
+
+def test_only_schema_checks_need_jsonschema():
+    # without the optional jsonschema the schema-only test skips, and the
+    # rest of the suite still runs
+    hide = (
+        "import sys, pytest; sys.modules['jsonschema'] = None; "
+        "sys.exit(pytest.main(['-q', '-p', 'no:cacheprovider', "
+        "'tests/test_cli.py::test_model_files_validate_against_schema', "
+        "'tests/test_cli.py::test_check']))"
+    )
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", hide], cwd=ROOT, capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=path),
+    )
+    assert proc.returncode == 0, proc.stdout
+    assert "1 passed, 1 skipped" in proc.stdout
 
 
 def test_check(carpet_p04_file):
     env = run_json(["check", "--model", carpet_p04_file])
     report_schema = {**ENVELOPE_SCHEMA["$defs"]["condition_report"],
                      "$defs": ENVELOPE_SCHEMA["$defs"]}
-    jsonschema.validate(env["result"], report_schema)
+    validate(env["result"], report_schema)
     assert env["result"]["positive_word"] == [1]
     assert env["result"]["strongly_regular"] is True
 
@@ -56,7 +83,7 @@ def test_lyapunov_envelope(carpet_p1_file):
     )
     est_schema = {**ENVELOPE_SCHEMA["$defs"]["lyapunov_estimate"],
                   "$defs": ENVELOPE_SCHEMA["$defs"]}
-    jsonschema.validate(env["result"], est_schema)
+    validate(env["result"], est_schema)
     assert env["seed"] == 7
     assert env["params"]["steps"] == 1000
     assert env["version"]
@@ -195,7 +222,7 @@ def test_classify_verdict(carpet_p04_file, carpet_p015_file):
          "--batches", "8", "--seed", "3", "--threads", "1"]
     )
     verdict_schema = {**ENVELOPE_SCHEMA["$defs"]["verdict"], "$defs": ENVELOPE_SCHEMA["$defs"]}
-    jsonschema.validate(env["result"]["verdict"], verdict_schema)
+    validate(env["result"]["verdict"], verdict_schema)
     assert env["result"]["verdict"]["kind"] == "survives_positively"
     env = run_json(
         ["classify", "--model", carpet_p015_file, "--steps", "5000",
@@ -243,7 +270,7 @@ def test_proofkit(carpet_p04_file):
     )
     check_schema = {**ENVELOPE_SCHEMA["$defs"]["oracle_check"], "$defs": ENVELOPE_SCHEMA["$defs"]}
     for check in env["result"]["checks"]:
-        jsonschema.validate(check, check_schema)
+        validate(check, check_schema)
     assert env["result"]["all_passed"] is True
 
 
@@ -270,6 +297,36 @@ def test_exit_code_usage():
     assert code == 2
     code, _, err = run_cli(["extinction", "--model", "x", "--mode", "fixed"])
     assert code == 2  # nonexistent model path is a usage problem
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["lyapunov", "--seed", "abc"], "argument --seed: seed must be an integer or 'random'"),
+        (["lyapunov", "--seed", "-1"], "argument --seed: seed must be non-negative"),
+        (["extinction", "--tol", "abc"], "argument --tol: invalid float value: 'abc'"),
+        (["extinction", "--mode", "fixed"], "error: --word is required in fixed mode"),
+        (["extinction", "--mode", "fixed", "--word", "0,x"],
+         "error: --word must be comma-separated integers"),
+    ],
+    ids=["seed-text", "seed-negative", "tol-text", "fixed-no-word", "fixed-bad-word"],
+)
+def test_bad_option_is_usage_error(carpet_p04_file, argv, message):
+    argv = argv[:1] + ["--model", carpet_p04_file] + argv[1:]
+    code, out, err = run_cli(argv + ["--json"])
+    assert (code, out) == (2, "")
+    assert message in err
+
+
+def test_random_seed_is_echoed_and_reruns_the_same_bytes(carpet_p04_file):
+    argv = ["extinction", "--model", carpet_p04_file, "--mode", "annealed", "--envs", "3",
+            "--max-depth", "64", "--json"]
+    code, first, err = run_cli(argv + ["--seed", "random"])
+    assert code == 0, err
+    seed = json.loads(first)["seed"]
+    assert isinstance(seed, int) and 0 <= seed < 2**63
+    code, again, _ = run_cli(argv + ["--seed", str(seed)])
+    assert code == 0 and again.encode() == first.encode()
 
 
 def test_threads_below_one_is_usage_error(carpet_p1_file):
@@ -686,7 +743,7 @@ def test_console_entry_point(carpet_p1_file):
     )
     assert proc.returncode == 0
     envelope = json.loads(proc.stdout)
-    jsonschema.validate(envelope, ENVELOPE_SCHEMA)
+    validate(envelope, ENVELOPE_SCHEMA)
 
 
 _MODULE = [sys.executable, "-m", "mbpre.cli"]

@@ -17,7 +17,6 @@ from mbpre import (
     extinction_converged,
     extinction_fixed_env,
     growth_rate_conditioned,
-    simulate_generations,
     survival_and_growth,
     survival_probability_mc,
 )
@@ -25,7 +24,13 @@ from mbpre import extinction
 from mbpre.extinction import LETTER_BUDGET, _chunk_outcomes, _compose, _converge, _trial_outcomes
 from mbpre.model import child_seeds
 from conftest import make_point_mass_model
-from oracles import compose_prod_clip, extinction_by_enumeration, pgf_prod_clip, random_model
+from oracles import (
+    compose_prod_clip,
+    extinction_by_enumeration,
+    pgf_prod_clip,
+    point_mass_trajectory,
+    random_model,
+)
 
 
 def _with_markov_environment(model, rng):
@@ -353,63 +358,41 @@ class TestAnnealed:
 
 class TestSimulate:
     def test_point_mass_dies_immediately(self, die_out_model):
-        res = simulate_generations(
-            die_out_model, [0], [1, 0], rng=np.random.default_rng(0)
-        )
-        assert res.outcome == "extinct"
-        assert res.generation == 1
+        gen, total, half = _trial_outcomes(die_out_model, 0, 8, 10, 10**6, 0)
+        assert np.all(gen == 1) and np.all(total == 0) and np.all(half == 1)
 
     def test_deterministic_line(self, deterministic_line_model):
-        res = simulate_generations(
-            deterministic_line_model, [0] * 30, [1, 0], rng=np.random.default_rng(1)
-        )
-        assert res.outcome == "alive"
-        assert all(np.array_equal(z, [1, 0]) for z in res.states)
+        gen, total, half = _trial_outcomes(deterministic_line_model, 1, 8, 30, 10**6, 1)
+        assert np.all(gen == 30) and np.all(total == 1) and np.all(half == 1)
 
     def test_point_mass_model_is_linear_recursion(self):
+        # z_n = z_{n-1} M: totals 3, 12, 48, ... from one type-0 parent
         model = make_point_mass_model([(2, 1), (0, 3)])
-        m = model.letters[0].expectation
-        res = simulate_generations(
-            model, [0] * 5, [1, 1], cap=10**9, rng=np.random.default_rng(2)
-        )
-        z = np.array([1.0, 1.0])
-        for state in res.states[1:]:
-            z = z @ m
-            assert np.array_equal(state, z.astype(np.int64))
+        for horizon in (1, 2, 5, 9):
+            gen, total, half = _trial_outcomes(model, 0, 4, horizon, 10**9, 2)
+            states = point_mass_trajectory(model, [0] * horizon, [1, 0], 10**9)
+            assert len(states) == horizon + 1
+            assert np.all(gen == horizon)
+            assert np.all(total == states[horizon].sum())
+            assert np.all(half == states[horizon // 2].sum())
 
     def test_cap_exceeded_records_generation(self, decoupled_supercritical):
-        res = simulate_generations(
-            decoupled_supercritical,
-            [0] * 100,
-            [10, 10],
-            cap=1000,
-            rng=np.random.default_rng(3),
-        )
-        assert res.outcome == "cap_exceeded"
-        assert res.states[res.generation].sum() > 1000
-
-    def test_overflowing_cap_rejected(self):
-        # 3^40 parents overflow int64: the run must not go on to report a
-        # wrapped, negative or "extinct" population
-        model = build_carpet_model(1.0).model
-        with pytest.raises(ValueError, match="overflows"):
-            simulate_generations(
-                model, np.ones(80, dtype=np.intp), [1, 0], cap=2**62,
-                rng=np.random.default_rng(0),
-            )
+        gen, total, half = _trial_outcomes(decoupled_supercritical, 0, 200, 100, 1000, 3)
+        capped = total > 1000
+        # by generation 100 a surviving line has crossed the cap; the
+        # crossing generation is the last one, and half of it is below it
+        assert capped.any() and np.all(capped | (total == 0))
+        assert np.all(gen[capped] < 100) and np.all(half[capped] <= 1000)
+        # each generation at most doubles the population
+        assert np.all(total[capped] <= 2000)
 
     def test_agreement_with_pgf_extinction(self, decoupled_supercritical):
-        # two independent estimators of q^(0) at depth 60
+        # two independent estimators of q^(0) at depth 60; the one-letter
+        # model's every word is [0] * 60
         trials = 4000
-        rng = np.random.default_rng(4)
-        extinct = 0
-        for _ in range(trials):
-            res = simulate_generations(
-                decoupled_supercritical, [0] * 60, [1, 0], rng=rng
-            )
-            extinct += res.outcome == "extinct"
+        total = _trial_outcomes(decoupled_supercritical, 0, trials, 60, 10**6, 4)[1]
         q = extinction_fixed_env(decoupled_supercritical, [0] * 60).q[0]
-        assert abs(extinct / trials - q) < 0.02
+        assert abs(np.count_nonzero(total == 0) / trials - q) < 0.02
 
 
 def _grow_kill_stay_model(environment):
@@ -447,23 +430,24 @@ class TestTrialKernel:
     )
     def test_rows_equal_per_trajectory_reference(self, environment):
         # on point masses a trial is fixed by its word, so every row must
-        # equal simulate_generations along the word the chunk drew first
+        # equal the recursion z_n = z_{n-1} M_{w_n} along the word the chunk
+        # drew first
         model = _grow_kill_stay_model(environment)
         rows, horizon, cap = 400, 30, 1 << 10
         words = environment.sample_word(horizon, np.random.default_rng(7), rows=rows)
         gen, total, half = _chunk_outcomes(
             model, 1, rows, horizon, cap, np.random.default_rng(7)
         )
-        outcomes = []
+        outcomes = set()
         for r in range(rows):
-            res = simulate_generations(
-                model, words[r], [0, 1], cap=cap, rng=np.random.default_rng(0)
-            )
-            want = (res.generation, res.final.sum(), res.states[res.generation // 2].sum())
+            states = point_mass_trajectory(model, words[r], [0, 1], cap)
+            n = len(states) - 1
+            want = (n, states[n].sum(), states[n // 2].sum())
             assert (gen[r], total[r], half[r]) == want
-            outcomes.append(res.outcome)
+            z = states[n].sum()
+            outcomes.add("extinct" if z == 0 else "cap_exceeded" if z > cap else "alive")
         # dead at the first "kill"; capped at the 11th "grow"; else alive
-        assert set(outcomes) == {"extinct", "alive", "cap_exceeded"}
+        assert outcomes == {"extinct", "alive", "cap_exceeded"}
         capped = total > cap
         assert np.all(total[capped] == 2048)
         assert np.all(gen[(total > 0) & ~capped] == horizon)
@@ -574,11 +558,7 @@ class TestGrowthRate:
         # Z_n = 5 * 2^(n-1): the factor 5 must not enter the rate, both when
         # alive at the horizon and when stopped at the cap crossing
         model = make_point_mass_model([(0, 5), (0, 2)])
-        res = simulate_generations(
-            model, np.zeros(30, dtype=np.intp), [1, 0], cap=cap,
-            rng=np.random.default_rng(0),
-        )
-        assert res.generation == last_gen
+        assert len(point_mass_trajectory(model, [0] * 30, [1, 0], cap)) - 1 == last_gen
         est, hw, n = growth_rate_conditioned(model, 0, 20, 30, cap=cap, seed=5)
         assert est == pytest.approx(math.log(2), abs=1e-12)
         assert n == 20
@@ -606,6 +586,20 @@ class TestGrowthRate:
         monkeypatch.setattr(IidEnvironment, "sample_word", no_draw)
         with pytest.raises(ValueError, match="horizon"):
             survival_and_growth(build_carpet_model(0.5).model, 0, 10, 19)
+
+
+@pytest.mark.parametrize(
+    "run, message",
+    [
+        (lambda m: extinction_converged(m, 0, max_depth=1), "max_depth must be >= 2"),
+        (lambda m: annealed_extinction(m, 4, max_depth=1), "max_depth must be >= 2"),
+        (lambda m: annealed_extinction(m, 0), "n_envs must be >= 1"),
+    ],
+    ids=["converged-depth", "annealed-depth", "no-envs"],
+)
+def test_argument_errors(run, message, decoupled_supercritical):
+    with pytest.raises(ValueError, match=message):
+        run(decoupled_supercritical)
 
 
 @pytest.mark.parametrize("q", [[np.nan, 0.5], [0.5, 1.5], [-0.1, 0.5]])

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -198,12 +199,30 @@ class TestTreeKernel:
         _assert_matches_reference(mats, _sticky(n_letters), lengths, rng)
 
     def test_symbol_length(self):
-        assert _symbol_length(3, 15) == 1
-        assert _symbol_length(3, 16 * 9 - 1) == 1
-        assert _symbol_length(3, 16 * 9) == 2
-        assert _symbol_length(3, 100_000) == 7  # 3^7 = 2187 <= 4096 < 3^8
+        assert _symbol_length(3, 15, _CHUNK) == 1
+        assert _symbol_length(3, 16 * 9 - 1, _CHUNK) == 1
+        assert _symbol_length(3, 16 * 9, _CHUNK) == 2
+        assert _symbol_length(3, 100_000, _CHUNK) == 7  # 3^7 = 2187 <= 4096 < 3^8
         # one letter counts as two, so k stays finite however long the word
-        assert _symbol_length(1, 10**12) == _symbol_length(2, 10**12) == 12
+        assert _symbol_length(1, 10**12, _CHUNK) == _symbol_length(2, 10**12, _CHUNK) == 12
+
+    def test_memory_bounded_in_the_type_count(self, monkeypatch):
+        # a table and a chunk hold at most _FLOATS floats; with 2^16 of them
+        # 16 x 16 matrices take chunks of 256 symbols. The traced peak read
+        # 1.4 MB so, and 10.3 MB with chunks of 4096.
+        monkeypatch.setattr(lyapunov, "_FLOATS", 1 << 16)
+        rng = np.random.default_rng(15)
+        mats = [random_allowable_matrix(rng, n=16) for _ in range(2)]
+        word = rng.integers(0, 2, size=20_000)
+        exponent_along_word(mats, word[:100])
+        tracemalloc.start()
+        try:
+            got = exponent_along_word(mats, word)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5e6, peak
+        assert got == pytest.approx(exponent_sequential(mats, word), abs=1e-12)
 
     def test_one_letter_family(self):
         assert exponent_along_word([[[2.0]]], np.zeros(10**6, dtype=np.int64)) == pytest.approx(
@@ -223,7 +242,7 @@ class TestTreeKernel:
         x = np.array([[1.0, 0.0], [0.0, 0.0]])
         y = np.array([[0.0, 1.0], [0.0, 1.0]])
         word = [0] * 150 + [1] * 151
-        assert _symbol_length(2, len(word)) == 4
+        assert _symbol_length(2, len(word), SMALL_CHUNK) == 4
         assert exponent_along_word([x, y], word) == pytest.approx(
             exponent_sequential([x, y], word), abs=1e-12
         )
@@ -236,7 +255,7 @@ class TestTreeKernel:
         rng = np.random.default_rng(14)
         mats = [random_allowable_matrix(rng, n=2) for _ in range(3)]
         length = 6 * (_CHUNK + 10) + 5
-        assert _symbol_length(3, length) == 6
+        assert _symbol_length(3, length, _CHUNK) == 6
         word = STICKY3.sample_word(length, rng)
         assert exponent_along_word(mats, word) == pytest.approx(
             exponent_sequential(mats, word), abs=1e-12
@@ -396,3 +415,21 @@ class TestEstimateExponent:
         monkeypatch.setattr(IidEnvironment, "sample_word", no_sampling)
         with pytest.raises(ValueError, match="letters"):
             estimate_exponent(mats, env, kind="sum", steps_per_batch=100, batches=2, seed=0)
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: lyapunov.LyapunovEstimate("sum", 0.1, -1e-9, 100, 2), "half_width must be >= 0"),
+        (lambda: exponent_along_word([np.eye(2), np.eye(3)], [0, 1]), "one square shape"),
+        (lambda: exponent_along_word([np.ones((2, 3))], [0]), "one square shape"),
+        (
+            lambda: estimate_exponent(COLUMN_MATRICES, steps_per_batch=100, batches=2, seed=0),
+            "environment distribution is required",
+        ),
+    ],
+    ids=["negative-half-width", "mixed-sizes", "not-square", "no-environment"],
+)
+def test_argument_errors(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()

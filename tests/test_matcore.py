@@ -100,6 +100,18 @@ class TestPatterns:
                 boolean_product(positivity_pattern(a), positivity_pattern(b)),
             )
 
+    def test_many_witnesses_do_not_wrap(self):
+        # every entry of A B has 256 witnesses, which a uint8 count wraps to 0
+        n = 257
+        a = np.ones((n, n), dtype=bool)
+        a[:, 0] = False
+        b = np.ones((n, n), dtype=bool)
+        b[0, :] = False
+        assert boolean_product(a, b).all()
+        assert find_positive_product_word([a, b], [True, True], [[True, True], [True, True]]) == [
+            0, 1
+        ]
+
 
 def search(patterns, **kwargs):
     """The positive-product search with every letter allowed at every step."""
@@ -128,6 +140,18 @@ class TestPositiveProductWord:
         monkeypatch.setattr(matcore, "MAX_PATTERN_STATES", 1)
         with pytest.raises(BudgetError):
             search([_LOWER, _LOWER.T])
+
+    def test_state_budget_shrinks_with_the_type_count(self, monkeypatch):
+        # a swap and a 4-cycle generate the 24 permutations of 4 types: 48
+        # (pattern, last letter) states, none positive. Each N x N key costs
+        # N^2 bytes, so PATTERN_BYTES // 16 states are allowed at N = 4.
+        swap = np.eye(4, dtype=bool)[[1, 0, 2, 3]]
+        cycle = np.roll(np.eye(4, dtype=bool), 1, axis=1)
+        monkeypatch.setattr(matcore, "PATTERN_BYTES", 16 * 48)
+        assert search([swap, cycle]) is None
+        monkeypatch.setattr(matcore, "PATTERN_BYTES", 16 * 48 - 1)
+        with pytest.raises(BudgetError, match="exceeded 47 explored states"):
+            search([swap, cycle])
 
     def test_witness_product_is_strictly_positive(self):
         rng = np.random.default_rng(3)
@@ -161,6 +185,15 @@ class TestPositiveProductWord:
         pats = [positivity_pattern(m) for m in COLUMN_MATRICES]
         with pytest.raises(ValueError, match="max_word_len"):
             search(pats, max_word_len=max_word_len)
+
+    @pytest.mark.parametrize(
+        "patterns",
+        [[np.ones((2, 2), bool), np.ones((3, 3), bool)], [np.ones((2, 3), bool)]],
+        ids=["mixed-sizes", "not-square"],
+    )
+    def test_rejects_pattern_shapes(self, patterns):
+        with pytest.raises(ValueError, match="one square shape"):
+            search(patterns)
 
     def test_rejects_mask_shapes(self):
         with pytest.raises(ValueError):

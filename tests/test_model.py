@@ -219,12 +219,6 @@ class TestSampling:
         draws = l.sample(rng, size=100_000)
         assert np.all(np.abs(draws.mean(axis=0) - [1.0, 1.0]) < 0.02)
 
-    def test_sample_sum_matches_mean(self):
-        l = law([((0, 0), 0.25), ((2, 1), 0.75)])
-        rng = np.random.default_rng(3)
-        total = l.sample_sum(200_000, rng)
-        assert np.all(np.abs(total / 200_000 - l.mean) < 0.01)
-
 
 _MARKOV3 = np.array([[0.1, 0.6, 0.3], [0.5, 0.2, 0.3], [0.4, 0.2, 0.4]])
 
@@ -380,6 +374,24 @@ class TestEnvironmentSampling:
         assert env.cylinder_probability([2]) == pytest.approx(1 / 3)
         # initial[0] * T[0, 2] * T[2, 1] * T[1, 1]
         assert env.cylinder_probability([0, 2, 1, 1]) == pytest.approx(0.3 * 0.3 * 0.2 / 3)
+
+    @pytest.mark.parametrize(
+        "env",
+        [
+            IidEnvironment([0.2, 0.3, 0.5]),
+            MarkovEnvironment(np.full(3, 1 / 3), np.full((3, 3), 1 / 3)),
+        ],
+        ids=["iid", "markov"],
+    )
+    @pytest.mark.parametrize(
+        "word",
+        [[-1], [0.9], [3], [], [-1, 0], [0, 1.5]],
+        ids=["negative", "float", "past-end", "empty", "negative-first", "float-second"],
+    )
+    def test_cylinder_probability_rejects_bad_letters(self, env, word):
+        # no negative letter wraps to the last one, no float truncates
+        with pytest.raises(ValueError, match="word"):
+            env.cylinder_probability(word)
 
     @pytest.mark.parametrize(
         "n, rows, bound", [(100_000, None, 6), (100, 1024, 1.5)], ids=["word", "block"]
@@ -573,6 +585,100 @@ class TestInvariants:
         transition = np.array([[0.5, 0.5], [0.5, 0.6]])
         with pytest.raises(InvariantError, match="transition row 1.*sum to 1.1"):
             MarkovEnvironment(np.array([0.5, 0.5]), transition)
+
+
+_POINT = OffspringLaw.from_pairs([((0, 0), 1.0)])
+_POINT3 = OffspringLaw.from_pairs([((0, 0, 0), 1.0)])
+_IID1 = IidEnvironment([1.0])
+_LAWS = '[[{"z": [0, 0], "p": 1.0}], [{"z": [1, 0], "p": 1.0}]]'
+
+
+def _document(laws=_LAWS, environment='{"kind": "iid", "probs": [1.0]}'):
+    """A one-letter model document with the given laws and environment."""
+    return (
+        f'{{"n_types": 2, "letters": [{{"name": "x", "laws": {laws}}}], '
+        f'"environment": {environment}}}'
+    )
+
+
+# every invariant and codec raise, as (build, error, message)
+_MODEL_ERRORS = {
+    "law-no-atoms": (lambda: OffspringLaw(np.zeros((0, 2)), []), InvariantError, "non-empty"),
+    "law-3d-atoms": (lambda: OffspringLaw(np.zeros((1, 1, 2)), [1.0]), InvariantError, "non-empty"),
+    "law-lengths": (
+        lambda: OffspringLaw([[0, 0], [1, 0]], [1.0]), InvariantError, "lengths differ"
+    ),
+    "law-negative-mass": (
+        lambda: OffspringLaw([[0, 0], [1, 0]], [1.5, -0.5]), InvariantError, "non-negative"
+    ),
+    "law-mass-sum": (lambda: OffspringLaw([[0, 0]], [0.9]), InvariantError, "sum to 0.9"),
+    "letter-no-laws": (lambda: EnvironmentLetter("a", ()), InvariantError, "no offspring laws"),
+    "letter-dimensions": (
+        lambda: EnvironmentLetter("a", (_POINT, _POINT3)), InvariantError, "mixes"
+    ),
+    "iid-no-letter": (lambda: IidEnvironment([]), InvariantError, "at least one letter"),
+    "iid-mass-sum": (lambda: IidEnvironment([0.5, 0.4]), InvariantError, "environment.probs"),
+    "markov-no-letter": (
+        lambda: MarkovEnvironment([], np.zeros((0, 0))), InvariantError, "at least one letter"
+    ),
+    "markov-shape": (
+        lambda: MarkovEnvironment([0.5, 0.5], np.full((2, 3), 1 / 3)), InvariantError, "shape"
+    ),
+    "markov-initial-sum": (
+        lambda: MarkovEnvironment([0.5, 0.6], np.full((2, 2), 0.5)),
+        InvariantError,
+        "environment.initial",
+    ),
+    "model-no-letters": (lambda: ModelSpec(2, (), _IID1), InvariantError, "at least one letter"),
+    "model-law-count": (
+        lambda: ModelSpec(2, (EnvironmentLetter("a", (_POINT,) * 3),), _IID1),
+        InvariantError,
+        "3 laws, expected 2",
+    ),
+    "model-dimension": (
+        lambda: ModelSpec(2, (EnvironmentLetter("a", (_POINT3, _POINT3)),), _IID1),
+        InvariantError,
+        "wrong dimension",
+    ),
+    "model-environment-size": (
+        lambda: ModelSpec(
+            2, (EnvironmentLetter("a", (_POINT, _POINT)),), IidEnvironment([0.5, 0.5])
+        ),
+        InvariantError,
+        "over 2 letters, model has 1",
+    ),
+    "codec-non-object": (lambda: parse_model("[]"), ModelFormatError, "expected an object"),
+    "codec-missing-key": (
+        lambda: parse_model('{"n_types": 2, "letters": []}'),
+        ModelFormatError,
+        "missing key 'environment'",
+    ),
+    "codec-empty-law": (
+        lambda: parse_model(_document(laws='[[], [{"z": [1, 0], "p": 1.0}]]')),
+        ModelFormatError,
+        r"letters\[0\]\.laws\[0\]: expected a non-empty list",
+    ),
+    "codec-p-not-number": (
+        lambda: parse_model(
+            _document(laws='[[{"z": [0, 0], "p": "1"}], [{"z": [1, 0], "p": 1}]]')
+        ),
+        ModelFormatError,
+        r"\.p: expected a number",
+    ),
+    "codec-probs-not-list": (
+        lambda: parse_model(_document(environment='{"kind": "iid", "probs": 1.0}')),
+        ModelFormatError,
+        "environment.probs: expected a list of numbers",
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "build, error, message", list(_MODEL_ERRORS.values()), ids=list(_MODEL_ERRORS)
+)
+def test_invariant_and_codec_errors(build, error, message):
+    with pytest.raises(error, match=message):
+        build()
 
 
 @settings(max_examples=50, deadline=None)

@@ -180,13 +180,17 @@ def bisect_critical(*, iterations, trials, horizon, cap, seed):
     to the midpoint when any trial survives, the lower end otherwise.
     Slowly dying subcritical lines still alive at the horizon count as
     survivors, so the bracket can sit below the critical probability.
-    Returns ``(p_low, p_high)``.
+    The search stops early once the midpoint rounds to an end (after about
+    53 steps), so the bracket never collapses to a point.
+    Returns ``(p_low, p_high)``, with ``p_low < p_high``.
     """
     from . import extinction  # loaded only when a bisection runs
 
     lo, hi = 0.05, 0.95
     for child in child_seeds(seed, iterations):
         mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
         model = build_carpet_model(mid).model
         surv, _ = extinction.survival_probability_mc(model, 0, trials, horizon, cap=cap, seed=child)
         if surv > 0:

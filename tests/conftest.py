@@ -1,3 +1,6 @@
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -10,8 +13,20 @@ from mbpre import (
     write_model,
 )
 
+ROOT = Path(__file__).resolve().parents[1]
+
 # one line per acceptance criterion, printed after the run
 ACCEPTANCE_LINES = []
+
+
+def child_env():
+    """This process's environment with the repository's ``src`` first on PYTHONPATH.
+
+    A child interpreter started with it imports this source tree, whether
+    or not the package is installed or PYTHONPATH is set.
+    """
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=path)
 
 
 def pytest_terminal_summary(terminalreporter):

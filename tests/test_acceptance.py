@@ -32,7 +32,7 @@ from mbpre import (
     survival_probability_mc,
 )
 from mbpre.carpet import COLUMN_MATRICES
-from conftest import ACCEPTANCE_LINES, make_decoupled_model
+from conftest import ACCEPTANCE_LINES, child_env, make_decoupled_model
 from oracles import extinction_by_enumeration, law_as_dict, random_model
 
 
@@ -48,6 +48,7 @@ def cli_json(args):
         [sys.executable, "-m", "mbpre.cli", *args, "--json"],
         capture_output=True,
         text=True,
+        env=child_env(),
     )
     elapsed = time.perf_counter() - t0
     assert proc.returncode == 0, proc.stderr

@@ -131,6 +131,11 @@ class TestBisectCritical:
         result = _cli_result(["carpet", "critical", "--bisect", *flags])
         assert bisect_critical(**kwargs) == (result["p_low"], result["p_high"])
 
+    def test_bracket_never_collapses_to_a_point(self):
+        # past about 53 halvings the midpoint rounds to an end of the bracket
+        lo, hi = bisect_critical(iterations=60, trials=1, horizon=1, cap=10**6, seed=0)
+        assert 0.05 <= lo < hi <= 0.95
+
 
 class TestSampleCarpet:
     def test_full_retention_counts(self):

@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from conftest import child_env
 from mbpre.cli import main
 
 try:
@@ -58,10 +59,8 @@ def test_only_schema_checks_need_jsonschema():
         "'tests/test_cli.py::test_model_files_validate_against_schema', "
         "'tests/test_cli.py::test_check']))"
     )
-    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-c", hide], cwd=ROOT, capture_output=True, text=True,
-        env=dict(os.environ, PYTHONPATH=path),
+        [sys.executable, "-c", hide], cwd=ROOT, capture_output=True, text=True, env=child_env()
     )
     assert proc.returncode == 0, proc.stdout
     assert "1 passed, 1 skipped" in proc.stdout
@@ -386,7 +385,7 @@ def test_exponent_word_over_budget_is_budget_error(carpet_p1_file, argv):
 def _subparser(command):
     from mbpre.cli import _build_parser
 
-    parser = _build_parser()
+    parser = _build_parser(command.split())  # the parser of this command's command line
     for name in command.split():
         sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
         parser = sub.choices[name]
@@ -581,17 +580,23 @@ def test_text_mode_walks_tuple_fields(tmp_path):
 
 
 def _imported_modules(argv):
-    """The numpy, dataclasses and mbpre modules a fresh interpreter holds after ``main(argv)``."""
+    """Which of numpy, dataclasses, json and mbpre.* a fresh interpreter holds after ``main(argv)``.
+
+    The child reads ``sys.modules`` before it imports json to report them.
+    """
     code = (
-        "import contextlib, io, json, sys\n"
+        "import contextlib, io, sys\n"
         "from mbpre.cli import main\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         f"    rc = main({argv!r})\n"
         "names = [m for m in sys.modules\n"
-        "         if m in ('numpy', 'dataclasses') or m.startswith('mbpre')]\n"
+        "         if m in ('numpy', 'dataclasses', 'json') or m.startswith('mbpre')]\n"
+        "import json\n"
         "print(json.dumps([rc, sorted(names)]))\n"
     )
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=child_env()
+    )
     assert proc.returncode == 0, proc.stderr
     rc, names = json.loads(proc.stdout)
     assert rc == 0
@@ -599,7 +604,26 @@ def _imported_modules(argv):
 
 
 def test_version_does_not_import_numpy():
-    assert _imported_modules(["--version"]) == {"mbpre", "mbpre.cli", "mbpre.errors"}
+    # nor json nor mbpre.errors: only a result, an error or --kind needs them
+    assert _imported_modules(["--version"]) == {"mbpre", "mbpre.cli"}
+
+
+def test_help_names_every_command():
+    code, out, _ = run_cli(["--help"])
+    assert code == 0
+    assert "{check,lyapunov,extinction,simulate,classify,carpet,proofkit}" in out
+    code, out, _ = run_cli(["carpet", "--help"])
+    assert code == 0
+    assert "{lambda-b,critical,project,offspring}" in out
+
+
+def test_unknown_command_is_invalid_choice():
+    code, out, err = run_cli(["bogus"])
+    assert (code, out) == (2, "")
+    assert err.splitlines()[-1] == (
+        "mbpre: error: argument command: invalid choice: 'bogus' (choose from 'check', "
+        "'lyapunov', 'extinction', 'simulate', 'classify', 'carpet', 'proofkit')"
+    )
 
 
 def test_carpet_critical_imports_only_what_it_runs():
@@ -740,6 +764,7 @@ def test_console_entry_point(carpet_p1_file):
          "--steps", "1000", "--batches", "4", "--seed", "7", "--threads", "1", "--json"],
         capture_output=True,
         text=True,
+        env=child_env(),
     )
     assert proc.returncode == 0
     envelope = json.loads(proc.stdout)
@@ -752,7 +777,7 @@ _LARGE = ["carpet", "project", "--p", "0.6", "--depth", "3", "--samples", "5000"
 
 
 def _launch(argv):
-    return subprocess.run([*_MODULE, *argv], capture_output=True)
+    return subprocess.run([*_MODULE, *argv], capture_output=True, env=child_env())
 
 
 def test_launch_prints_what_main_prints(carpet_p04_file):
@@ -814,7 +839,10 @@ def test_module_launch_runs_without_the_collector_and_skips_teardown(carpet_p04_
     annealed = ["extinction", "--model", carpet_p04_file, "--mode", "annealed", "--envs"]
     for argv, want in ((["--version"], 0), (annealed + ["8"], 0), (annealed + ["0"], 2)):
         proc = subprocess.run(
-            [sys.executable, "-c", _SPIED_MODULE_LAUNCH, *argv], capture_output=True, text=True
+            [sys.executable, "-c", _SPIED_MODULE_LAUNCH, *argv],
+            capture_output=True,
+            text=True,
+            env=child_env(),
         )
         code, out, _ = run_cli(argv)
         assert (proc.returncode, proc.stdout) == (want, out) == (code, out)
@@ -829,7 +857,10 @@ def _assert_one_output_error(proc_code, stderr, reason):
 def test_launch_into_a_closed_pipe_is_one_error_line():
     # `mbpre ... | head -c 100`: the reader goes away before the result ends
     proc = subprocess.Popen(
-        [*_MODULE, *_LARGE, "--json"], stdout=subprocess.PIPE, stderr=subprocess.PIPE
+        [*_MODULE, *_LARGE, "--json"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=child_env(),
     )
     head = proc.stdout.read(100)
     proc.stdout.close()
@@ -849,7 +880,8 @@ def test_launch_into_a_closed_pipe_is_one_error_line():
 def test_launch_onto_a_full_device_is_one_error_line(carpet_p04_file, output, unbuffered):
     # buffered, the small output fails at launch's final flush; unbuffered,
     # at main's print or argparse's write
-    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env = child_env()
+    env.pop("PYTHONUNBUFFERED", None)
     if unbuffered:
         env["PYTHONUNBUFFERED"] = "1"
     argv = {
@@ -868,7 +900,7 @@ def test_launch_with_stdout_closed_is_one_error_line(carpet_p04_file):
     # `mbpre ... >&-`: with fd 1 closed at startup, sys.stdout is None
     argv = ["extinction", "--model", carpet_p04_file, "--mode", "annealed", "--envs", "8"]
     proc = subprocess.run(
-        [*_MODULE, *argv], stderr=subprocess.PIPE, preexec_fn=lambda: os.close(1)
+        [*_MODULE, *argv], stderr=subprocess.PIPE, preexec_fn=lambda: os.close(1), env=child_env()
     )
     _assert_one_output_error(proc.returncode, proc.stderr, "stdout is closed")
 

@@ -26,6 +26,11 @@ _DEPTH0 = 64
 _CHUNK = 1024
 # Ceiling on trials in one run, which keeps about 48.5 bytes a trial.
 MAX_TRIALS = 2**22
+# Bytes of gathered float exponents one composition block holds; a block
+# has at least one letter, however many rows it spans. Larger blocks take
+# fewer gathers, but 256 kB ones raised the peak RSS of an 8-environment
+# annealed launch by 0.25 MB.
+_BLOCK_BYTES = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -48,27 +53,53 @@ def _compose(table, words, s):
     """Backward pgf composition along each row of ``words``, starting at ``s``.
 
     ``table`` is ``ModelSpec.pgf_table``, ``words`` an (E, d) array of letter
-    indices and ``s`` an (E, N) array in [0, 1]^N. Row e of the result is
-    f_{w_0} o ... o f_{w_{d-1}}(s_e) for that row's word w; outputs are
-    clipped to [0, 1], so every step's argument stays in range.
+    indices and ``s`` an (E, N) array in [0, 1]^N, which is copied once and
+    never written. Row e of the result is f_{w_0} o ... o f_{w_{d-1}}(s_e)
+    for that row's word w; outputs are clipped to [0, 1], so every step's
+    argument stays in range.
+
+    The letters are read a block at a time, last block first: one ``take``
+    each gathers the block's float exponents (B, E, N, K, N) and masses
+    (B, E, N, K, 1), B letters filling ``_BLOCK_BYTES`` of exponents and at
+    least one, and :func:`_compose_block` steps through them. A block is
+    freed before the next is gathered, so with one-letter blocks a call
+    holds one (E, N, K, N) array.
     """
     exps, masses = table
+    n_types, k_max = exps.shape[1:3]
     # power casts integer exponents to float at every step; cast them once
     fexps, masses = exps.astype(float), masses[..., None]
-    for j in range(words.shape[1] - 1, -1, -1):
-        idx = words[:, j]
-        # (E, 1, 1, N) ** (E, N, K, N) -> type factors, multiplied left to
-        # right as np.prod does -> monomials (E, N, 1, K). A batched matmul,
-        # not .sum(-1), takes the same dot product as OffspringLaw.pgf, so
-        # laws of the largest support size give identical bits.
-        t = np.power(s[:, None, None, :], fexps.take(idx, axis=0))
-        v = t[..., None, :, 0]
-        for i in range(1, t.shape[-1]):
-            v = v * t[..., None, :, i]
-        s = (v @ masses.take(idx, axis=0))[..., 0, 0]
+    s = np.array(s, dtype=float)
+    prod = np.empty((s.shape[0], n_types, 1, k_max))
+    step = max(1, _BLOCK_BYTES // (s.shape[0] * fexps[0].nbytes))
+    for stop in range(words.shape[1], 0, -step):
+        cols = words[:, max(0, stop - step) : stop].T
+        _compose_block(fexps.take(cols, axis=0), masses.take(cols, axis=0), s, prod)
+    return s
+
+
+def _compose_block(block, mblock, s, prod):
+    """Compose a block's letters, last first, into ``s`` in place.
+
+    A step raises its letter's gathered exponents to the rows' points in
+    place, multiplies the N type factors left to right as ``np.prod`` does
+    (into ``prod``, (E, N, 1, K)), takes the mass-weighted sum by one
+    batched matmul into ``s`` and clamps it with max, then min. The matmul,
+    not ``.sum(-1)``, takes the dot product of ``OffspringLaw.pgf``, so a
+    law of the largest support size gives the same bits by either route.
+    """
+    point, out = s[:, None, None, :], s[..., None, None]
+    # type i's factors of every letter in the block, as (E, N, 1, K) rows
+    factors = [block[..., None, :, i] for i in range(block.shape[-1])]
+    for b in range(block.shape[0] - 1, -1, -1):
+        t = block[b]
+        np.power(point, t, out=t)
+        v = factors[0][b]
+        for f in factors[1:]:
+            v = np.multiply(v, f[b], out=prod)
+        np.matmul(v, mblock[b], out=out)
         np.maximum(s, 0.0, out=s)
         np.minimum(s, 1.0, out=s)
-    return s
 
 
 def extinction_fixed_env(model, word):

@@ -82,6 +82,27 @@ def _three_types_18_atoms(rng):
     return ModelSpec(3, letters, IidEnvironment([0.2, 0.3, 0.5]))
 
 
+def _wide_padded_model(rng):
+    """Six letters of 16-type laws; the first law has 9 atoms, the rest 1 to 9.
+
+    One letter's float exponents take 16 * 9 * 16 * 8 = 18432 bytes a row,
+    so from 8 rows on a composition block holds a single letter.
+    """
+
+    def law(k):
+        counts = rng.integers(0, 3, size=(k, 16))
+        counts[:, 0] = np.arange(k)  # distinct atoms
+        probs = rng.random(k) + 1e-3
+        return OffspringLaw(counts, probs / probs.sum())
+
+    sizes = iter([9, *rng.integers(1, 10, size=6 * 16 - 1)])
+    letters = tuple(
+        EnvironmentLetter(f"W{li}", tuple(law(int(next(sizes))) for _ in range(16)))
+        for li in range(6)
+    )
+    return ModelSpec(16, letters, IidEnvironment(np.full(6, 1 / 6)))
+
+
 def _kernel_models():
     """The carpet at p = 0.4 and 1.0, a 3-type 18-atom table, padded random models."""
     rng = np.random.default_rng(32)
@@ -89,6 +110,11 @@ def _kernel_models():
     models.append(_three_types_18_atoms(rng))
     models += [random_model(rng, n_types=int(rng.integers(2, 4)), max_letters=4) for _ in range(4)]
     return models
+
+
+def _block_letters(exps, rows):
+    """Letters in one ``_compose`` block of ``rows`` rows over exponent table ``exps``."""
+    return max(1, extinction._BLOCK_BYTES // (rows * exps[0].nbytes))
 
 
 def _converge_rows(*args):
@@ -213,13 +239,44 @@ class TestKernel:
     @pytest.mark.parametrize("rows", [1, 8, 1025])
     def test_bits_equal_prod_and_clip_reference(self, rows):
         rng = np.random.default_rng(rows)
-        for model in _kernel_models():
-            words = rng.integers(0, model.n_letters, size=(rows, 12))
+        models = _kernel_models()
+        if rows <= 8:
+            # at 1025 rows the carpet's blocks hold one letter already
+            models.append(_wide_padded_model(rng))
+        for model in models:
             shape = (rows, model.n_types)
-            for s0 in (np.zeros(shape), rng.random(shape), np.ones(shape)):
+            block = _block_letters(model.pgf_table[0], rows)
+            # 12 letters from each of three points; then, from one random
+            # point each, no letter, and two whole blocks and part of a third
+            # (long words bring every point to the same values)
+            cases = [(12, s0) for s0 in (np.zeros(shape), rng.random(shape), np.ones(shape))]
+            cases += [(0, rng.random(shape)), (2 * block + max(1, block // 2), rng.random(shape))]
+            for depth, s0 in cases:
+                words = rng.integers(0, model.n_letters, size=(rows, depth))
+                kept = s0.copy()
+                s0.setflags(write=False)
                 got = _compose(model.pgf_table, words, s0)
                 want = compose_prod_clip(model.pgf_table, words, s0)
                 assert np.array_equal(got.view(np.int64), want.view(np.int64))
+                # the caller's point is neither written nor returned
+                assert np.array_equal(s0, kept) and not np.shares_memory(got, s0)
+
+    def test_step_holds_one_exponent_array(self):
+        # 256 rows of the wide model: one letter fills a block, and one
+        # (E, N, K, N) float array is 4.7 MB
+        rng = np.random.default_rng(35)
+        model = _wide_padded_model(rng)
+        exps = model.pgf_table[0]
+        assert _block_letters(exps, 8) == _block_letters(exps, 256) == 1
+        words = rng.integers(0, model.n_letters, size=(256, 6))
+        s0 = rng.random((256, model.n_types))
+        tracemalloc.start()
+        try:
+            _compose(model.pgf_table, words, s0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * 256 * exps[0].nbytes, peak / (256 * exps[0].nbytes)
 
     @pytest.mark.parametrize("rows", [1, 8, 1025])
     def test_pgf_bits_equal_prod_and_clip_reference(self, rows):

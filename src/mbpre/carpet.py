@@ -285,7 +285,7 @@ def sample_carpet(p, depth, rng):
         child = kept & 7
         kept >>= 3  # now each kept child's parent
         # each level is built in the (n, 2) array that SquareSet keeps
-        squares = squares[kept]
+        squares = squares.take(kept, axis=0)
         squares *= 3
         squares[:, 0] += _CHILD_DI[child]
         squares[:, 1] += _CHILD_DJ[child]

@@ -55,7 +55,8 @@ def _compose(table, words, s):
     ``table`` is ``ModelSpec.pgf_table``, ``words`` an (E, d) array of letter
     indices and ``s`` an (E, N) array in [0, 1]^N, which is copied once and
     never written. Row e of the result is f_{w_0} o ... o f_{w_{d-1}}(s_e)
-    for that row's word w; outputs are clipped to [0, 1], so every step's
+    for that row's word w. A point in [0, 1]^N makes every power, product
+    and mass non-negative, and outputs are capped at 1, so every step's
     argument stays in range.
 
     The letters are read a block at a time, last block first: one ``take``
@@ -84,7 +85,8 @@ def _compose_block(block, mblock, s, prod):
     A step raises its letter's gathered exponents to the rows' points in
     place, multiplies the N type factors left to right as ``np.prod`` does
     (into ``prod``, (E, N, 1, K)), takes the mass-weighted sum by one
-    batched matmul into ``s`` and clamps it with max, then min. The matmul,
+    batched matmul into ``s`` and caps it at 1 with min; a sum of
+    non-negative terms needs no lower clamp. The matmul,
     not ``.sum(-1)``, takes the dot product of ``OffspringLaw.pgf``, so a
     law of the largest support size gives the same bits by either route.
     """
@@ -98,7 +100,6 @@ def _compose_block(block, mblock, s, prod):
         for f in factors[1:]:
             v = np.multiply(v, f[b], out=prod)
         np.matmul(v, mblock[b], out=out)
-        np.maximum(s, 0.0, out=s)
         np.minimum(s, 1.0, out=s)
 
 
@@ -154,7 +155,7 @@ def _converge(model, n_envs, seeds, tol, max_depth):
             q[active], depth[active], converged[active] = cur, d, done
             if d >= max_depth:
                 break
-            active, prev = active[~done], cur[~done]
+            active, prev = active[~done], cur.compress(~done, axis=0)
             d *= 2
         yield q, depth, converged
 
@@ -247,7 +248,7 @@ def _chunk_outcomes(model, start_type, rows, horizon, cap, rng):
         totals[live, g] = total
         stop = (total == 0) | (total > cap)
         gen[live[stop]] = g
-        live, z = live[~stop], z[~stop]
+        live, z = live[~stop], z.compress(~stop, axis=0)
         if not live.size:
             break
     r = np.arange(rows)

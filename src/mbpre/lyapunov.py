@@ -14,16 +14,18 @@ log of the sum kept; k is the largest value with
 max(L, 2)^k <= min(C, n // 16), so the table holds at most C products and
 costs at most n / 8 small ones. The word is read as n // k base-L
 symbols, each naming one table entry, plus the fewer than k tail letters.
-The symbols are gathered C at a time into one (C, N, N) stack and
-multiplied as a pairwise tree, adjacent pairs in order; at each level
-every product is divided by its entry sum and the logs of the divisors
-are summed. Each chunk's product is folded into one running product,
-renormalized the same way, so words of 1e7 steps neither overflow nor
-underflow. Products of allowable matrices are allowable, so an allowable
-family needs no step checks. For any other family the positivity
-patterns of all letter prefixes are scanned first, C letters at a time,
-and the first step at which a reduction of the prefix is zero raises
-:class:`DegenerateProductError`.
+The symbols are gathered C at a time by ``take`` into one (C, N, N)
+stack and multiplied as a pairwise tree, adjacent pairs in order; at each
+level every product is divided by its entry sum and the logs of the
+divisors are summed. Each chunk's product is folded into one running
+product, renormalized the same way, so words of 1e7 steps neither
+overflow nor underflow. Products of allowable matrices are allowable, so
+an allowable family needs no step checks. For any other family the
+positivity patterns of all letter prefixes are scanned first, C letters
+at a time, and the first step at which a reduction of the prefix is zero
+raises :class:`DegenerateProductError`. All batches of
+:func:`estimate_exponent` share one word length, so it builds the table
+once for all of them.
 """
 
 from __future__ import annotations
@@ -145,28 +147,40 @@ def exponent_along_word(matrices, word, kind="sum"):
     _check_kind(kind)
     mats = _family(matrices)
     word = check_word(word, len(mats))
-    n_letters, n = mats.shape[:2]
-    check_steps = not all(is_allowable(m) for m in mats)
+    return _word_exponent(mats, word, kind, _kernel_tables(mats, word.size))
+
+
+def _kernel_tables(mats, n_steps):
+    """C, k, the product table with its logs, and whether to scan prefixes, for n-letter words."""
+    n = mats.shape[1]
     size = max(1, min(_CHUNK, _FLOATS // (n * n)))
-    k = _symbol_length(n_letters, word.size, size)
+    k = _symbol_length(len(mats), n_steps, size)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        table, table_logs = _product_table(mats, k)
+    return size, k, table, table_logs, not all(is_allowable(m) for m in mats)
+
+
+def _word_exponent(mats, word, kind, tables):
+    """:func:`exponent_along_word` on a checked word, with its :func:`_kernel_tables`."""
+    size, k, table, table_logs, check_steps = tables
+    n_letters, n = mats.shape[:2]
     n_symbols = word.size // k
     digits = word[: n_symbols * k].reshape(n_symbols, k)
     symbols = np.ravel_multi_index(digits.T, (n_letters,) * k)
     eye = np.eye(n)[None]
     run, pattern, log_scale = np.eye(n), np.eye(n, dtype=bool), 0.0
     with np.errstate(divide="ignore", invalid="ignore"):
-        table, table_logs = _product_table(mats, k)
         for first in range(0, n_symbols, size):
             chunk = symbols[first : first + size]
-            block = table[chunk]
+            block = table.take(chunk, axis=0)
             log_scale += float(table_logs[chunk].sum())
             start, end = first * k, (first + len(chunk)) * k
             if first + size >= n_symbols:
-                block = np.concatenate((block, mats[word[end:]]))
+                block = np.concatenate((block, mats.take(word[end:], axis=0)))
                 end = word.size
             if check_steps:
                 for at in range(start, end, size):
-                    letters = mats[word[at : at + size]]
+                    letters = mats.take(word[at : at + size], axis=0)
                     pattern = _scan_prefixes(pattern, letters > 0, kind, at)
             while len(block) > 1:
                 if len(block) % 2:
@@ -221,12 +235,16 @@ def estimate_exponent(
             f"{len(matrices)} matrices for an environment over {environment.n_letters} letters"
         )
 
+    # every batch draws steps_per_batch letters in [0, L), so the batches
+    # share one table and their words need no check
+    tables = _kernel_tables(matrices, steps_per_batch)
     values = np.array(
         [
-            exponent_along_word(
+            _word_exponent(
                 matrices,
                 environment.sample_word(steps_per_batch, np.random.default_rng(child)),
                 kind,
+                tables,
             )
             for child in child_seeds(seed, batches)
         ]

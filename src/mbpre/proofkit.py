@@ -256,7 +256,7 @@ def oracle_suite(model, exponent, samples, seed, params=None):
         s = rng.random((rows, n))
         t = s + (1.0 - s) * rng.random((rows, n))
         sb = 1.0 - delta * rng.random((rows, n))
-        outside = s[np.max(1.0 - s, axis=1) > delta]
+        outside = s.compress(np.max(1.0 - s, axis=1) > delta, axis=0)
         vs = (n - u * delta) + u * delta * rng.random(len(outside))
         dtildes = rng.random(rows)
         sx = rng.random((rows, n))
@@ -300,8 +300,9 @@ def oracle_suite(model, exponent, samples, seed, params=None):
             gv = g_eval(a, s)
             mask = np.all(gv >= 0.0, axis=1)
             checked += int(mask.sum())
-            good = gv[mask].sum(axis=1) <= phi(mu, s[mask].sum(axis=1), n) + _TOL
-            cases.append(_case(good, {"letter": letter.name}, s=s[mask]))
+            inside = s.compress(mask, axis=0)
+            good = gv.compress(mask, axis=0).sum(axis=1) <= phi(mu, inside.sum(axis=1), n) + _TOL
+            cases.append(_case(good, {"letter": letter.name}, s=inside))
         record("affine_norm_contraction", checked, cases)
 
         # a pgf drops strictly below 1 - (alpha/2) * dtilde whenever some child
@@ -316,9 +317,10 @@ def oracle_suite(model, exponent, samples, seed, params=None):
                     continue
                 hit = np.any(sx[:, support] < (1.0 - dtildes)[:, None], axis=1)
                 checked += int(hit.sum())
-                good = law.pgf(sx[hit]) < 1.0 - p_star * dtildes[hit]
+                points, dt = sx.compress(hit, axis=0), dtildes[hit]
+                good = law.pgf(points) < 1.0 - p_star * dt
                 head = {"letter": letter.name, "parent_type": k}
-                cases.append(_case(good, head, s=sx[hit], dtilde=dtildes[hit]))
+                cases.append(_case(good, head, s=points, dtilde=dt))
         record("pgf_strict_drop", checked, cases)
 
     n_words = 32
@@ -354,8 +356,9 @@ def oracle_suite(model, exponent, samples, seed, params=None):
             sw = rng.random((rows, n))
             gv = 1.0 - (1.0 - sw) @ aw.T
             mask = np.all(gv >= 0.0, axis=1)
-            good = gv[mask].sum(axis=1) <= phi(gamma, sw[mask].sum(axis=1), n) + _TOL
-            case = _case(good, {"word": word.tolist()}, s=sw[mask])
+            inside = sw.compress(mask, axis=0)
+            good = gv.compress(mask, axis=0).sum(axis=1) <= phi(gamma, inside.sum(axis=1), n) + _TOL
+            case = _case(good, {"word": word.tolist()}, s=inside)
             record("word_norm_contraction", int(mask.sum()), [case])
 
     return OracleReport(

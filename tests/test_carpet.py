@@ -185,6 +185,22 @@ class TestSampleCarpet:
             assert np.array_equal(sq.squares, carpet_levels_broadcast(p, depth, ref_rng))
         assert rng.random() == ref_rng.random()
 
+    @pytest.mark.parametrize("seed, level", [(6, 1), (2, 2), (3, 5), (10, 6)])
+    def test_carpet_that_dies_out(self, seed, level):
+        # at p = 0.15 these seeds keep no child at the given level of 6: the
+        # empty gather there leaves a (0, 2) set and ends the draws, as the
+        # reference does
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        sq = sample_carpet(0.15, 6, rng)
+        assert sq.squares.shape == (0, 2) and sq.squares.dtype == np.int64
+        assert np.array_equal(sq.squares, carpet_levels_broadcast(0.15, 6, ref_rng))
+        assert rng.random() == ref_rng.random()
+        replay, alive, levels = np.random.default_rng(seed), 1, 0
+        while alive:
+            alive, levels = int(np.count_nonzero(replay.random(8 * alive) < 0.15)), levels + 1
+        assert levels == level
+        assert projection_measure(sq) == 0.0
+
     def test_deepest_carpet_fits_int64(self):
         rng, ref_rng = np.random.default_rng(5), np.random.default_rng(5)
         sq = sample_carpet(0.16, 39, rng)

@@ -510,6 +510,17 @@ class TestTrialKernel:
         assert np.all(gen[(total > 0) & ~capped] == horizon)
         assert len(set(gen[capped].tolist())) > 1
 
+    def test_every_trial_stops_in_generation_one(self):
+        # each trial grows past the cap or dies at its first letter, so the
+        # chunk's first generation leaves no live row
+        model = _grow_kill_stay_model(IidEnvironment([0.5, 0.5, 0.0]))
+        rows = 300
+        first = model.environment.sample_word(10, np.random.default_rng(8), rows=rows)[:, 0]
+        gen, total, half = _chunk_outcomes(model, 0, rows, 10, 1, np.random.default_rng(8))
+        assert np.all(gen == 1) and np.all(half == 1)
+        assert np.array_equal(total, np.where(first == 0, 2, 0))
+        assert 0 < np.count_nonzero(total) < rows
+
     def test_chunk_boundary(self):
         model = build_carpet_model(0.5).model
         chunk = extinction._CHUNK

@@ -224,6 +224,27 @@ class TestTreeKernel:
         assert peak < 2.5e6, peak
         assert got == pytest.approx(exponent_sequential(mats, word), abs=1e-12)
 
+    @pytest.mark.parametrize("allowable", [True, False], ids=["carpet", "not-allowable"])
+    def test_words_shorter_than_one_chunk(self, allowable):
+        # fewer than _CHUNK symbols: the one chunk is a partial gather, and
+        # its tail of 0 to k - 1 letters may be an empty one
+        mats = list(COLUMN_MATRICES)
+        if not allowable:
+            mats[2] = np.array([[2.0, 2.0], [0.0, 0.0]])
+        rng = np.random.default_rng(16)
+        for length in (1, 2, 47, 48, 143, 144, 145, 146, 4095):
+            k = _symbol_length(3, length, _CHUNK)
+            assert length // k < _CHUNK
+            word = UNIFORM3.sample_word(length, rng)
+            for kind in KINDS:
+                # a zero row makes rowmin degenerate: both name the same step
+                want = _outcome(exponent_sequential, mats, word, kind)
+                got = _outcome(exponent_along_word, mats, word, kind)
+                if isinstance(want, tuple):
+                    assert got == want, (length, kind)
+                else:
+                    assert got == pytest.approx(want, abs=1e-12), (length, kind)
+
     def test_one_letter_family(self):
         assert exponent_along_word([[[2.0]]], np.zeros(10**6, dtype=np.int64)) == pytest.approx(
             math.log(2), abs=1e-12
@@ -400,6 +421,48 @@ class TestEstimateExponent:
             estimate_exponent(
                 COLUMN_MATRICES, UNIFORM3, kind="spectral", steps_per_batch=100, batches=2, seed=0
             )
+
+    @pytest.mark.parametrize("allowable", [True, False], ids=["carpet", "not-allowable"])
+    def test_one_table_per_estimate(self, monkeypatch, allowable):
+        # every batch has steps_per_batch letters, so one product table
+        # serves all 8, and each batch's value is, bit for bit, the
+        # exponent along its own word. The second family has a zero row,
+        # so its words take the prefix scan; small chunks give each word
+        # several chunks and a tail
+        mats = list(COLUMN_MATRICES)
+        if not allowable:
+            mats[2] = np.array([[2.0, 2.0], [0.0, 0.0]])
+        monkeypatch.setattr(lyapunov, "_CHUNK", SMALL_CHUNK)
+        builds, batches = [], []
+        build, kernel = lyapunov._product_table, lyapunov._word_exponent
+
+        def counted_build(*args):
+            builds.append(args[1])
+            return build(*args)
+
+        def recorded_kernel(mats, word, kind, tables):
+            assert tables[-1] is not allowable
+            value = kernel(mats, word, kind, tables)
+            batches.append((word.copy(), value))
+            return value
+
+        monkeypatch.setattr(lyapunov, "_product_table", counted_build)
+        monkeypatch.setattr(lyapunov, "_word_exponent", recorded_kernel)
+        steps = 16 * 3**2 * SMALL_CHUNK + 5
+        est = estimate_exponent(
+            mats, UNIFORM3, kind="colmin", steps_per_batch=steps, batches=8, seed=21
+        )
+        assert builds == [3]  # k = 3 letters a symbol: 3^3 <= 32 < 3^4
+        monkeypatch.setattr(lyapunov, "_word_exponent", kernel)
+        words = [
+            UNIFORM3.sample_word(steps, np.random.default_rng(child))
+            for child in np.random.SeedSequence(21).spawn(8)
+        ]
+        assert len(batches) == 8
+        for (word, value), want in zip(batches, words):
+            assert np.array_equal(word, want)
+            assert exponent_along_word(mats, word, "colmin") == value
+        assert est.point == float(np.mean([value for _, value in batches]))
 
     @pytest.mark.parametrize(
         "mats, probs",

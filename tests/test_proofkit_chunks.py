@@ -95,3 +95,28 @@ def test_traced_peak_flat_in_samples():
     small = traced_peak(model, 10_000)
     large = traced_peak(model, 100_000)
     assert large <= small + 256 * 1024, (small, large)
+
+
+def test_empty_selections_pass_with_zero_counts():
+    # a chunk whose outside, hit or mask selection is empty checks no point
+    # there: the check passes with a count of 0. At seed 0 one sample puts
+    # no strict-drop coordinate below 1 - dtilde, and with delta = 0.99 no
+    # sample lies outside the box (at seed 3 no g(s) is non-negative either)
+    model = carpet_04()
+    by_name = oracle_suite(model, LAMBDA_04, samples=1, seed=0).by_name
+    assert all(c.passed for c in by_name.values())
+    assert by_name["pgf_strict_drop"].samples == 0
+    good = build_proof_params(model, LAMBDA_04)
+    moment = (1.0 - good.rho) * good.alpha / (2.0 * good.n_types * 0.99)
+    delta = (1.0 - good.rho) * good.alpha / (2.0 * good.n_types * moment)
+    wide = dataclasses.replace(good, moment_bound=moment, delta=delta)
+    for seed, empty in ((0, ["high_norm_forces_near_one"]),
+                        (3, ["high_norm_forces_near_one", "affine_norm_contraction"])):
+        by_name = oracle_suite(model, LAMBDA_04, samples=1, seed=seed, params=wide).by_name
+        for name in empty:
+            assert (by_name[name].samples, by_name[name].passed) == (0, True), (seed, name)
+    # no rows at all: every point check still runs, on empty chunks
+    by_name = oracle_suite(model, LAMBDA_04, samples=0, seed=0).by_name
+    for name in (*UNMASKED, "high_norm_forces_near_one", "affine_norm_contraction",
+                 "pgf_strict_drop"):
+        assert (by_name[name].samples, by_name[name].passed) == (0, True), name

@@ -20,7 +20,7 @@ from mbpre import (
     build_carpet_model,
     extinction_converged,
     extinction_fixed_env,
-    survival_probability_mc,
+    survival_estimate,
 )
 
 # Two decoupled lines: each type bears 0 children with chance 1/4 and two
@@ -33,8 +33,8 @@ model = ModelSpec(2, (EnvironmentLetter("only", (line0, line1)),), IidEnvironmen
 q = extinction_converged(model, seed=0, tol=1e-12)
 print(f"composition:  q = {q.q}  (depth {q.depth}, analytic 1/3)")
 
-surv, hw = survival_probability_mc(model, 0, trials=20_000, horizon=200, seed=1)
-print(f"simulation:   1 - q^(0) ~ {surv:.4f} +/- {hw:.4f}  (analytic 2/3)")
+surv = survival_estimate(model, 0, trials=20_000, horizon=200, seed=1)
+print(f"simulation:   1 - q^(0) ~ {surv.survival:.4f} +/- {surv.half_width:.4f}  (analytic 2/3)")
 
 # Finite-depth extinction probabilities increase with depth.
 word = [0] * 16

@@ -42,12 +42,11 @@ _EXPORTS = {
     ),
     "extinction": (
         "ExtinctionVector",
+        "SurvivalEstimate",
         "annealed_extinction",
         "extinction_converged",
         "extinction_fixed_env",
-        "growth_rate_conditioned",
-        "survival_and_growth",
-        "survival_probability_mc",
+        "survival_estimate",
     ),
     "lyapunov": ("LyapunovEstimate", "estimate_exponent", "exponent_along_word"),
     "matcore": (

@@ -177,9 +177,9 @@ def bisect_critical(*, iterations, trials, horizon, cap, seed):
     Step k simulates ``trials`` carpet trials at the bracket's midpoint to
     ``horizon`` generations (a population over ``cap`` counts as alive),
     seeded from child k of ``SeedSequence(seed)``, and moves the upper end
-    to the midpoint when any trial survives, the lower end otherwise.
-    Slowly dying subcritical lines still alive at the horizon count as
-    survivors, so the bracket can sit below the critical probability.
+    to the midpoint when there is any surviving trial, the lower end
+    otherwise. Slowly dying subcritical lines still alive at the horizon
+    count as survivors, so the bracket can sit below the critical probability.
     The search stops early once the midpoint rounds to an end (after about
     53 steps), so the bracket never collapses to a point.
     Returns ``(p_low, p_high)``, with ``p_low < p_high``.
@@ -192,8 +192,8 @@ def bisect_critical(*, iterations, trials, horizon, cap, seed):
         if not lo < mid < hi:
             break
         model = build_carpet_model(mid).model
-        surv, _ = extinction.survival_probability_mc(model, 0, trials, horizon, cap=cap, seed=child)
-        if surv > 0:
+        res = extinction.survival_estimate(model, 0, trials, horizon, cap=cap, seed=child)
+        if res.surviving_trials:
             hi = mid
         else:
             lo = mid

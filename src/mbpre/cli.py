@@ -214,18 +214,18 @@ def _cmd_extinction(args, model):
 def _cmd_simulate(args, model):
     from . import extinction
 
-    trial_args = (model, args.start_type, args.trials, args.horizon, args.cap, args.seed)
+    if args.growth and args.horizon < 20:
+        raise ValueError("horizon must be >= 20")
+    res = extinction.survival_estimate(
+        model, args.start_type, args.trials, args.horizon, args.cap, args.seed
+    )
     if not args.growth:
-        est, hw = extinction.survival_probability_mc(*trial_args)
-        return {"survival": est, "half_width": hw}
-    est, hw, rate, rate_hw, nsurv = extinction.survival_and_growth(*trial_args)
-    return {
-        "survival": est,
-        "half_width": hw,
-        "growth_rate": rate,
-        "growth_half_width": rate_hw,
-        "surviving_trials": nsurv,
-    }
+        return {"survival": res.survival, "half_width": res.half_width}
+    if res.growth_rate is None:
+        from .errors import NoSurvivorsError
+
+        raise NoSurvivorsError(f"no trial of {args.trials} survived to generation {args.horizon}")
+    return res
 
 
 def _cmd_classify(args, model):

@@ -15,7 +15,7 @@ from itertools import islice
 
 import numpy as np
 
-from .errors import BudgetError, NoSurvivorsError
+from .errors import BudgetError
 from .model import LETTER_BUDGET, check_word, child_seeds
 
 _Z95 = 1.96
@@ -294,62 +294,53 @@ def _trial_outcomes(model, start_type, trials, horizon, cap, seed):
     return tuple(np.concatenate(field) for field in zip(*parts))
 
 
-def survival_probability_mc(model, start_type, trials, horizon, cap=10**6, seed=0):
-    """Fraction of trials alive (or capped) at the horizon, with Wilson half-width.
-
-    Each trial runs in a fresh environment realization; exceeding the cap
-    counts as survival, which for supercritical populations misclassifies
-    with probability vanishing in the cap.
-    """
-    total = _trial_outcomes(model, start_type, trials, horizon, cap, seed)[1]
-    return _wilson(int(np.count_nonzero(total)), total.size)
-
-
-def survival_and_growth(model, start_type, trials, horizon, cap=10**6, seed=0):
+@dataclass(frozen=True)
+class SurvivalEstimate:
     """Survival share and conditioned growth rate from one pass of trials.
 
-    Returns ``(survival, half_width, growth_rate, growth_half_width,
-    surviving_trials)``: the first two as :func:`survival_probability_mc`
-    and the last three as :func:`growth_rate_conditioned` with the same
-    arguments, each trial simulated once. With a single surviving trial
-    there is no interval, and ``growth_half_width`` is ``None``. ``horizon``
-    must be at least 20, which is checked before anything is drawn. Raises
-    :class:`NoSurvivorsError` when nothing survives.
-    """
-    if horizon < 20:
-        raise ValueError("horizon must be >= 20")
-    gen, total, half_total = _trial_outcomes(model, start_type, trials, horizon, cap, seed)
-    alive = total > 0
-    if not alive.any():
-        raise NoSurvivorsError(
-            f"no trial of {total.size} survived to generation {horizon}"
-        )
-    gen = gen[alive]
-    rates = (np.log(total[alive]) - np.log(half_total[alive])) / (gen - gen // 2)
-    est = float(rates.mean())
-    hw = float(_Z95 * rates.std(ddof=1) / math.sqrt(rates.size)) if rates.size > 1 else None
-    return (*_wilson(int(rates.size), total.size), est, hw, int(rates.size))
+    ``survival`` is the share of trials alive at the horizon and
+    ``half_width`` its Wilson 95% half-width. A capped trial counts as
+    alive, which for supercritical populations misclassifies with
+    probability vanishing in the cap.
 
-
-def growth_rate_conditioned(model, start_type, trials, horizon, cap=10**6, seed=0):
-    """Mean growth rate over the second half of each trial alive at the horizon.
-
-    Each surviving trial contributes (log Z_{n*} - log Z_{m}) / (n* - m),
+    ``growth_rate`` is the mean growth rate over the second half of each of
+    the ``surviving_trials``: (log Z_{n*} - log Z_{m}) / (n* - m),
     m = floor(n*/2), where Z_n is the total population at generation n and
     ``n*`` the last simulated generation: the horizon, or the cap-crossing
-    generation for capped trials (treated as alive). On survival
-    Z_n ~ W e^{n lambda}, so the random factor W cancels in the difference,
-    whereas the plain (1/n*) log Z_{n*} is biased by E[log W | survival]/n*.
-    A smaller bias remains and falls with the horizon. On the carpet at
-    p = 0.40 with 20000 trials (seeds 1 and 2), the estimate missed
-    log p + lambda_B by -8.3% and -6.8% at horizon 40, -4.9% and -4.4% at
-    80, -1.2% and -0.2% at 160, and +0.0% and -0.9% at 320. At horizon 40
-    the 95% half-width (about 0.0019) does not cover that gap.
+    generation for capped trials. On survival Z_n ~ W e^{n lambda}, so the
+    random factor W cancels in the difference, whereas the plain
+    (1/n*) log Z_{n*} is biased by E[log W | survival]/n*. A smaller bias
+    remains and falls with the horizon. On the carpet at p = 0.40 with
+    20000 trials (seeds 1 and 2), the estimate missed log p + lambda_B by
+    -8.3% and -6.8% at horizon 40, -4.9% and -4.4% at 80, -1.2% and -0.2%
+    at 160, and +0.0% and -0.9% at 320. At horizon 40 the 95% half-width
+    (about 0.0019) does not cover that gap.
 
-    Returns ``(estimate, half_width, surviving_trials)``, the last three
-    fields of :func:`survival_and_growth`; the half-width is 1.96 standard
-    errors of the per-trial rates, ``None`` with one survivor. Raises
-    :class:`NoSurvivorsError` when nothing survives. The trials are those
-    of :func:`survival_probability_mc` with the same arguments.
+    ``growth_half_width`` is 1.96 standard errors of the per-trial rates.
+    ``growth_rate`` is ``None`` when no trial survives, and
+    ``growth_half_width`` is ``None`` below 2 survivors.
     """
-    return survival_and_growth(model, start_type, trials, horizon, cap, seed)[2:]
+
+    survival: float
+    half_width: float
+    growth_rate: float | None
+    growth_half_width: float | None
+    surviving_trials: int
+
+
+def survival_estimate(model, start_type, trials, horizon, cap=10**6, seed=0):
+    """:class:`SurvivalEstimate` of ``trials`` trials, each simulated once.
+
+    The trials, their seeding and their budgets are those of :func:`_trial_outcomes`.
+    """
+    gen, total, half_total = _trial_outcomes(model, start_type, trials, horizon, cap, seed)
+    alive = total > 0
+    gen = gen[alive]
+    rates = (np.log(total[alive]) - np.log(half_total[alive])) / (gen - gen // 2)
+    n = int(rates.size)
+    return SurvivalEstimate(
+        *_wilson(n, total.size),
+        float(rates.mean()) if n else None,
+        float(_Z95 * rates.std(ddof=1) / math.sqrt(n)) if n > 1 else None,
+        n,
+    )

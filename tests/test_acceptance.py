@@ -26,10 +26,9 @@ from mbpre import (
     exponent_along_word,
     extinction_converged,
     extinction_fixed_env,
-    growth_rate_conditioned,
     lambda_b,
     oracle_suite,
-    survival_probability_mc,
+    survival_estimate,
 )
 from mbpre.carpet import COLUMN_MATRICES
 from conftest import ACCEPTANCE_LINES, child_env, make_decoupled_model
@@ -137,7 +136,7 @@ def test_criterion_06_analytic_fixed_point():
     model = make_decoupled_model(0.25)
     res = extinction_converged(model, seed=3, tol=1e-9)
     q_err = float(np.max(np.abs(res.q - 1 / 3)))
-    surv, hw = survival_probability_mc(model, 0, 10_000, 200, seed=5)
+    surv = survival_estimate(model, 0, 10_000, 200, seed=5).survival
     s_err = abs(surv - 2 / 3)
     ok = res.converged and q_err <= 1e-6 and s_err <= 0.02
     record(6, ok, f"|q - 1/3| = {q_err:.2e} <= 1e-6, |surv - 2/3| = {s_err:.3f} <= 0.02")
@@ -180,9 +179,8 @@ def test_criterion_07_trichotomy():
 def test_criterion_08_conditioned_growth_rate(lambda_b_estimate):
     model = build_carpet_model(0.40).model
     target = math.log(0.40) + lambda_b_estimate.point
-    est, hw, survivors = growth_rate_conditioned(
-        model, 0, 20_000, 40, cap=10**7, seed=29
-    )
+    res = survival_estimate(model, 0, 20_000, 40, cap=10**7, seed=29)
+    est, survivors = res.growth_rate, res.surviving_trials
     rel = abs(est - target) / abs(target)
     ok = survivors >= 500 and rel <= 0.15
     record(

@@ -151,7 +151,10 @@ def test_one_simulator():
         for node in ast.walk(ast.parse((PACKAGE / f"{module}.py").read_text()))
         if isinstance(node, (ast.FunctionDef, ast.ClassDef))
     }
-    assert not defined & {"simulate_generations", "SimulationResult", "sample_sum"}
+    # and one trial pass, survival_estimate, stands in for the old wrappers
+    wrappers = {"survival_probability_mc", "survival_and_growth", "growth_rate_conditioned"}
+    assert not defined & ({"simulate_generations", "SimulationResult", "sample_sum"} | wrappers)
     import mbpre
 
-    assert not {"simulate_generations", "SimulationResult"} & set(mbpre.__all__)
+    assert not ({"simulate_generations", "SimulationResult"} | wrappers) & set(mbpre.__all__)
+    assert {"survival_estimate", "SurvivalEstimate"} <= set(mbpre.__all__)

@@ -134,14 +134,11 @@ def test_simulate_growth_runs_each_trial_once(carpet_p04_file, monkeypatch):
          "--cap", "100000", "--seed", "2", "--growth", "--threads", "1"]
     )
     assert rows == [64, 64, 64, 8]
-    model = build_carpet_model(0.4).model
-    est, hw = extinction.survival_probability_mc(model, 0, 200, 30, cap=10**5, seed=2)
-    rate, rate_hw, nsurv = extinction.growth_rate_conditioned(
-        model, 0, 200, 30, cap=10**5, seed=2
-    )
+    res = extinction.survival_estimate(build_carpet_model(0.4).model, 0, 200, 30, 10**5, 2)
     assert env["result"] == {
-        "survival": est, "half_width": hw,
-        "growth_rate": rate, "growth_half_width": rate_hw, "surviving_trials": nsurv,
+        "survival": res.survival, "half_width": res.half_width,
+        "growth_rate": res.growth_rate, "growth_half_width": res.growth_half_width,
+        "surviving_trials": res.surviving_trials,
     }
 
 
@@ -213,6 +210,21 @@ def test_simulate_growth_short_horizon_is_usage_error(carpet_p04_file):
     )
     assert code == 2
     assert "horizon" in err
+
+
+def test_simulate_growth_horizon_checked_before_any_draw(carpet_p04_file, monkeypatch):
+    from mbpre import IidEnvironment
+
+    def no_draw(*args, **kwargs):
+        raise AssertionError("sampled a word for a rejected horizon")
+
+    monkeypatch.setattr(IidEnvironment, "sample_word", no_draw)
+    code, out, err = run_cli(
+        ["simulate", "--model", carpet_p04_file, "--trials", "10", "--horizon", "19",
+         "--growth"]
+    )
+    assert (code, out) == (2, "")
+    assert "horizon must be >= 20" in err
 
 
 def test_classify_verdict(carpet_p04_file, carpet_p015_file):
@@ -681,7 +693,12 @@ def test_exit_code_runtime_failure(carpet_p015_file):
     )
     assert code == 1
     assert out == ""
-    assert "survived" in err
+    assert "no trial of 20 survived to generation 40" in err
+    # without --growth the same trials give a survival share of 0
+    env = run_json(
+        ["simulate", "--model", carpet_p015_file, "--trials", "20", "--horizon", "40"]
+    )
+    assert env["result"]["survival"] == 0.0
 
 
 def test_exit_code_budget():

@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 
@@ -10,15 +11,12 @@ from mbpre import (
     IidEnvironment,
     MarkovEnvironment,
     ModelSpec,
-    NoSurvivorsError,
     OffspringLaw,
     annealed_extinction,
     build_carpet_model,
     extinction_converged,
     extinction_fixed_env,
-    growth_rate_conditioned,
-    survival_and_growth,
-    survival_probability_mc,
+    survival_estimate,
 )
 from mbpre import extinction
 from mbpre.extinction import LETTER_BUDGET, _chunk_outcomes, _compose, _converge, _trial_outcomes
@@ -549,7 +547,7 @@ class TestTrialKernel:
         with pytest.raises(BudgetError):
             _trial_outcomes(model, 0, 10, 204, 10**6, 0)
         with pytest.raises(BudgetError):
-            survival_probability_mc(model, 0, 10**6, 2, seed=0)
+            survival_estimate(model, 0, 10**6, 2, seed=0)
         # the trial count has its own ceiling, checked before the first chunk
         monkeypatch.setattr(extinction, "MAX_TRIALS", 2999)
         with pytest.raises(BudgetError, match="3000 trials"):
@@ -582,44 +580,56 @@ class TestTrialKernel:
 
 class TestSurvival:
     def test_point_mass_at_zero(self, die_out_model):
-        est, hw = survival_probability_mc(die_out_model, 0, 200, 10, seed=0)
-        assert est == 0.0
+        # no survivor: a zero share and no growth rate, not an error
+        res = survival_estimate(die_out_model, 0, 200, 30, seed=0)
+        assert res.survival == 0.0
+        assert (res.growth_rate, res.growth_half_width, res.surviving_trials) == (None, None, 0)
 
     def test_deterministic_line(self, deterministic_line_model):
-        est, hw = survival_probability_mc(deterministic_line_model, 0, 200, 10, seed=1)
-        assert est == 1.0
+        assert survival_estimate(deterministic_line_model, 0, 200, 10, seed=1).survival == 1.0
 
     def test_decoupled_analytic(self, decoupled_supercritical):
-        est, hw = survival_probability_mc(
-            decoupled_supercritical, 0, 10_000, 200, seed=2
-        )
-        assert abs(est - 2 / 3) < 0.02
-        assert hw < 0.02
+        res = survival_estimate(decoupled_supercritical, 0, 10_000, 200, seed=2)
+        assert abs(res.survival - 2 / 3) < 0.02
+        assert res.half_width < 0.02
 
     def test_matches_one_minus_q(self, decoupled_supercritical):
-        est, hw = survival_probability_mc(decoupled_supercritical, 1, 5000, 200, seed=3)
+        res = survival_estimate(decoupled_supercritical, 1, 5000, 200, seed=3)
         q = extinction_converged(decoupled_supercritical, seed=0).q[1]
-        assert abs(est - (1 - q)) < hw + 0.02
+        assert abs(res.survival - (1 - q)) < res.half_width + 0.02
+
+    def test_wilson_intervals_cover_exact_survival(self):
+        # P(Z_8 > 0 | type 0) on the carpet at p = 0.6, summed exactly over
+        # all 3^8 words; no population reaches the cap by generation 8
+        model = build_carpet_model(0.6).model
+        words = np.array(list(itertools.product(range(model.n_letters), repeat=8)))
+        q = compose_prod_clip(model.pgf_table, words, np.zeros((len(words), 2)))[:, 0]
+        exact = 1.0 - float(q @ np.prod(model.environment.probs[words], axis=1))
+        assert exact == pytest.approx(0.71446631373619, abs=1e-13)
+        covered = 0
+        for seed in range(400):
+            res = survival_estimate(model, 0, 2000, 8, cap=10**9, seed=seed)
+            covered += abs(res.survival - exact) <= res.half_width
+        # at 95% coverage, fewer than 371 of 400 has binomial probability
+        # under 2.5%; a 90% interval (z = 1.64) covers about 355
+        assert covered >= 371
 
 
 class TestGrowthRate:
     def test_deterministic_line_zero(self, deterministic_line_model):
-        est, hw, n = growth_rate_conditioned(deterministic_line_model, 0, 50, 30, seed=0)
-        assert est == 0.0
-        assert n == 50
+        res = survival_estimate(deterministic_line_model, 0, 50, 30, seed=0)
+        assert res.growth_rate == 0.0
+        assert res.surviving_trials == 50
 
     def test_one_survivor_gives_no_interval(self, deterministic_line_model):
         # one rate has no spread to estimate, so no half-width, not 0.0
-        *_, rate, rate_hw, n = survival_and_growth(deterministic_line_model, 0, 1, 30, seed=0)
-        assert (rate, rate_hw, n) == (0.0, None, 1)
-        assert growth_rate_conditioned(deterministic_line_model, 0, 1, 30, seed=0)[1] is None
+        res = survival_estimate(deterministic_line_model, 0, 1, 30, seed=0)
+        assert (res.growth_rate, res.growth_half_width, res.surviving_trials) == (0.0, None, 1)
 
     def test_two_children_each_log2(self):
         model = make_point_mass_model([(2, 0), (0, 2)])
-        est, hw, n = growth_rate_conditioned(
-            model, 0, 50, 30, cap=10**12, seed=1
-        )
-        assert est == pytest.approx(math.log(2), abs=1e-12)
+        res = survival_estimate(model, 0, 50, 30, cap=10**12, seed=1)
+        assert res.growth_rate == pytest.approx(math.log(2), abs=1e-12)
 
     @pytest.mark.parametrize("cap, last_gen", [(10**12, 30), (10**6, 19)])
     def test_rate_from_second_half_drops_start_factor(self, cap, last_gen):
@@ -627,9 +637,9 @@ class TestGrowthRate:
         # alive at the horizon and when stopped at the cap crossing
         model = make_point_mass_model([(0, 5), (0, 2)])
         assert len(point_mass_trajectory(model, [0] * 30, [1, 0], cap)) - 1 == last_gen
-        est, hw, n = growth_rate_conditioned(model, 0, 20, 30, cap=cap, seed=5)
-        assert est == pytest.approx(math.log(2), abs=1e-12)
-        assert n == 20
+        res = survival_estimate(model, 0, 20, 30, cap=cap, seed=5)
+        assert res.growth_rate == pytest.approx(math.log(2), abs=1e-12)
+        assert res.surviving_trials == 20
 
     def test_strongly_supercritical_carpet_cross_module(self):
         # growth of the simulated population against log p + lambda_B
@@ -637,23 +647,18 @@ class TestGrowthRate:
 
         model = build_carpet_model(0.6).model
         lam = math.log(0.6) + lambda_b(20_000, 8, seed=2).point
-        est, hw, n = growth_rate_conditioned(
-            model, 0, 1500, 40, cap=10**7, seed=3
-        )
-        assert n >= 500
-        assert abs(est - lam) / abs(lam) < 0.15
+        res = survival_estimate(model, 0, 1500, 40, cap=10**7, seed=3)
+        assert res.surviving_trials >= 500
+        assert abs(res.growth_rate - lam) / abs(lam) < 0.15
 
-    def test_no_survivors_error(self, die_out_model):
-        with pytest.raises(NoSurvivorsError):
-            growth_rate_conditioned(die_out_model, 0, 100, 30, seed=4)
-
-    def test_horizon_checked_before_any_draw(self, monkeypatch):
-        def no_draw(*args, **kwargs):
-            raise AssertionError("sampled a word for a rejected horizon")
-
-        monkeypatch.setattr(IidEnvironment, "sample_word", no_draw)
-        with pytest.raises(ValueError, match="horizon"):
-            survival_and_growth(build_carpet_model(0.5).model, 0, 10, 19)
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_long_horizon_meets_exponent(self, seed):
+        # lambda_B = 0.973205225 +- 1e-9 is the p = 1 carpet exponent by
+        # Ulam's transfer operator on 64000 cells (Furstenberg's formula); at
+        # horizon 320 the second-half rate's bias is within its half-width
+        model = build_carpet_model(0.4).model
+        res = survival_estimate(model, 0, 4000, 320, cap=10**12, seed=seed)
+        assert abs(res.growth_rate - (math.log(0.4) + 0.973205225)) <= 2 * res.growth_half_width
 
 
 @pytest.mark.parametrize(

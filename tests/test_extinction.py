@@ -580,10 +580,7 @@ class TestTrialKernel:
 
 class TestSurvival:
     def test_point_mass_at_zero(self, die_out_model):
-        # no survivor: a zero share and no growth rate, not an error
-        res = survival_estimate(die_out_model, 0, 200, 30, seed=0)
-        assert res.survival == 0.0
-        assert (res.growth_rate, res.growth_half_width, res.surviving_trials) == (None, None, 0)
+        assert survival_estimate(die_out_model, 0, 200, 10, seed=0).survival == 0.0
 
     def test_deterministic_line(self, deterministic_line_model):
         assert survival_estimate(deterministic_line_model, 0, 200, 10, seed=1).survival == 1.0
@@ -650,6 +647,13 @@ class TestGrowthRate:
         res = survival_estimate(model, 0, 1500, 40, cap=10**7, seed=3)
         assert res.surviving_trials >= 500
         assert abs(res.growth_rate - lam) / abs(lam) < 0.15
+
+    def test_no_survivors_error(self, die_out_model):
+        # the library reports no survivor as a zero share and no growth rate;
+        # simulate --growth turns that into NoSurvivorsError (tests/test_cli.py)
+        res = survival_estimate(die_out_model, 0, 100, 30, seed=4)
+        assert res.survival == 0.0
+        assert (res.growth_rate, res.growth_half_width, res.surviving_trials) == (None, None, 0)
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_long_horizon_meets_exponent(self, seed):

@@ -46,6 +46,6 @@ for depth in (1, 2, 4, 8, 16):
 # per-environment extinction vectors average strictly below 1.
 for p in (0.15, 0.40):
     mean_q, share = annealed_extinction(
-        build_carpet_model(p).model, n_envs=50, tol=1e-9, seed=3
+        build_carpet_model(p), n_envs=50, tol=1e-9, seed=3
     )
     print(f"carpet p={p}: mean q = {np.round(mean_q, 4)} (converged share {share})")

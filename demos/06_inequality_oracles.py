@@ -13,7 +13,7 @@ import math
 
 from mbpre import ProofParams, build_carpet_model, build_proof_params, lambda_b, oracle_suite
 
-model = build_carpet_model(0.40).model
+model = build_carpet_model(0.40)
 lam = math.log(0.40) + lambda_b(20_000, 8, seed=1).point
 print(f"exponent at retention 0.40: {lam:+.4f}")
 
@@ -24,7 +24,7 @@ print(
 )
 print()
 
-report = oracle_suite(model, lam, samples=5000, seed=2)
+report = oracle_suite(model, params, samples=5000, seed=2)
 for check in report.checks:
     print(f"  {'ok ' if check.passed else 'FAIL'} {check.check:34s} ({check.samples} points)")
 print("all passed:", report.all_passed)
@@ -46,7 +46,7 @@ bad = ProofParams(
     u=params.u,
     exponent=params.exponent,
 )
-corrupted = oracle_suite(model, lam, samples=5000, seed=2, params=bad)
+corrupted = oracle_suite(model, bad, samples=5000, seed=2)
 for check in corrupted.checks:
     if not check.passed:
         print("corrupted params tripped:", check.check)

@@ -18,7 +18,6 @@ __version__ = "0.1.0"
 
 _EXPORTS = {
     "carpet": (
-        "CarpetModel",
         "OffspringStats",
         "SquareSet",
         "bisect_critical",

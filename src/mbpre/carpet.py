@@ -105,26 +105,13 @@ def _binomial_law(k_upper, k_lower, p):
     return OffspringLaw.from_pairs(keep)
 
 
-@dataclass(frozen=True)
-class CarpetModel:
-    """Retention probability and the induced 2-type, 3-letter model."""
-
-    p: float
-    model: ModelSpec
-
-    def __post_init__(self):
-        for letter, base in zip(self.model.letters, COLUMN_MATRICES):
-            if np.max(np.abs(letter.expectation - self.p * base)) > _MATRIX_TOL:
-                raise InvariantError(
-                    f"carpet letter {letter.name!r} expectation differs from p * base matrix"
-                )
-
-
 def build_carpet_model(p):
-    """Carpet projection model at retention probability ``p`` in (0, 1].
+    """The 2-type, 3-letter carpet projection model at retention probability ``p`` in (0, 1].
 
     At p = 1 every law degenerates to the point mass at its maximal counts
-    and the expectation matrices equal the base column matrices.
+    and the expectation matrices equal the base column matrices. A letter
+    whose expectation matrix differs from ``p`` times its base matrix raises
+    :class:`InvariantError`.
     """
     if not 0.0 < p <= 1.0:
         raise ValueError("retention probability must lie in (0, 1]")
@@ -140,7 +127,13 @@ def build_carpet_model(p):
             )
             laws.append(_binomial_law(k_u, k_l, p))
         letters.append(EnvironmentLetter(f"col{column}", tuple(laws)))
-    return CarpetModel(p, ModelSpec(2, tuple(letters), _UNIFORM3))
+    model = ModelSpec(2, tuple(letters), _UNIFORM3)
+    for letter, base in zip(model.letters, COLUMN_MATRICES):
+        if np.max(np.abs(letter.expectation - p * base)) > _MATRIX_TOL:
+            raise InvariantError(
+                f"carpet letter {letter.name!r} expectation differs from p * base matrix"
+            )
+    return model
 
 
 def lambda_b(steps_per_batch, batches, seed):
@@ -191,7 +184,7 @@ def bisect_critical(*, iterations, trials, horizon, cap, seed):
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:
             break
-        model = build_carpet_model(mid).model
+        model = build_carpet_model(mid)
         res = extinction.survival_estimate(model, 0, trials, horizon, cap=cap, seed=child)
         if res.surviving_trials:
             hi = mid

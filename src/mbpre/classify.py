@@ -113,7 +113,7 @@ def check_conditions(model, max_word_len=None):
     )
 
 
-def classify(model, report, estimate):
+def classify(report, estimate):
     """Map a condition report and an exponent estimate to a verdict.
 
     The confidence interval decides: entirely positive means survival with

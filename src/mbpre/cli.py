@@ -176,7 +176,8 @@ def _estimate(args, model):
     from . import lyapunov
 
     return lyapunov.estimate_exponent(
-        model,
+        model.expectation_matrices(),
+        model.environment,
         kind=args.kind,
         steps_per_batch=args.steps,
         batches=args.batches,
@@ -232,7 +233,7 @@ def _cmd_classify(args, model):
     from .classify import check_conditions, classify
 
     report = check_conditions(model, max_word_len=args.max_word_len)
-    verdict = classify(model, report, _estimate(args, model))
+    verdict = classify(report, _estimate(args, model))
     return {"report": report, "verdict": verdict}
 
 
@@ -278,7 +279,7 @@ def _cmd_carpet_offspring(args):
     stats = carpet.empirical_offspring_stats(
         args.p, args.column, args.type, args.samples, args.seed
     )
-    law = carpet.build_carpet_model(args.p).model.letters[args.column].laws[args.type]
+    law = carpet.build_carpet_model(args.p).letters[args.column].laws[args.type]
     model_pmf = {
         (int(z[0]), int(z[1])): float(p) for z, p in zip(law.counts, law.probs)
     }
@@ -297,7 +298,7 @@ def _cmd_proofkit(args, model):
 
     lam = getattr(args, "lambda")  # a keyword, so not args.lambda
     built = proofkit.build_proof_params(model, lam)
-    report = proofkit.oracle_suite(model, lam, args.samples, args.seed, params=built)
+    report = proofkit.oracle_suite(model, built, args.samples, args.seed)
     return {
         "checks": report.checks,
         "all_passed": report.all_passed,

@@ -37,7 +37,7 @@ import numpy as np
 
 from .errors import KINDS, DegenerateProductError
 from .matcore import boolean_product, col_min, is_allowable, norm_sum, row_min
-from .model import ModelSpec, check_word, child_seeds
+from .model import check_word, child_seeds
 
 _REDUCTIONS = {"sum": norm_sum, "colmin": col_min, "rowmin": row_min}
 
@@ -198,37 +198,21 @@ def _word_exponent(mats, word, kind, tables):
     return (log_scale + math.log(_REDUCTIONS[kind](run))) / word.size
 
 
-def estimate_exponent(
-    matrices_or_model,
-    environment=None,
-    *,
-    kind="sum",
-    steps_per_batch,
-    batches,
-    seed,
-):
+def estimate_exponent(matrices, environment, *, kind="sum", steps_per_batch, batches, seed):
     """Batch-means Monte Carlo estimate of the exponent.
 
-    Accepts either a :class:`ModelSpec` (expectation matrices and its own
-    environment) or an explicit matrix family plus an environment
-    distribution over as many letters. Batch ``b`` samples an independent
-    environment word of ``steps_per_batch`` letters from child ``b`` of
-    ``SeedSequence(seed)``, so results are reproducible bit-for-bit.
+    ``matrices`` is the expectation-matrix family and ``environment`` a
+    distribution over as many letters; a model passes
+    ``model.expectation_matrices(), model.environment``. Batch ``b`` samples
+    an independent environment word of ``steps_per_batch`` letters from
+    child ``b`` of ``SeedSequence(seed)``, so results are reproducible
+    bit-for-bit.
     """
     _check_kind(kind)
     if steps_per_batch < 100:
         raise ValueError("steps_per_batch must be >= 100")
     if batches < 2:
         raise ValueError("batches must be >= 2")
-    if isinstance(matrices_or_model, ModelSpec):
-        model = matrices_or_model
-        matrices = model.expectation_matrices()
-        if environment is None:
-            environment = model.environment
-    else:
-        matrices = matrices_or_model
-        if environment is None:
-            raise ValueError("an environment distribution is required with raw matrices")
     matrices = _family(matrices)
     if len(matrices) != environment.n_letters:
         raise ValueError(

@@ -338,8 +338,11 @@ class MarkovEnvironment:
         then each row in turn walks its other n - 1 letters by ``bisect``
         in plain Python, over uniforms drawn ``_WORD_SLICE`` at a time, in
         the stream order of one row-major draw. A word is the one-row case.
+        An empty word draws nothing.
         """
         word = _word_buffer(n, rows)
+        if n == 0:
+            return word
         first = rng.random(rows)
         word[..., 0] = np.searchsorted(np.cumsum(self.initial)[:-1], first, side="right")
         cdf_rows = np.cumsum(self.transition, axis=1)[:, :-1].tolist()
@@ -424,12 +427,10 @@ class ModelSpec:
 # Operations
 
 
-def second_moment_bound(letter_or_model):
-    """Largest second factorial moment E[z_i z_j] - delta_ij E[z_i] in the argument."""
-    if isinstance(letter_or_model, ModelSpec):
-        return max(second_moment_bound(letter) for letter in letter_or_model.letters)
+def second_moment_bound(model):
+    """Largest second factorial moment E[z_i z_j] - delta_ij E[z_i] over the model's laws."""
     return float(
-        max(law.factorial_second_moments().max() for law in letter_or_model.laws)
+        max(law.factorial_second_moments().max() for letter in model.letters for law in letter.laws)
     )
 
 

@@ -19,7 +19,7 @@ from functools import cached_property
 import numpy as np
 
 from .matcore import col_min, product_along_word
-from .model import ModelSpec, second_moment_bound, uniform_allowability_alpha
+from .model import second_moment_bound, uniform_allowability_alpha
 
 # Margins keeping the strict inequalities of the construction strict after
 # rounding: alpha is shrunk, the second-moment bound inflated.
@@ -185,15 +185,14 @@ def _pieces(total):
         yield min(_CHUNK, total - start)
 
 
-def oracle_suite(model, exponent, samples, seed, params=None):
+def oracle_suite(model, params, samples, seed):
     """Run every majorant inequality on seeded random points.
 
-    Checks named below must hold pointwise for valid parameters; the first
-    violating point in draw order (if any) is attached as the
-    counterexample, so failures reproduce from the seed. ``params``
-    overrides the built parameters, letting deliberately corrupted values
-    demonstrate detection; its ``exponent`` must equal ``exponent``, or
-    ValueError is raised.
+    ``params`` are the majorant parameters under test, usually
+    ``build_proof_params(model, exponent)``; deliberately corrupted values
+    demonstrate detection. Checks named below must hold pointwise for valid
+    parameters; the first violating point in draw order (if any) is
+    attached as the counterexample, so failures reproduce from the seed.
 
     The checks run in three stages, listed in the report in that order:
     the two that draw nothing, the point checks on chunks of at most
@@ -203,10 +202,6 @@ def oracle_suite(model, exponent, samples, seed, params=None):
     points at any ``samples``. Memory does not grow with ``samples``, and
     each check's count sums over the chunks or pieces.
     """
-    if params is None:
-        params = build_proof_params(model, exponent)
-    elif params.exponent != exponent:
-        raise ValueError(f"params were built for exponent {params.exponent!r}, not {exponent!r}")
     n = model.n_types
     delta, mu, u = params.delta, params.mu, params.u
     mats = shrunk_matrices(model, params.rho)

@@ -40,7 +40,7 @@ def pytest_terminal_summary(terminalreporter):
 def model_dir(tmp_path_factory):
     d = tmp_path_factory.mktemp("models")
     for name, p in (("carpet_p1", 1.0), ("carpet_p04", 0.4), ("carpet_p015", 0.15)):
-        (d / f"{name}.json").write_text(write_model(build_carpet_model(p).model))
+        (d / f"{name}.json").write_text(write_model(build_carpet_model(p)))
     return d
 
 

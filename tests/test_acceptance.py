@@ -19,6 +19,7 @@ import pytest
 from mbpre import (
     annealed_extinction,
     build_carpet_model,
+    build_proof_params,
     check_conditions,
     classify,
     empirical_offspring_stats,
@@ -93,7 +94,7 @@ def test_criterion_03_exponent_kind_agreement():
     points = {
         kind: estimate_exponent(
             COLUMN_MATRICES,
-            build_carpet_model(0.5).model.environment,
+            build_carpet_model(0.5).environment,
             kind=kind,
             steps_per_batch=100_000,
             batches=8,
@@ -146,17 +147,24 @@ def test_criterion_07_trichotomy():
     timings = {}
     verdicts = {}
     for p in (0.40, 0.15):
-        model = build_carpet_model(p).model
+        model = build_carpet_model(p)
         t0 = time.perf_counter()
         report = check_conditions(model)
-        est = estimate_exponent(model, kind="sum", steps_per_batch=100_000, batches=32, seed=19)
-        verdicts[p] = classify(model, report, est).kind
+        est = estimate_exponent(
+            model.expectation_matrices(),
+            model.environment,
+            kind="sum",
+            steps_per_batch=100_000,
+            batches=32,
+            seed=19,
+        )
+        verdicts[p] = classify(report, est).kind
         timings[p] = time.perf_counter() - t0
     mean_q_15, share_15 = annealed_extinction(
-        build_carpet_model(0.15).model, 100, tol=1e-9, seed=23
+        build_carpet_model(0.15), 100, tol=1e-9, seed=23
     )
     mean_q_40, share_40 = annealed_extinction(
-        build_carpet_model(0.40).model, 100, tol=1e-9, seed=23
+        build_carpet_model(0.40), 100, tol=1e-9, seed=23
     )
     ok = (
         verdicts[0.40] == "survives_positively"
@@ -177,7 +185,7 @@ def test_criterion_07_trichotomy():
 
 
 def test_criterion_08_conditioned_growth_rate(lambda_b_estimate):
-    model = build_carpet_model(0.40).model
+    model = build_carpet_model(0.40)
     target = math.log(0.40) + lambda_b_estimate.point
     res = survival_estimate(model, 0, 20_000, 40, cap=10**7, seed=29)
     est, survivors = res.growth_rate, res.surviving_trials
@@ -207,9 +215,9 @@ REQUIRED_ORACLE_CHECKS = (
 
 
 def test_criterion_09_oracle_suite(lambda_b_estimate):
-    model = build_carpet_model(0.40).model
+    model = build_carpet_model(0.40)
     lam = math.log(0.40) + lambda_b_estimate.point
-    report = oracle_suite(model, lam, samples=10_000, seed=31)
+    report = oracle_suite(model, build_proof_params(model, lam), samples=10_000, seed=31)
     failures = [
         name
         for name in REQUIRED_ORACLE_CHECKS
@@ -220,7 +228,7 @@ def test_criterion_09_oracle_suite(lambda_b_estimate):
 
 def test_criterion_10_carpet_law_validation():
     p = 0.45
-    model = build_carpet_model(p).model
+    model = build_carpet_model(p)
     worst_tv = 0.0
     for column in range(3):
         for parent in range(2):

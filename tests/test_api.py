@@ -56,6 +56,34 @@ def _cross_module_private_reads(path):
     return found
 
 
+def _unread_parameters(path):
+    """Parameters of each ``def``, other than ``self`` and ``cls``, that its body never reads."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        a = node.args
+        params = [*a.posonlyargs, *a.args, *a.kwonlyargs, *filter(None, (a.vararg, a.kwarg))]
+        read = {
+            n.id
+            for stmt in node.body
+            for n in ast.walk(stmt)
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+        }
+        found += [
+            f"{path.name}:{node.lineno} {node.name}({p.arg})"
+            for p in params
+            if p.arg not in {"self", "cls"} | read
+        ]
+    return found
+
+
+@pytest.mark.parametrize("module", MODULES + ["__init__"])
+def test_every_parameter_is_read(module):
+    assert _unread_parameters(PACKAGE / f"{module}.py") == []
+
+
 @pytest.mark.parametrize("module", MODULES + ["__init__"])
 def test_no_module_reads_another_modules_private_names(module):
     assert _cross_module_private_reads(PACKAGE / f"{module}.py") == []
@@ -158,3 +186,28 @@ def test_one_simulator():
 
     assert not ({"simulate_generations", "SimulationResult"} | wrappers) & set(mbpre.__all__)
     assert {"survival_estimate", "SurvivalEstimate"} <= set(mbpre.__all__)
+
+
+def test_no_carpet_model_wrapper():
+    # build_carpet_model returns the ModelSpec; no wrapper type remains
+    tree = ast.parse((PACKAGE / "carpet.py").read_text())
+    defined = {node.name for node in ast.walk(tree) if isinstance(node, ast.ClassDef)}
+    assert "CarpetModel" not in defined
+    import mbpre
+
+    assert "CarpetModel" not in mbpre.__all__
+
+
+@pytest.mark.parametrize("module", MODULES + ["__init__"])
+def test_no_dispatch_on_model_type(module):
+    # each entry point takes one input form, so none asks whether it got a model
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text())
+    found = [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "id", None) == "isinstance"
+        and len(node.args) == 2
+        and any(getattr(n, "id", None) == "ModelSpec" for n in ast.walk(node.args[1]))
+    ]
+    assert found == []

@@ -37,12 +37,20 @@ class TestBuildCarpetModel:
     def test_expectation_matrices_match_scaled_bases(self):
         rng = np.random.default_rng(0)
         for p in rng.uniform(0.01, 0.999, size=100):
-            model = build_carpet_model(float(p)).model
+            model = build_carpet_model(float(p))
             for letter, base in zip(model.letters, COLUMN_MATRICES):
                 assert np.max(np.abs(letter.expectation - p * base)) <= 1e-12
 
+    def test_mismatched_expectation_is_refused(self, monkeypatch):
+        from mbpre import carpet
+
+        skewed = (COLUMN_MATRICES[0], COLUMN_MATRICES[1] + 0.5, COLUMN_MATRICES[2])
+        monkeypatch.setattr(carpet, "COLUMN_MATRICES", skewed)
+        with pytest.raises(InvariantError, match="'col1' expectation differs from p \\* base"):
+            build_carpet_model(0.4)
+
     def test_degenerate_limit_is_point_masses(self):
-        model = build_carpet_model(1.0).model
+        model = build_carpet_model(1.0)
         for letter, base in zip(model.letters, COLUMN_MATRICES):
             for law in letter.laws:
                 assert len(law.probs) == 1
@@ -50,7 +58,7 @@ class TestBuildCarpetModel:
             assert np.array_equal(letter.expectation, base)
 
     def test_column0_lower_joint_pmf(self):
-        law = build_carpet_model(0.5).model.letters[0].laws[1]
+        law = build_carpet_model(0.5).letters[0].laws[1]
         assert law_as_dict(law)[(1, 2)] == pytest.approx(0.125, abs=1e-15)
 
     def test_range_validation(self):
@@ -59,7 +67,7 @@ class TestBuildCarpetModel:
                 build_carpet_model(bad)
 
     def test_environment_is_uniform_iid(self):
-        env = build_carpet_model(0.4).model.environment
+        env = build_carpet_model(0.4).environment
         assert env.kind == "iid"
         assert np.allclose(env.probs, 1 / 3)
 
@@ -372,7 +380,7 @@ class TestOffspringStats:
         assert abs(stats.mean[1] - 0.3) < 0.01
 
     def test_joint_pmf_matches_model_law(self):
-        model = build_carpet_model(0.5).model
+        model = build_carpet_model(0.5)
         for column, parent in ((0, 1), (1, 0)):
             stats = empirical_offspring_stats(
                 0.5, column, parent, 100_000, np.random.default_rng(9 + column)

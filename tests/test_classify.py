@@ -41,7 +41,7 @@ def stationary(transition):
 
 class TestCheckConditions:
     def test_carpet_report(self):
-        model = build_carpet_model(0.3).model
+        model = build_carpet_model(0.3)
         report = check_conditions(model)
         assert report.ergodic_env_ok
         assert report.allowable_ok and not report.allowability_offenders
@@ -144,7 +144,7 @@ class TestCheckConditions:
         assert unrestricted is not None  # the patterns alone would admit one
 
     def test_report_serializes(self):
-        report = check_conditions(build_carpet_model(0.4).model)
+        report = check_conditions(build_carpet_model(0.4))
         # asdict keeps the tuples, which the JSON text holds as lists
         d = json.loads(json.dumps(asdict(report)))
         assert d["positive_word"] == [1]
@@ -153,11 +153,11 @@ class TestCheckConditions:
 
 class TestClassify:
     def test_ci_rules(self):
-        model = build_carpet_model(0.4).model
+        model = build_carpet_model(0.4)
         report = check_conditions(model)
-        assert classify(model, report, fake_estimate(0.5, 0.1)).kind == "survives_positively"
-        assert classify(model, report, fake_estimate(-0.5, 0.1)).kind == "almost_sure_extinction"
-        assert classify(model, report, fake_estimate(0.01, 0.1)).kind == "critical_extinction"
+        assert classify(report, fake_estimate(0.5, 0.1)).kind == "survives_positively"
+        assert classify(report, fake_estimate(-0.5, 0.1)).kind == "almost_sure_extinction"
+        assert classify(report, fake_estimate(0.01, 0.1)).kind == "critical_extinction"
 
     def test_straddle_without_strong_regularity(self):
         # a positive mean matrix, but every law bears exactly one child
@@ -167,7 +167,7 @@ class TestClassify:
         report = check_conditions(model)
         assert report.allowable_ok and report.positive_word is not None
         assert not report.strongly_regular
-        verdict = classify(model, report, fake_estimate(0.0, 0.1))
+        verdict = classify(report, fake_estimate(0.0, 0.1))
         assert verdict.kind == "inconclusive"
         assert "strong regularity is unavailable" in verdict.rationale
 
@@ -177,24 +177,29 @@ class TestClassify:
         )
         model = ModelSpec(2, (letter,), IidEnvironment([1.0]))
         report = check_conditions(model)
-        verdict = classify(model, report, fake_estimate(1.0, 0.01))
+        verdict = classify(report, fake_estimate(1.0, 0.01))
         assert verdict.kind == "inconclusive"
         assert "hypotheses unmet" in verdict.rationale
 
     def test_pure_function(self):
-        model = build_carpet_model(0.4).model
+        model = build_carpet_model(0.4)
         report = check_conditions(model)
         est = fake_estimate(0.3, 0.05)
-        assert asdict(classify(model, report, est)) == asdict(classify(model, report, est))
+        assert asdict(classify(report, est)) == asdict(classify(report, est))
 
     def test_verdict_monotone_in_retention(self):
         kinds = []
         for p in (0.15, 0.25, 0.55, 0.75):
-            model = build_carpet_model(p).model
+            model = build_carpet_model(p)
             report = check_conditions(model)
             est = estimate_exponent(
-                model, kind="sum", steps_per_batch=5000, batches=8, seed=42
+                model.expectation_matrices(),
+                model.environment,
+                kind="sum",
+                steps_per_batch=5000,
+                batches=8,
+                seed=42,
             )
-            kinds.append(classify(model, report, est).kind)
+            kinds.append(classify(report, est).kind)
         assert kinds[0] == kinds[1] == "almost_sure_extinction"
         assert kinds[2] == kinds[3] == "survives_positively"

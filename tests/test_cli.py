@@ -134,7 +134,7 @@ def test_simulate_growth_runs_each_trial_once(carpet_p04_file, monkeypatch):
          "--cap", "100000", "--seed", "2", "--growth", "--threads", "1"]
     )
     assert rows == [64, 64, 64, 8]
-    res = extinction.survival_estimate(build_carpet_model(0.4).model, 0, 200, 30, 10**5, 2)
+    res = extinction.survival_estimate(build_carpet_model(0.4), 0, 200, 30, 10**5, 2)
     assert env["result"] == {
         "survival": res.survival, "half_width": res.half_width,
         "growth_rate": res.growth_rate, "growth_half_width": res.growth_half_width,
@@ -951,7 +951,7 @@ def markov3_file(tmp_path_factory):
 
     from mbpre import MarkovEnvironment, ModelSpec, build_carpet_model, write_model
 
-    carpet = build_carpet_model(0.4).model
+    carpet = build_carpet_model(0.4)
     transition = np.full((3, 3), 0.25) + np.eye(3) * 0.25
     env = MarkovEnvironment(np.full(3, 1.0 / 3.0), transition)
     path = tmp_path_factory.mktemp("markov") / "markov3.json"

@@ -104,7 +104,7 @@ def _wide_padded_model(rng):
 def _kernel_models():
     """The carpet at p = 0.4 and 1.0, a 3-type 18-atom table, padded random models."""
     rng = np.random.default_rng(32)
-    models = [build_carpet_model(0.4).model, build_carpet_model(1.0).model]
+    models = [build_carpet_model(0.4), build_carpet_model(1.0)]
     models.append(_three_types_18_atoms(rng))
     models += [random_model(rng, n_types=int(rng.integers(2, 4)), max_letters=4) for _ in range(4)]
     return models
@@ -176,14 +176,14 @@ class TestConverged:
         assert np.all(np.abs(res.q - 1 / 3) < 1e-9)
 
     def test_carpet_above_critical_survives(self):
-        model = build_carpet_model(0.4).model
+        model = build_carpet_model(0.4)
         res = extinction_converged(model, seed=2, tol=1e-6)
         assert res.converged
         assert np.all(res.q < 1.0)
 
     @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
     def test_bad_tol_rejected_before_any_draw(self, tol, monkeypatch):
-        model = build_carpet_model(0.4).model
+        model = build_carpet_model(0.4)
 
         def no_draw(*args, **kwargs):
             raise AssertionError("sampled a word with a bad tol")
@@ -336,7 +336,7 @@ class TestKernel:
     def test_letter_budget_counts_one_chunk(self, monkeypatch):
         # memory holds one chunk of words, so a budget that one chunk fits
         # lets any number of environments run
-        model = build_carpet_model(0.4).model
+        model = build_carpet_model(0.4)
         monkeypatch.setattr(extinction, "_CHUNK", 8)
         want = annealed_extinction(model, 100, max_depth=64, seed=3)
         monkeypatch.setattr(extinction, "LETTER_BUDGET", 8 * 64)
@@ -371,7 +371,7 @@ class TestAnnealed:
     def test_mean_keeps_the_bits_of_one_mean_over_every_row(self, monkeypatch):
         # summing each chunk first and then the chunk sums moves the last bits
         monkeypatch.setattr(extinction, "_CHUNK", 64)
-        model = build_carpet_model(0.4).model
+        model = build_carpet_model(0.4)
         mean_q, _ = annealed_extinction(model, 3000, max_depth=64, seed=2)
         q = _converge_rows(model, 3000, child_seeds(2, 3000), 1e-9, 64)[0]
         assert np.array_equal(mean_q, q.mean(axis=0))
@@ -381,7 +381,7 @@ class TestAnnealed:
         # environments; one result row per environment took it from 137 kB
         # to 360 kB, and one generator per environment to 17.7 MB at 10^4
         monkeypatch.setattr(extinction, "_CHUNK", 64)
-        model = build_carpet_model(0.4).model
+        model = build_carpet_model(0.4)
         annealed_extinction(model, 128, max_depth=2, seed=1)
         peaks = []
         for n_envs in (10**3, 10**4):
@@ -405,7 +405,7 @@ class TestAnnealed:
         assert share == 1.0
 
     def test_carpet_below_critical_dies(self):
-        model = build_carpet_model(0.15).model
+        model = build_carpet_model(0.15)
         mean_q, share = annealed_extinction(model, 20, seed=6)
         assert share == 1.0
         assert np.all(np.abs(mean_q - 1.0) < 1e-6)
@@ -520,7 +520,7 @@ class TestTrialKernel:
         assert 0 < np.count_nonzero(total) < rows
 
     def test_chunk_boundary(self):
-        model = build_carpet_model(0.5).model
+        model = build_carpet_model(0.5)
         chunk = extinction._CHUNK
         more = _trial_outcomes(model, 0, chunk + 1, 20, 10**6, 3)
         exact = _trial_outcomes(model, 0, chunk, 20, 10**6, 3)
@@ -533,7 +533,7 @@ class TestTrialKernel:
         assert [field[-1] for field in more] == [field[0] for field in last]
 
     def test_budget_raises_before_any_draw(self, monkeypatch):
-        model = build_carpet_model(0.5).model
+        model = build_carpet_model(0.5)
         monkeypatch.setattr(extinction, "LETTER_BUDGET", 2048)
         # 10 trials x (203 + 1) entries fit; one more generation does not.
         # The chunk size bounds the rows, however many trials follow.
@@ -555,7 +555,7 @@ class TestTrialKernel:
 
     def test_cap_overflow_raises_before_any_draw(self, monkeypatch):
         # at p = 1 the largest atom total is 4: cap x 4 must fit in int64
-        model = build_carpet_model(1.0).model
+        model = build_carpet_model(1.0)
 
         def no_draw(*args, **kwargs):
             raise AssertionError("sampled a word with an overflowing cap")
@@ -575,7 +575,7 @@ class TestTrialKernel:
     def test_rejects_bad_arguments(self, args):
         start_type, trials, horizon, cap = args
         with pytest.raises(ValueError):
-            _trial_outcomes(build_carpet_model(0.5).model, start_type, trials, horizon, cap, 0)
+            _trial_outcomes(build_carpet_model(0.5), start_type, trials, horizon, cap, 0)
 
 
 class TestSurvival:
@@ -598,7 +598,7 @@ class TestSurvival:
     def test_wilson_intervals_cover_exact_survival(self):
         # P(Z_8 > 0 | type 0) on the carpet at p = 0.6, summed exactly over
         # all 3^8 words; no population reaches the cap by generation 8
-        model = build_carpet_model(0.6).model
+        model = build_carpet_model(0.6)
         words = np.array(list(itertools.product(range(model.n_letters), repeat=8)))
         q = compose_prod_clip(model.pgf_table, words, np.zeros((len(words), 2)))[:, 0]
         exact = 1.0 - float(q @ np.prod(model.environment.probs[words], axis=1))
@@ -642,7 +642,7 @@ class TestGrowthRate:
         # growth of the simulated population against log p + lambda_B
         from mbpre import lambda_b
 
-        model = build_carpet_model(0.6).model
+        model = build_carpet_model(0.6)
         lam = math.log(0.6) + lambda_b(20_000, 8, seed=2).point
         res = survival_estimate(model, 0, 1500, 40, cap=10**7, seed=3)
         assert res.surviving_trials >= 500
@@ -660,7 +660,7 @@ class TestGrowthRate:
         # lambda_B = 0.973205225 +- 1e-9 is the p = 1 carpet exponent by
         # Ulam's transfer operator on 64000 cells (Furstenberg's formula); at
         # horizon 320 the second-half rate's bias is within its half-width
-        model = build_carpet_model(0.4).model
+        model = build_carpet_model(0.4)
         res = survival_estimate(model, 0, 4000, 320, cap=10**12, seed=seed)
         assert abs(res.growth_rate - (math.log(0.4) + 0.973205225)) <= 2 * res.growth_half_width
 

@@ -486,12 +486,8 @@ class TestEstimateExponent:
         (lambda: lyapunov.LyapunovEstimate("sum", 0.1, -1e-9, 100, 2), "half_width must be >= 0"),
         (lambda: exponent_along_word([np.eye(2), np.eye(3)], [0, 1]), "one square shape"),
         (lambda: exponent_along_word([np.ones((2, 3))], [0]), "one square shape"),
-        (
-            lambda: estimate_exponent(COLUMN_MATRICES, steps_per_batch=100, batches=2, seed=0),
-            "environment distribution is required",
-        ),
     ],
-    ids=["negative-half-width", "mixed-sizes", "not-square", "no-environment"],
+    ids=["negative-half-width", "mixed-sizes", "not-square"],
 )
 def test_argument_errors(build, message):
     with pytest.raises(ValueError, match=message):

@@ -95,7 +95,7 @@ class TestPgfEval:
 
 class TestExpectationMatrix:
     def test_carpet_column0_at_quarter(self):
-        letter = build_carpet_model(0.25).model.letters[0]
+        letter = build_carpet_model(0.25).letters[0]
         assert np.allclose(
             letter.expectation, [[0.25, 0.0], [0.5, 0.5]], atol=1e-15
         )
@@ -117,7 +117,7 @@ class TestExpectationMatrix:
         for _ in range(20):
             letter = EnvironmentLetter("r", (random_law(rng), random_law(rng)))
             m = letter.expectation
-            bound = second_moment_bound(letter)
+            bound = max(float(l.factorial_second_moments().max()) for l in letter.laws)
             for i, l in enumerate(letter.laws):
                 for k in range(2):
                     s = np.ones(2)
@@ -131,14 +131,14 @@ class TestSecondMomentBound:
         letter = EnvironmentLetter(
             "s", (law([((1, 0), 0.5), ((0, 0), 0.5)]), law([((0, 1), 1.0)]))
         )
-        assert second_moment_bound(letter) == 0.0
+        assert second_moment_bound(ModelSpec(2, (letter,), IidEnvironment([1.0]))) == 0.0
 
     def test_two_of_a_kind(self):
         l = law([((2, 0), 1.0)])
         assert l.factorial_second_moments()[0, 0] == 2.0
 
     def test_carpet_column2_upper_by_brute_force(self):
-        l = build_carpet_model(0.5).model.letters[2].laws[0]
+        l = build_carpet_model(0.5).letters[2].laws[0]
         d = law_as_dict(l)
         assert len(d) == 9
         brute = sum(p * z[0] * (z[0] - 1) for z, p in d.items())
@@ -151,7 +151,7 @@ class TestUniformAllowabilityAlpha:
         assert uniform_allowability_alpha(deterministic_line_model) == 1.0
 
     def test_carpet_enumeration(self):
-        model = build_carpet_model(0.3).model
+        model = build_carpet_model(0.3)
         alpha = uniform_allowability_alpha(model)
         masses = []
         for letter in model.letters:
@@ -214,7 +214,7 @@ class TestSampling:
         assert abs(freq - 0.5) < 0.01
 
     def test_carpet_lower_mean(self):
-        l = build_carpet_model(0.5).model.letters[0].laws[1]
+        l = build_carpet_model(0.5).letters[0].laws[1]
         rng = np.random.default_rng(2)
         draws = l.sample(rng, size=100_000)
         assert np.all(np.abs(draws.mean(axis=0) - [1.0, 1.0]) < 0.02)
@@ -350,6 +350,18 @@ class TestEnvironmentSampling:
             with pytest.raises(BudgetError, match="budget"):
                 env.sample_word(n, rng, rows=rows)
         assert rng.random() == after.random()
+
+    @pytest.mark.parametrize(
+        "env",
+        [IidEnvironment(np.array([0.2, 0.3, 0.5])), MarkovEnvironment(np.full(3, 1 / 3), _MARKOV3)],
+        ids=["iid", "markov"],
+    )
+    @pytest.mark.parametrize("rows, shape", [(None, (0,)), (3, (3, 0))])
+    def test_empty_word_draws_nothing(self, env, rows, shape):
+        rng = np.random.default_rng(15)
+        word = env.sample_word(0, rng, rows=rows)
+        assert word.shape == shape and word.dtype == np.int64
+        assert rng.bit_generator.state == np.random.default_rng(15).bit_generator.state
 
     def test_markov_requires_stationary_initial(self):
         with pytest.raises(InvariantError):
@@ -489,7 +501,7 @@ class TestCodec:
             assert write_model(again) == write_model(model)
 
     def test_carpet_round_trip_preserves_expectations(self):
-        model = build_carpet_model(0.37).model
+        model = build_carpet_model(0.37)
         again = parse_model(write_model(model))
         for a, b in zip(model.letters, again.letters):
             assert np.array_equal(a.expectation, b.expectation)

@@ -59,7 +59,7 @@ class TestGEval:
         assert np.allclose(g_eval(np.zeros((2, 2)), np.array([0.2, 0.4])), 1.0)
 
     def test_word_composition_is_affine_in_product(self):
-        model = build_carpet_model(0.4).model
+        model = build_carpet_model(0.4)
         mats = shrunk_matrices(model, 0.8)
         rng = np.random.default_rng(2)
         for _ in range(50):
@@ -127,7 +127,7 @@ class TestProofParams:
 
 class TestBuildProofParams:
     def test_carpet_hypothetical_exponent(self):
-        model = build_carpet_model(0.4).model
+        model = build_carpet_model(0.4)
         lam = math.log(0.4) + 1.38
         params = build_proof_params(model, lam)
         assert params.rho == pytest.approx(math.exp(-lam / 2), abs=1e-12)
@@ -135,7 +135,7 @@ class TestBuildProofParams:
         assert params.rho * math.exp(lam) > 1
 
     def test_nonpositive_exponent_rejected(self):
-        model = build_carpet_model(0.4).model
+        model = build_carpet_model(0.4)
         with pytest.raises(ValueError):
             build_proof_params(model, 0.0)
         with pytest.raises(ValueError):
@@ -143,12 +143,12 @@ class TestBuildProofParams:
 
     @pytest.mark.parametrize("exponent", [math.nan, math.inf])
     def test_non_finite_exponent_rejected(self, exponent):
-        model = build_carpet_model(0.4).model
+        model = build_carpet_model(0.4)
         with pytest.raises(ValueError, match="finite"):
             build_proof_params(model, exponent)
 
     def test_params_satisfy_family_bounds(self):
-        model = build_carpet_model(0.4).model
+        model = build_carpet_model(0.4)
         params = build_proof_params(model, LAMBDA_04)
         mats = shrunk_matrices(model, params.rho)
         assert params.mu <= min(col_min(a) for a in mats) + 1e-15
@@ -157,7 +157,7 @@ class TestBuildProofParams:
 
     def test_shrunk_exponent_identity(self):
         # exact per-word identity: shrinking by rho shifts the exponent by log rho
-        model = build_carpet_model(0.4).model
+        model = build_carpet_model(0.4)
         params = build_proof_params(model, LAMBDA_04)
         mats = model.expectation_matrices()
         shrunk = shrunk_matrices(model, params.rho)
@@ -171,14 +171,14 @@ class TestBuildProofParams:
 
 class TestOracleSuite:
     def test_carpet_all_pass(self):
-        model = build_carpet_model(0.4).model
-        report = oracle_suite(model, LAMBDA_04, samples=2000, seed=0)
+        model = build_carpet_model(0.4)
+        report = oracle_suite(model, build_proof_params(model, LAMBDA_04), samples=2000, seed=0)
         failed = [c.check for c in report.checks if not c.passed]
         assert failed == []
         assert report.all_passed
 
     def test_equalities_at_one(self):
-        model = build_carpet_model(0.4).model
+        model = build_carpet_model(0.4)
         params = build_proof_params(model, LAMBDA_04)
         for a in shrunk_matrices(model, params.rho):
             assert np.array_equal(h_eval(a, np.ones(2), params.delta), np.ones(2))
@@ -186,7 +186,7 @@ class TestOracleSuite:
     def test_corrupted_delta_report_is_well_formed(self):
         # negative control: doubling delta voids the construction's guarantee;
         # the suite must still run and report, whether or not a check trips
-        model = build_carpet_model(0.4).model
+        model = build_carpet_model(0.4)
         good = build_proof_params(model, LAMBDA_04)
         bad = ProofParams(
             rho=good.rho,
@@ -198,7 +198,7 @@ class TestOracleSuite:
             u=good.u,
             exponent=good.exponent,
         )
-        report = oracle_suite(model, LAMBDA_04, samples=2000, seed=1, params=bad)
+        report = oracle_suite(model, bad, samples=2000, seed=1)
         names = {c.check for c in report.checks}
         assert "majorant_dominates_pgf_near_one" in names
         for c in report.checks:
@@ -208,12 +208,12 @@ class TestOracleSuite:
         # moment_bound / 200 with delta x 200 widens the clamp box past where
         # the affine map dominates, and mu = 1 drops the contraction margin;
         # each reported letter or word and point must violate its inequality
-        model = build_carpet_model(0.4).model
+        model = build_carpet_model(0.4)
         good = build_proof_params(model, LAMBDA_04)
         bad = dataclasses.replace(
             good, moment_bound=good.moment_bound / 200.0, delta=good.delta * 200.0, mu=1.0
         )
-        report = oracle_suite(model, LAMBDA_04, samples=500, seed=1, params=bad)
+        report = oracle_suite(model, bad, samples=500, seed=1)
         letters = {x.name: x for x in model.letters}
         mats = shrunk_matrices(model, bad.rho)
         shrunk = dict(zip(letters, mats))
@@ -254,24 +254,17 @@ class TestOracleSuite:
     def test_report_serializes(self):
         import json
 
-        model = build_carpet_model(0.4).model
-        report = oracle_suite(model, LAMBDA_04, samples=500, seed=2)
+        model = build_carpet_model(0.4)
+        report = oracle_suite(model, build_proof_params(model, LAMBDA_04), samples=500, seed=2)
         parsed = json.loads(json.dumps(dataclasses.asdict(report)))["checks"]
         assert {entry["check"] for entry in parsed} == {c.check for c in report.checks}
         for entry in parsed:
             assert set(entry) == {"check", "passed", "samples", "counterexample"}
 
     def test_seed_reproducible(self):
-        model = build_carpet_model(0.4).model
-        a = oracle_suite(model, LAMBDA_04, samples=500, seed=3)
-        b = oracle_suite(model, LAMBDA_04, samples=500, seed=3)
+        model = build_carpet_model(0.4)
+        params = build_proof_params(model, LAMBDA_04)
+        a = oracle_suite(model, params, samples=500, seed=3)
+        b = oracle_suite(model, params, samples=500, seed=3)
         assert dataclasses.asdict(a) == dataclasses.asdict(b)
 
-    def test_params_for_another_exponent_rejected(self):
-        # gamma and the shrink come from params, so a mismatch must not pass silently
-        model = build_carpet_model(0.4).model
-        params = build_proof_params(model, 2 * LAMBDA_04)
-        with pytest.raises(ValueError, match="exponent"):
-            oracle_suite(model, LAMBDA_04, samples=10, seed=0, params=params)
-        report = oracle_suite(model, 2 * LAMBDA_04, samples=10, seed=0, params=params)
-        assert report.all_passed

@@ -21,25 +21,27 @@ UNMASKED = (
 
 
 def carpet_04():
-    return build_carpet_model(0.4).model
+    return build_carpet_model(0.4)
 
 
 def test_multi_chunk_run_passes_and_reproduces():
     model = carpet_04()
-    report = oracle_suite(model, LAMBDA_04, samples=SAMPLES, seed=4)
+    params = build_proof_params(model, LAMBDA_04)
+    report = oracle_suite(model, params, samples=SAMPLES, seed=4)
     assert [c.check for c in report.checks if not c.passed] == []
-    again = oracle_suite(model, LAMBDA_04, samples=SAMPLES, seed=4)
+    again = oracle_suite(model, params, samples=SAMPLES, seed=4)
     assert dataclasses.asdict(again) == dataclasses.asdict(report)
 
 
 def test_multi_chunk_counts_sum_over_chunks():
     model = carpet_04()
-    by_name = oracle_suite(model, LAMBDA_04, samples=SAMPLES, seed=5).by_name
+    params = build_proof_params(model, LAMBDA_04)
+    by_name = oracle_suite(model, params, samples=SAMPLES, seed=5).by_name
     for name in UNMASKED:
         assert by_name[name].samples == SAMPLES, name
     assert by_name["h_dominates_pgf_on_words"].samples == 32 * (SAMPLES // 32)
     assert by_name["h_fixes_one"].samples == len(model.letters)
-    one_chunk = oracle_suite(model, LAMBDA_04, samples=_CHUNK, seed=5).by_name
+    one_chunk = oracle_suite(model, params, samples=_CHUNK, seed=5).by_name
     assert by_name["zero_column_zero_mass"].samples == one_chunk["zero_column_zero_mass"].samples
 
 
@@ -52,8 +54,8 @@ def test_multi_chunk_run_keeps_the_first_counterexample():
     bad = dataclasses.replace(
         good, moment_bound=good.moment_bound / 200.0, delta=good.delta * 200.0, mu=1.0
     )
-    one = oracle_suite(model, LAMBDA_04, samples=_CHUNK, seed=1, params=bad).by_name
-    many = oracle_suite(model, LAMBDA_04, samples=SAMPLES, seed=1, params=bad).by_name
+    one = oracle_suite(model, bad, samples=_CHUNK, seed=1).by_name
+    many = oracle_suite(model, bad, samples=SAMPLES, seed=1).by_name
     failed = {name for name, c in one.items() if not c.passed}
     assert {name for name, c in many.items() if not c.passed} == failed
     shared = failed & {*UNMASKED, "affine_norm_contraction"}
@@ -72,16 +74,16 @@ def test_strict_drop_counterexample_same_at_any_sample_count(seed):
     alpha = 5.0 * good.alpha
     delta = (1.0 - good.rho) * alpha / (2.0 * good.n_types * good.moment_bound)
     bad = dataclasses.replace(good, alpha=alpha, delta=delta)
-    one = oracle_suite(model, LAMBDA_04, samples=_CHUNK, seed=seed, params=bad).by_name
-    many = oracle_suite(model, LAMBDA_04, samples=SAMPLES, seed=seed, params=bad).by_name
+    one = oracle_suite(model, bad, samples=_CHUNK, seed=seed).by_name
+    many = oracle_suite(model, bad, samples=SAMPLES, seed=seed).by_name
     assert not one["pgf_strict_drop"].passed
     assert many["pgf_strict_drop"].counterexample == one["pgf_strict_drop"].counterexample
 
 
-def traced_peak(model, samples):
+def traced_peak(model, params, samples):
     tracemalloc.start()
     try:
-        oracle_suite(model, LAMBDA_04, samples=samples, seed=6)
+        oracle_suite(model, params, samples=samples, seed=6)
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -91,9 +93,10 @@ def test_traced_peak_flat_in_samples():
     # unchunked, the peak grew about 35 kB per 100 samples: 3.6 MB at 10^4
     # samples and 35 MB at 10^5; chunked, both stay near 0.8 MB
     model = carpet_04()
-    oracle_suite(model, LAMBDA_04, samples=10, seed=6)  # fill cached properties first
-    small = traced_peak(model, 10_000)
-    large = traced_peak(model, 100_000)
+    params = build_proof_params(model, LAMBDA_04)
+    oracle_suite(model, params, samples=10, seed=6)  # fill cached properties first
+    small = traced_peak(model, params, 10_000)
+    large = traced_peak(model, params, 100_000)
     assert large <= small + 256 * 1024, (small, large)
 
 
@@ -103,20 +106,20 @@ def test_empty_selections_pass_with_zero_counts():
     # no strict-drop coordinate below 1 - dtilde, and with delta = 0.99 no
     # sample lies outside the box (at seed 3 no g(s) is non-negative either)
     model = carpet_04()
-    by_name = oracle_suite(model, LAMBDA_04, samples=1, seed=0).by_name
+    good = build_proof_params(model, LAMBDA_04)
+    by_name = oracle_suite(model, good, samples=1, seed=0).by_name
     assert all(c.passed for c in by_name.values())
     assert by_name["pgf_strict_drop"].samples == 0
-    good = build_proof_params(model, LAMBDA_04)
     moment = (1.0 - good.rho) * good.alpha / (2.0 * good.n_types * 0.99)
     delta = (1.0 - good.rho) * good.alpha / (2.0 * good.n_types * moment)
     wide = dataclasses.replace(good, moment_bound=moment, delta=delta)
     for seed, empty in ((0, ["high_norm_forces_near_one"]),
                         (3, ["high_norm_forces_near_one", "affine_norm_contraction"])):
-        by_name = oracle_suite(model, LAMBDA_04, samples=1, seed=seed, params=wide).by_name
+        by_name = oracle_suite(model, wide, samples=1, seed=seed).by_name
         for name in empty:
             assert (by_name[name].samples, by_name[name].passed) == (0, True), (seed, name)
     # no rows at all: every point check still runs, on empty chunks
-    by_name = oracle_suite(model, LAMBDA_04, samples=0, seed=0).by_name
+    by_name = oracle_suite(model, good, samples=0, seed=0).by_name
     for name in (*UNMASKED, "high_norm_forces_near_one", "affine_norm_contraction",
                  "pgf_strict_drop"):
         assert (by_name[name].samples, by_name[name].passed) == (0, True), name

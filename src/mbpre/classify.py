@@ -49,7 +49,7 @@ class Verdict:
     rationale: str
 
 
-def check_conditions(model, max_word_len=None):
+def check_conditions(model):
     """Verify every hypothesis of the survival trichotomy on a model.
 
     Findings are reported, never thrown: a failed condition shows up as a
@@ -72,12 +72,8 @@ def check_conditions(model, max_word_len=None):
             allowed = np.broadcast_to(start, (start.size, start.size))
         else:
             allowed = env.transition > 0
-        found = find_positive_product_word(
-            [positivity_pattern(m) for m in model.expectation_matrices()],
-            start,
-            allowed,
-            max_word_len,
-        )
+        patterns = [positivity_pattern(m) for m in model.expectation_matrices()]
+        found = find_positive_product_word(patterns, start, allowed)
         if found is not None:
             prod = product_along_word(model.expectation_matrices(), found)
             prob = env.cylinder_probability(found)

@@ -102,7 +102,6 @@ class _Parser(argparse.ArgumentParser):
 
 def _check_options(p):
     p.add_argument("--model", required=True)
-    p.add_argument("--max-word-len", type=_parse_positive, default=None)
 
 
 def _lyapunov_options(p):
@@ -133,11 +132,6 @@ def _simulate_options(p):
     )
 
 
-def _classify_options(p):
-    _lyapunov_options(p)
-    p.add_argument("--max-word-len", type=_parse_positive, default=None)
-
-
 def _critical_options(p):
     _add_steps(p)
     p.add_argument("--bisect", action="store_true", help="cross-check by survival bisection")
@@ -166,18 +160,18 @@ def _proofkit_options(p):
     p.add_argument("--samples", type=_parse_positive, default=10_000)
 
 
-def _cmd_check(args, model):
+def _cmd_check(args):
     from .classify import check_conditions
 
-    return check_conditions(model, max_word_len=args.max_word_len)
+    return check_conditions(args.model)
 
 
-def _estimate(args, model):
+def _estimate(args):
     from . import lyapunov
 
     return lyapunov.estimate_exponent(
-        model.expectation_matrices(),
-        model.environment,
+        args.model.expectation_matrices(),
+        args.model.environment,
         kind=args.kind,
         steps_per_batch=args.steps,
         batches=args.batches,
@@ -185,7 +179,7 @@ def _estimate(args, model):
     )
 
 
-def _cmd_extinction(args, model):
+def _cmd_extinction(args):
     from . import extinction
 
     if args.mode == "fixed":
@@ -195,15 +189,15 @@ def _cmd_extinction(args, model):
             word = [int(x) for x in args.word.split(",")]
         except ValueError:
             raise ValueError("--word must be comma-separated integers")
-        res = extinction.extinction_fixed_env(model, word)
+        res = extinction.extinction_fixed_env(args.model, word)
         return {"q": [float(v) for v in res.q], "depth": res.depth}
     if args.mode == "converged":
         res = extinction.extinction_converged(
-            model, args.seed, tol=args.tol, max_depth=args.max_depth
+            args.model, args.seed, tol=args.tol, max_depth=args.max_depth
         )
         return {"q": [float(v) for v in res.q], "depth": res.depth, "converged": res.converged}
     mean_q, share = extinction.annealed_extinction(
-        model,
+        args.model,
         args.envs,
         tol=args.tol,
         max_depth=args.max_depth,
@@ -212,13 +206,13 @@ def _cmd_extinction(args, model):
     return {"mean_q": [float(v) for v in mean_q], "share_converged": share}
 
 
-def _cmd_simulate(args, model):
+def _cmd_simulate(args):
     from . import extinction
 
     if args.growth and args.horizon < 20:
         raise ValueError("horizon must be >= 20")
     res = extinction.survival_estimate(
-        model, args.start_type, args.trials, args.horizon, args.cap, args.seed
+        args.model, args.start_type, args.trials, args.horizon, args.cap, args.seed
     )
     if not args.growth:
         return {"survival": res.survival, "half_width": res.half_width}
@@ -229,11 +223,11 @@ def _cmd_simulate(args, model):
     return res
 
 
-def _cmd_classify(args, model):
+def _cmd_classify(args):
     from .classify import check_conditions, classify
 
-    report = check_conditions(model, max_word_len=args.max_word_len)
-    verdict = classify(report, _estimate(args, model))
+    report = check_conditions(args.model)
+    verdict = classify(report, _estimate(args))
     return {"report": report, "verdict": verdict}
 
 
@@ -293,12 +287,12 @@ def _cmd_carpet_offspring(args):
     }
 
 
-def _cmd_proofkit(args, model):
+def _cmd_proofkit(args):
     from . import proofkit
 
     lam = getattr(args, "lambda")  # a keyword, so not args.lambda
-    built = proofkit.build_proof_params(model, lam)
-    report = proofkit.oracle_suite(model, built, args.samples, args.seed)
+    built = proofkit.build_proof_params(args.model, lam)
+    report = proofkit.oracle_suite(args.model, built, args.samples, args.seed)
     return {
         "checks": report.checks,
         "all_passed": report.all_passed,
@@ -342,7 +336,7 @@ _COMMANDS = {
         "population simulation and survival estimate", _cmd_simulate, _simulate_options, True
     ),
     "classify": (
-        "survival/extinction verdict for a model", _cmd_classify, _classify_options, True
+        "survival/extinction verdict for a model", _cmd_classify, _lyapunov_options, True
     ),
     "carpet": ("random Sierpinski carpet application", None, _CARPET_COMMANDS, None),
     "proofkit": (
@@ -434,10 +428,13 @@ def main(argv=None):
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else int(exc.code)
+    # argparse fills the namespace in parser order, defaults included
+    params = {k: v for k, v in vars(args).items() if k not in _NOT_ECHOED}
     try:
-        # the subcommands with --model read it here, in one place
-        inputs = [_load_model(args.model)] if "model" in vars(args) else []
-        result = args.handler(args, *inputs)
+        # the subcommands with --model read it here, in one place, into args.model
+        if "model" in params:
+            args.model = _load_model(args.model)
+        result = args.handler(args)
     except Exception as exc:
         from .errors import BudgetError, InvariantError, ModelFormatError
 
@@ -446,8 +443,6 @@ def main(argv=None):
         # error (a degenerate product, no survivors) exits 1
         codes = (((ModelFormatError, InvariantError), 3), (ValueError, 2), (BudgetError, 4))
         return next((code for kinds, code in codes if isinstance(exc, kinds)), 1)
-    # argparse fills the namespace in parser order, defaults included
-    params = {k: v for k, v in vars(args).items() if k not in _NOT_ECHOED}
     command = " ".join(filter(None, (args.command, getattr(args, "carpet_command", None))))
     envelope = {
         "tool": "mbpre",

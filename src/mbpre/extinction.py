@@ -16,9 +16,8 @@ from itertools import islice
 import numpy as np
 
 from .errors import BudgetError
-from .model import LETTER_BUDGET, check_word, child_seeds
+from .model import LETTER_BUDGET, Z95, check_word, child_seeds, mean_half_width
 
-_Z95 = 1.96
 # First depth probed by the doubling convergence loop.
 _DEPTH0 = 64
 # Trials or annealed environments run together; trial chunk c draws from
@@ -215,10 +214,9 @@ def _check_cap(model, cap):
 
 def _wilson(successes, n):
     """Share of successes among ``n`` and its Wilson 95% half-width."""
-    z = _Z95
     phat = successes / n
-    denom = 1.0 + z * z / n
-    return phat, z * math.sqrt(phat * (1.0 - phat) / n + z * z / (4.0 * n * n)) / denom
+    denom = 1.0 + Z95 * Z95 / n
+    return phat, Z95 * math.sqrt(phat * (1.0 - phat) / n + Z95 * Z95 / (4.0 * n * n)) / denom
 
 
 def _chunk_outcomes(model, start_type, rows, horizon, cap, rng):
@@ -316,7 +314,7 @@ class SurvivalEstimate:
     at 160, and +0.0% and -0.9% at 320. At horizon 40 the 95% half-width
     (about 0.0019) does not cover that gap.
 
-    ``growth_half_width`` is 1.96 standard errors of the per-trial rates.
+    ``growth_half_width`` is the 95% half-width of the per-trial rates' mean.
     ``growth_rate`` is ``None`` when no trial survives, and
     ``growth_half_width`` is ``None`` below 2 survivors.
     """
@@ -341,6 +339,6 @@ def survival_estimate(model, start_type, trials, horizon, cap=10**6, seed=0):
     return SurvivalEstimate(
         *_wilson(n, total.size),
         float(rates.mean()) if n else None,
-        float(_Z95 * rates.std(ddof=1) / math.sqrt(n)) if n > 1 else None,
+        mean_half_width(rates) if n > 1 else None,
         n,
     )

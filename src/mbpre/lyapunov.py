@@ -37,7 +37,7 @@ import numpy as np
 
 from .errors import KINDS, DegenerateProductError
 from .matcore import boolean_product, col_min, is_allowable, norm_sum, row_min
-from .model import check_word, child_seeds
+from .model import check_word, child_seeds, mean_half_width
 
 _REDUCTIONS = {"sum": norm_sum, "colmin": col_min, "rowmin": row_min}
 
@@ -47,10 +47,6 @@ _REDUCTIONS = {"sum": norm_sum, "colmin": col_min, "rowmin": row_min}
 # so the table and a chunk hold at most 32 MB each.
 _CHUNK = 4096
 _FLOATS = 1 << 22
-
-# 95% normal quantile for the batch-means interval; batches are i.i.d. by
-# construction, the normal approximation is a documented heuristic.
-_Z95 = 1.96
 
 
 @dataclass(frozen=True)
@@ -234,5 +230,4 @@ def estimate_exponent(matrices, environment, *, kind="sum", steps_per_batch, bat
         ]
     )
     point = float(values.mean())
-    half_width = float(_Z95 * values.std(ddof=1) / math.sqrt(batches))
-    return LyapunovEstimate(kind, point, half_width, steps_per_batch, batches)
+    return LyapunovEstimate(kind, point, mean_half_width(values), steps_per_batch, batches)

@@ -78,7 +78,7 @@ def boolean_product(p, q):
     return np.matmul(p, q)
 
 
-def find_positive_product_word(patterns, start, allowed, max_word_len=None):
+def find_positive_product_word(patterns, start, allowed):
     """Shortest admissible word whose letter-pattern product is all-positive, or None.
 
     A word is admissible when its first letter ``i`` has ``start[i]`` and each
@@ -86,10 +86,10 @@ def find_positive_product_word(patterns, start, allowed, max_word_len=None):
     is an (L,) and ``allowed`` an (L, L) boolean array over the L patterns.
     Breadth-first search over (pattern, last letter) states under right
     multiplication; among shortest witnesses the lexicographically smallest
-    word is returned. Words longer than ``max_word_len`` are not explored.
-    Exploring more than ``min(MAX_PATTERN_STATES, PATTERN_BYTES // N**2)``
-    states raises :class:`BudgetError`, which is distinct from the search
-    closing without a witness (None).
+    word is returned. Exploring more than
+    ``min(MAX_PATTERN_STATES, PATTERN_BYTES // N**2)`` states raises
+    :class:`BudgetError`, which is distinct from the search closing without
+    a witness (None).
     """
     pats = [np.asarray(p, dtype=bool) for p in patterns]
     n, L = pats[0].shape[0], len(pats)
@@ -100,8 +100,6 @@ def find_positive_product_word(patterns, start, allowed, max_word_len=None):
     if start.shape != (L,) or allowed.shape != (L, L):
         raise ValueError(f"start must have shape ({L},) and allowed shape ({L}, {L})")
     max_states = min(MAX_PATTERN_STATES, PATTERN_BYTES // (n * n))
-    if max_word_len is not None and max_word_len < 1:
-        raise ValueError("max_word_len must be >= 1")
     successors = [np.flatnonzero(row).tolist() for row in allowed]
 
     seen = set()
@@ -118,8 +116,7 @@ def find_positive_product_word(patterns, start, allowed, max_word_len=None):
             )
         if pattern.all():
             return word
-        if max_word_len is None or len(word) < max_word_len:
-            queue.append((pattern, word))
+        queue.append((pattern, word))
         return None
 
     for i in np.flatnonzero(start).tolist():

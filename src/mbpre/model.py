@@ -34,6 +34,9 @@ STATIONARY_TOL = 1e-9
 # ``extinction``, the (trial, generation) entries of one chunk of trials and
 # the draws of ``carpet.empirical_offspring_stats``.
 LETTER_BUDGET = 1 << 26
+# 95% normal quantile of every confidence interval (batch means, growth
+# rates, Wilson); the normal approximation is a documented heuristic.
+Z95 = 1.96
 
 # Uniforms drawn at a time by the word samplers: their stream order is that
 # of one whole draw, so a word keeps its bits at any slice size.
@@ -81,6 +84,11 @@ def child_seeds(seed, n):
         yield np.random.SeedSequence(
             parent.entropy, spawn_key=parent.spawn_key + (k,), pool_size=parent.pool_size
         )
+
+
+def mean_half_width(values):
+    """95% half-width of the mean of the 1-D array ``values``: ``Z95`` standard errors."""
+    return float(Z95 * values.std(ddof=1) / math.sqrt(values.size))
 
 
 def _check_svalue(s, n_types):
@@ -481,6 +489,19 @@ def _require_keys(obj, allowed, required, path):
             raise ModelFormatError(path, f"missing key {key!r}")
 
 
+def _is_number(v):
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _numbers(obj, path, size=None):
+    """``obj`` as a float array, if it is a list of JSON numbers (``size`` of them if given)."""
+    if not isinstance(obj, list) or not all(map(_is_number, obj)):
+        raise ModelFormatError(path, "expected a list of numbers")
+    if size is not None and len(obj) != size:
+        raise ModelFormatError(path, f"expected a list of {size} numbers")
+    return np.array(obj, dtype=float)
+
+
 def _parse_law(entries, n_types, path):
     if not isinstance(entries, list) or not entries:
         raise ModelFormatError(path, "expected a non-empty list of support entries")
@@ -496,7 +517,7 @@ def _parse_law(entries, n_types, path):
         ):
             raise ModelFormatError(f"{here}.z", f"expected a list of {n_types} integers")
         p = entry["p"]
-        if not isinstance(p, (int, float)) or isinstance(p, bool):
+        if not _is_number(p):
             raise ModelFormatError(f"{here}.p", "expected a number")
         counts.append(z)
         probs.append(float(p))
@@ -508,21 +529,17 @@ def _parse_environment(obj, path):
     kind = obj["kind"]
     if kind == "iid":
         _require_keys(obj, {"kind", "probs"}, {"kind", "probs"}, path)
-        if not isinstance(obj["probs"], list):
-            raise ModelFormatError(f"{path}.probs", "expected a list of numbers")
-        return IidEnvironment(np.array(obj["probs"], dtype=float))
+        return IidEnvironment(_numbers(obj["probs"], f"{path}.probs"))
     if kind == "markov":
         _require_keys(obj, {"kind", "initial", "transition"}, {"kind", "initial", "transition"}, path)
-        if not isinstance(obj["initial"], list):
-            raise ModelFormatError(f"{path}.initial", "expected a list of numbers")
-        if not isinstance(obj["transition"], list) or not all(
-            isinstance(row, list) for row in obj["transition"]
-        ):
+        initial = _numbers(obj["initial"], f"{path}.initial")
+        if not isinstance(obj["transition"], list):
             raise ModelFormatError(f"{path}.transition", "expected a list of rows")
-        return MarkovEnvironment(
-            np.array(obj["initial"], dtype=float),
-            np.array(obj["transition"], dtype=float),
-        )
+        rows = [
+            _numbers(row, f"{path}.transition[{i}]", initial.size)
+            for i, row in enumerate(obj["transition"])
+        ]
+        return MarkovEnvironment(initial, np.array(rows))
     raise ModelFormatError(f"{path}.kind", f"unknown environment kind {kind!r}")
 
 

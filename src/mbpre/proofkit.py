@@ -176,6 +176,15 @@ def _case(ok, head, **points):
     return {**head, **{k: _point(v[bad[0]]) for k, v in points.items()}}
 
 
+def _contraction(a, s, v, head):
+    """Count of points of ``s`` with g(s) >= 0, and the case of ||g(s)|| <= phi_v(||s||) on them."""
+    gv = g_eval(a, s)
+    mask = np.all(gv >= 0.0, axis=1)
+    inside = s.compress(mask, axis=0)
+    good = gv.compress(mask, axis=0).sum(axis=1) <= phi(v, inside.sum(axis=1), s.shape[1]) + _TOL
+    return int(mask.sum()), _case(good, head, s=inside)
+
+
 def _pieces(total):
     """Consecutive row counts of at most ``_CHUNK`` summing to ``total``.
 
@@ -289,16 +298,10 @@ def oracle_suite(model, params, samples, seed):
         )
 
         # wherever g is componentwise non-negative its norm contracts under phi_mu
-        checked = 0
-        cases = []
-        for a, letter in pairs:
-            gv = g_eval(a, s)
-            mask = np.all(gv >= 0.0, axis=1)
-            checked += int(mask.sum())
-            inside = s.compress(mask, axis=0)
-            good = gv.compress(mask, axis=0).sum(axis=1) <= phi(mu, inside.sum(axis=1), n) + _TOL
-            cases.append(_case(good, {"letter": letter.name}, s=inside))
-        record("affine_norm_contraction", checked, cases)
+        checked, cases = zip(
+            *(_contraction(a, s, mu, {"letter": letter.name}) for a, letter in pairs)
+        )
+        record("affine_norm_contraction", sum(checked), cases)
 
         # a pgf drops strictly below 1 - (alpha/2) * dtilde whenever some child
         # type with positive mean count has its coordinate below 1 - dtilde
@@ -348,13 +351,8 @@ def oracle_suite(model, params, samples, seed):
         if col_min(aw) < gamma**length:
             continue
         for rows in _pieces(per_word):
-            sw = rng.random((rows, n))
-            gv = 1.0 - (1.0 - sw) @ aw.T
-            mask = np.all(gv >= 0.0, axis=1)
-            inside = sw.compress(mask, axis=0)
-            good = gv.compress(mask, axis=0).sum(axis=1) <= phi(gamma, inside.sum(axis=1), n) + _TOL
-            case = _case(good, {"word": word.tolist()}, s=inside)
-            record("word_norm_contraction", int(mask.sum()), [case])
+            checked, case = _contraction(aw, rng.random((rows, n)), gamma, {"word": word.tolist()})
+            record("word_norm_contraction", checked, [case])
 
     return OracleReport(
         tuple(

@@ -211,3 +211,45 @@ def test_no_dispatch_on_model_type(module):
         and any(getattr(n, "id", None) == "ModelSpec" for n in ast.walk(node.args[1]))
     ]
     assert found == []
+
+
+def _module_tree(module):
+    return ast.parse((PACKAGE / f"{module}.py").read_text())
+
+
+def test_positive_word_search_has_no_length_cap():
+    # the state budget is the search's one bound
+    params = {
+        p.arg
+        for module in MODULES + ["__init__"]
+        for node in ast.walk(_module_tree(module))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for p in [*node.args.posonlyargs, *node.args.args, *node.args.kwonlyargs]
+    }
+    assert "max_word_len" not in params
+
+
+def test_one_95_percent_quantile():
+    # model assigns the quantile once; the interval estimators read it there
+    holders = {
+        module: [
+            target.id
+            for node in ast.walk(_module_tree(module))
+            if isinstance(node, ast.Assign)
+            and isinstance(node.value, ast.Constant)
+            and node.value.value == 1.96
+            for target in node.targets
+        ]
+        for module in MODULES + ["__init__"]
+    }
+    assert {m: names for m, names in holders.items() if names} == {"model": ["Z95"]}
+    for module in ("lyapunov", "extinction"):
+        tree = _module_tree(module)
+        literals = [n for n in ast.walk(tree) if isinstance(n, ast.Constant) and n.value == 1.96]
+        from_model = {
+            alias.name
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module == "model"
+            for alias in node.names
+        }
+        assert literals == [] and from_model & {"Z95", "mean_half_width"}, module

@@ -242,6 +242,25 @@ def test_classify_verdict(carpet_p04_file, carpet_p015_file):
     assert env["result"]["verdict"]["kind"] == "almost_sure_extinction"
 
 
+def test_classify_finds_a_two_letter_witness(tmp_path):
+    # expectation matrices [[1, 1], [0, 2]] and [[2, 0], [1, 1]]: no
+    # one-letter word is positive, the word [0, 1] is
+    triangles = {
+        "n_types": 2,
+        "letters": [
+            {"name": "up", "laws": [[{"z": [1, 1], "p": 1.0}], [{"z": [0, 2], "p": 1.0}]]},
+            {"name": "lo", "laws": [[{"z": [2, 0], "p": 1.0}], [{"z": [1, 1], "p": 1.0}]]},
+        ],
+        "environment": {"kind": "iid", "probs": [0.5, 0.5]},
+    }
+    path = tmp_path / "triangles.json"
+    path.write_text(json.dumps(triangles))
+    env = run_json(["classify", "--model", str(path), "--steps", "1000", "--batches", "4"])
+    assert env["result"]["report"]["positive_word"] == [0, 1]
+    assert env["result"]["verdict"]["kind"] == "survives_positively"
+    assert "max_word_len" not in env["params"]
+
+
 def test_carpet_subcommands():
     env = run_json(
         ["carpet", "lambda-b", "--steps", "1000", "--batches", "4",
@@ -319,8 +338,12 @@ def test_exit_code_usage():
         (["extinction", "--mode", "fixed"], "error: --word is required in fixed mode"),
         (["extinction", "--mode", "fixed", "--word", "0,x"],
          "error: --word must be comma-separated integers"),
+        # the positive-word search has one bound, its state budget (exit 4)
+        (["check", "--max-word-len", "1"], "unrecognized arguments: --max-word-len 1"),
+        (["classify", "--max-word-len", "1"], "unrecognized arguments: --max-word-len 1"),
     ],
-    ids=["seed-text", "seed-negative", "tol-text", "fixed-no-word", "fixed-bad-word"],
+    ids=["seed-text", "seed-negative", "tol-text", "fixed-no-word", "fixed-bad-word",
+         "check-max-word-len", "classify-max-word-len"],
 )
 def test_bad_option_is_usage_error(carpet_p04_file, argv, message):
     argv = argv[:1] + ["--model", carpet_p04_file] + argv[1:]
@@ -361,11 +384,9 @@ def test_threads_below_one_is_usage_error(carpet_p1_file):
         (["carpet", "critical", "--bisect", "--iterations", "-1"], "--iterations"),
         (["carpet", "critical", "--bisect", "--iterations", "0"], "--iterations"),
         (["carpet", "lambda-b", "--threads", "1.5"], "--threads"),
-        (["check", "--model", "P04", "--max-word-len", "0"], "--max-word-len"),
-        (["classify", "--model", "P04", "--max-word-len", "-1"], "--max-word-len"),
     ],
     ids=["project-0", "project-neg", "offspring-0", "proofkit-0", "iterations-neg",
-         "iterations-0", "threads-float", "check-max-word-len-0", "classify-max-word-len-neg"],
+         "iterations-0", "threads-float"],
 )
 def test_count_below_one_is_usage_error(carpet_p04_file, argv, flag):
     argv = [carpet_p04_file if a == "P04" else a for a in argv]

@@ -113,12 +113,10 @@ class TestPatterns:
         ]
 
 
-def search(patterns, **kwargs):
+def search(patterns):
     """The positive-product search with every letter allowed at every step."""
     n = len(patterns)
-    return find_positive_product_word(
-        patterns, np.ones(n, dtype=bool), np.ones((n, n), dtype=bool), **kwargs
-    )
+    return find_positive_product_word(patterns, np.ones(n, dtype=bool), np.ones((n, n), dtype=bool))
 
 
 _UPPER = positivity_pattern(np.array([[1.0, 1.0], [0.0, 1.0]]))
@@ -174,17 +172,6 @@ class TestPositiveProductWord:
         assert find_positive_product_word([_UPPER, _LOWER], start, np.eye(2, dtype=bool)) is None
         no_repeat = ~np.eye(2, dtype=bool)
         assert find_positive_product_word([_UPPER, _LOWER], start, no_repeat) == [0, 1]
-
-    def test_max_word_len(self):
-        assert search([_UPPER, _LOWER], max_word_len=1) is None
-        assert search([_UPPER, _LOWER], max_word_len=2) == [0, 1]
-
-    @pytest.mark.parametrize("max_word_len", [0, -1])
-    def test_max_word_len_below_one_rejected(self, max_word_len):
-        # one-letter words are always visited, so a bound below 1 cannot be met
-        pats = [positivity_pattern(m) for m in COLUMN_MATRICES]
-        with pytest.raises(ValueError, match="max_word_len"):
-            search(pats, max_word_len=max_word_len)
 
     @pytest.mark.parametrize(
         "patterns",

@@ -682,6 +682,31 @@ _MODEL_ERRORS = {
         ModelFormatError,
         "environment.probs: expected a list of numbers",
     ),
+    "codec-probs-strings": (
+        lambda: parse_model(_document(environment='{"kind": "iid", "probs": ["0.5", "0.5"]}')),
+        ModelFormatError,
+        "environment.probs: expected a list of numbers",
+    ),
+    "codec-probs-booleans": (
+        lambda: parse_model(_document(environment='{"kind": "iid", "probs": [true, false]}')),
+        ModelFormatError,
+        "environment.probs: expected a list of numbers",
+    ),
+    "codec-probs-nested": (
+        lambda: parse_model(_document(environment='{"kind": "iid", "probs": [[0.5], [0.5]]}')),
+        ModelFormatError,
+        "environment.probs: expected a list of numbers",
+    ),
+    "codec-transition-ragged": (
+        lambda: parse_model(
+            _document(
+                environment='{"kind": "markov", "initial": [0.5, 0.5], '
+                '"transition": [[0.5, 0.5], [1.0]]}'
+            )
+        ),
+        ModelFormatError,
+        r"environment\.transition\[1\]: expected a list of 2 numbers",
+    ),
 }
 
 

@@ -48,15 +48,7 @@ _EXPORTS = {
         "survival_estimate",
     ),
     "lyapunov": ("LyapunovEstimate", "estimate_exponent", "exponent_along_word"),
-    "matcore": (
-        "col_min",
-        "find_positive_product_word",
-        "is_allowable",
-        "norm_sum",
-        "positivity_pattern",
-        "product_along_word",
-        "row_min",
-    ),
+    "matcore": ("find_positive_product_word",),
     "model": (
         "EnvironmentLetter",
         "IidEnvironment",

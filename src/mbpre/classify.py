@@ -13,15 +13,11 @@ estimate.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
-from .matcore import (
-    allowability_offenders,
-    find_positive_product_word,
-    positivity_pattern,
-    product_along_word,
-)
+from .matcore import allowability_offenders, find_positive_product_word
 from .model import second_moment_bound, uniform_allowability_alpha
 
 
@@ -72,10 +68,10 @@ def check_conditions(model):
             allowed = np.broadcast_to(start, (start.size, start.size))
         else:
             allowed = env.transition > 0
-        patterns = [positivity_pattern(m) for m in model.expectation_matrices()]
-        found = find_positive_product_word(patterns, start, allowed)
+        mats = model.expectation_matrices()
+        found = find_positive_product_word([m > 0 for m in mats], start, allowed)
         if found is not None:
-            prod = product_along_word(model.expectation_matrices(), found)
+            prod = reduce(np.matmul, (mats[i] for i in found))
             prob = env.cylinder_probability(found)
             if prod.min() > 0 and prob > 0:
                 word = tuple(found)

@@ -36,10 +36,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import KINDS, DegenerateProductError
-from .matcore import boolean_product, col_min, is_allowable, norm_sum, row_min
+from .matcore import allowability_offenders
 from .model import check_word, child_seeds, mean_half_width
 
-_REDUCTIONS = {"sum": norm_sum, "colmin": col_min, "rowmin": row_min}
+# The axes each kind sums an (..., N, N) product over before taking the
+# least sum: all entries, the columns, the rows. The float reduction and
+# the prefix scan's zero test both read it.
+_AXES = dict(zip(KINDS, ((-2, -1), -2, -1)))
 
 # Symbols per gathered chunk, letters per prefix-scan chunk, and the table
 # size cap: (C, N, N) floats stay small, and a chunk is long enough that the
@@ -87,13 +90,13 @@ def _scan_prefixes(carry, patterns, kind, offset):
     """
     shift = 1
     while shift < len(patterns):
-        patterns[shift:] = boolean_product(patterns[:-shift], patterns[shift:])
+        patterns[shift:] = patterns[:-shift] @ patterns[shift:]
         shift *= 2
-    patterns = boolean_product(carry, patterns)
-    dead = ~patterns.any(axis=(1, 2))
-    bad = dead
-    if kind != "sum":
-        bad = (~patterns.any(axis=1 if kind == "colmin" else 2)).any(axis=1)
+    patterns = carry @ patterns
+    dead = ~patterns.any(axis=_AXES["sum"])
+    # a least sum is zero when one of the sums is: fold the axes left over
+    bad = ~patterns.any(axis=_AXES[kind])
+    bad = bad.any(axis=tuple(range(1, bad.ndim)))
     if bad.any():
         k = int(bad.argmax())
         raise DegenerateProductError(offset + k + 1, "sum" if dead[k] else kind)
@@ -153,7 +156,7 @@ def _kernel_tables(mats, n_steps):
     k = _symbol_length(len(mats), n_steps, size)
     with np.errstate(divide="ignore", invalid="ignore"):
         table, table_logs = _product_table(mats, k)
-    return size, k, table, table_logs, not all(is_allowable(m) for m in mats)
+    return size, k, table, table_logs, any(allowability_offenders(m) for m in mats)
 
 
 def _word_exponent(mats, word, kind, tables):
@@ -187,11 +190,11 @@ def _word_exponent(mats, word, kind, tables):
                 log_scale += float(np.log(sums).sum())
             run = run @ block[0]
             s = float(run.sum())
-            if not _REDUCTIONS[kind](run) > 0.0:
+            if not run.sum(axis=_AXES[kind]).min() > 0.0:
                 raise DegenerateProductError(end, kind if s > 0.0 else "sum")
             run /= s
             log_scale += math.log(s)
-    return (log_scale + math.log(_REDUCTIONS[kind](run))) / word.size
+    return (log_scale + math.log(run.sum(axis=_AXES[kind]).min())) / word.size
 
 
 def estimate_exponent(matrices, environment, *, kind="sum", steps_per_batch, batches, seed):

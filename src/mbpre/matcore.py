@@ -1,10 +1,8 @@
-"""Non-negative allowable matrices: reductions, products, positivity patterns.
+"""The positivity hypotheses: allowable matrices and a positive product word.
 
 A square non-negative matrix is *allowable* when every row and every column
-holds a strictly positive entry. Positivity patterns of non-negative
-matrices multiply without cancellation, so reachability questions about
-products reduce to a finite boolean semigroup explored here by
-breadth-first search.
+holds a strictly positive entry. Patterns of non-negative matrices multiply
+without cancellation, so the positive-word search runs on booleans.
 """
 
 from __future__ import annotations
@@ -21,21 +19,6 @@ MAX_PATTERN_STATES = 10**6
 PATTERN_BYTES = 1 << 28
 
 
-def norm_sum(b):
-    """Sum of all entries."""
-    return float(np.asarray(b, dtype=float).sum())
-
-
-def col_min(b):
-    """Smallest column sum."""
-    return float(np.asarray(b, dtype=float).sum(axis=0).min())
-
-
-def row_min(b):
-    """Smallest row sum."""
-    return float(np.asarray(b, dtype=float).sum(axis=1).min())
-
-
 def allowability_offenders(b):
     """Why ``b`` is not allowable: ``("row", i)`` for each all-zero row, then
     ``("column", j)`` for each all-zero column; empty when it is allowable."""
@@ -45,39 +28,6 @@ def allowability_offenders(b):
     return [("row", int(i)) for i in rows] + [("column", int(j)) for j in cols]
 
 
-def is_allowable(b):
-    """True iff every row and every column has a positive entry."""
-    return not allowability_offenders(b)
-
-
-def product_along_word(matrices, word):
-    """Left-to-right product of ``matrices[word[0]] @ matrices[word[1]] ...``.
-
-    The empty word gives the identity.
-    """
-    mats = [np.asarray(m, dtype=float) for m in matrices]
-    n = mats[0].shape[0]
-    out = np.eye(n)
-    for idx in word:
-        if not 0 <= idx < len(mats):
-            raise IndexError(f"letter index {idx} out of range for {len(mats)} matrices")
-        out = out @ mats[idx]
-    return out
-
-
-def positivity_pattern(b):
-    """Boolean mask of strictly positive entries."""
-    return np.asarray(b, dtype=float) > 0
-
-
-def boolean_product(p, q):
-    """Pattern of the product of two matrices with these boolean patterns.
-
-    numpy's boolean matmul ORs the ANDs, so no count of witnesses can wrap.
-    """
-    return np.matmul(p, q)
-
-
 def find_positive_product_word(patterns, start, allowed):
     """Shortest admissible word whose letter-pattern product is all-positive, or None.
 
@@ -85,8 +35,9 @@ def find_positive_product_word(patterns, start, allowed):
     step from letter ``a`` to letter ``b`` has ``allowed[a, b]``; ``start``
     is an (L,) and ``allowed`` an (L, L) boolean array over the L patterns.
     Breadth-first search over (pattern, last letter) states under right
-    multiplication; among shortest witnesses the lexicographically smallest
-    word is returned. Exploring more than
+    multiplication; numpy's boolean matmul ORs the ANDs, so no count of
+    witnesses can wrap. Among shortest witnesses the lexicographically
+    smallest word is returned. Exploring more than
     ``min(MAX_PATTERN_STATES, PATTERN_BYTES // N**2)`` states raises
     :class:`BudgetError`, which is distinct from the search closing without
     a witness (None).
@@ -126,7 +77,7 @@ def find_positive_product_word(patterns, start, allowed):
     while queue:
         pattern, word = queue.popleft()
         for i in successors[word[-1]]:
-            hit = visit(boolean_product(pattern, pats[i]), word + [i])
+            hit = visit(pattern @ pats[i], word + [i])
             if hit is not None:
                 return hit
     return None

@@ -129,8 +129,15 @@ class OffspringLaw:
         if np.any(counts < 0):
             raise InvariantError("offspring counts must be non-negative")
         _check_mass(probs, "offspring probabilities")
-        if len({tuple(z) for z in counts}) != counts.shape[0]:
+        atoms = counts.tolist()
+        if len(set(map(tuple, atoms))) != len(atoms):
             raise InvariantError("offspring support atoms must be pairwise distinct")
+        # totals in Python ints: an int64 sum would wrap
+        largest = max(atoms, key=sum)
+        if sum(largest) > np.iinfo(np.int64).max:
+            raise InvariantError(
+                f"offspring atom {largest} totals {sum(largest)} children, past the int64 range"
+            )
 
     @classmethod
     def from_pairs(cls, pairs):
@@ -493,13 +500,21 @@ def _is_number(v):
     return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
+def _float(v, path):
+    """The JSON number ``v`` as a float, if a float can hold it."""
+    try:
+        return float(v)
+    except OverflowError:
+        raise ModelFormatError(path, "number too large for a float") from None
+
+
 def _numbers(obj, path, size=None):
     """``obj`` as a float array, if it is a list of JSON numbers (``size`` of them if given)."""
     if not isinstance(obj, list) or not all(map(_is_number, obj)):
         raise ModelFormatError(path, "expected a list of numbers")
     if size is not None and len(obj) != size:
         raise ModelFormatError(path, f"expected a list of {size} numbers")
-    return np.array(obj, dtype=float)
+    return np.array([_float(v, f"{path}[{i}]") for i, v in enumerate(obj)])
 
 
 def _parse_law(entries, n_types, path):
@@ -516,11 +531,14 @@ def _parse_law(entries, n_types, path):
             or not all(isinstance(v, int) and not isinstance(v, bool) for v in z)
         ):
             raise ModelFormatError(f"{here}.z", f"expected a list of {n_types} integers")
+        for m, v in enumerate(z):
+            if not -(2**63) <= v < 2**63:
+                raise ModelFormatError(f"{here}.z[{m}]", "integer outside the int64 range")
         p = entry["p"]
         if not _is_number(p):
             raise ModelFormatError(f"{here}.p", "expected a number")
         counts.append(z)
-        probs.append(float(p))
+        probs.append(_float(p, f"{here}.p"))
     return OffspringLaw(np.array(counts, dtype=np.int64), np.array(probs, dtype=float))
 
 
@@ -553,7 +571,7 @@ def parse_model(text):
         text = text.decode("utf-8")
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad syntax, or an integer past Python's digit limit
         raise ModelFormatError("", f"invalid JSON: {exc}") from exc
     _require_keys(doc, {"n_types", "letters", "environment"}, {"n_types", "letters", "environment"}, "")
     n_types = doc["n_types"]

@@ -14,11 +14,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 
 import numpy as np
 
-from .matcore import col_min, product_along_word
 from .model import second_moment_bound, uniform_allowability_alpha
 
 # Margins keeping the strict inequalities of the construction strict after
@@ -98,7 +97,7 @@ def build_proof_params(model, exponent):
     moment = max(_MOMENT_MARGIN * second_moment_bound(model), floor)
     delta = (1.0 - rho) * alpha / (2.0 * model.n_types * moment)
     mats = shrunk_matrices(model, rho)
-    mu = min(1.0, min(col_min(a) for a in mats))
+    mu = min(1.0, min(float(a.sum(axis=0).min()) for a in mats))
     u = min(1.0, min(float(a[a > 0].min()) for a in mats))
     return ProofParams(rho, alpha, model.n_types, moment, delta, mu, u, exponent)
 
@@ -347,8 +346,8 @@ def oracle_suite(model, params, samples, seed):
     for _ in range(n_words):
         length = int(rng.integers(2, _MAX_WORD + 1))
         word = rng.integers(0, model.n_letters, size=length)
-        aw = product_along_word(mats, word)
-        if col_min(aw) < gamma**length:
+        aw = reduce(np.matmul, (mats[i] for i in word))
+        if float(aw.sum(axis=0).min()) < gamma**length:
             continue
         for rows in _pieces(per_word):
             checked, case = _contraction(aw, rng.random((rows, n)), gamma, {"word": word.tolist()})

@@ -253,3 +253,31 @@ def test_one_95_percent_quantile():
             for alias in node.names
         }
         assert literals == [] and from_model & {"Z95", "mean_half_width"}, module
+
+
+def test_matcore_holds_only_the_positivity_hypotheses():
+    # the reductions, patterns and products are numpy expressions at their
+    # call sites, and lyapunov picks a kind's reduction from one axis table
+    aliases = {
+        "norm_sum", "col_min", "row_min", "is_allowable",
+        "positivity_pattern", "boolean_product", "product_along_word",
+    }
+    defined = {
+        name
+        for module in MODULES + ["__init__"]
+        for node in ast.walk(_module_tree(module))
+        for name in (
+            [node.name] if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            else [t.id for t in getattr(node, "targets", []) if isinstance(t, ast.Name)]
+        )
+    }
+    assert not defined & (aliases | {"_REDUCTIONS"})
+    import mbpre
+
+    assert not aliases & set(mbpre.__all__)
+    public = {
+        node.name
+        for node in _module_tree("matcore").body
+        if isinstance(node, ast.FunctionDef) and not _private(node.name)
+    }
+    assert public == {"allowability_offenders", "find_positive_product_word"}

@@ -134,10 +134,10 @@ class TestCheckConditions:
         model = ModelSpec(2, (a, b), env)
         report = check_conditions(model)
         assert report.positive_word is None
-        from mbpre import find_positive_product_word, positivity_pattern
+        from mbpre import find_positive_product_word
 
         unrestricted = find_positive_product_word(
-            [positivity_pattern(m) for m in model.expectation_matrices()],
+            [m > 0 for m in model.expectation_matrices()],
             np.ones(2, dtype=bool),
             np.ones((2, 2), dtype=bool),
         )

@@ -487,6 +487,28 @@ def test_nan_mass_model_is_invariant_error(tmp_path):
     assert "finite" in err
 
 
+@pytest.mark.parametrize("atom", [[2**62, 2**62], [2**63 - 1, 1]])
+@pytest.mark.parametrize(
+    "argv", [["check"], ["simulate", "--trials", "4", "--horizon", "3"]], ids=["check", "simulate"]
+)
+def test_atom_total_past_int64_is_invariant_error(tmp_path, atom, argv):
+    bad = tmp_path / "big.json"
+    bad.write_text(
+        json.dumps(
+            {
+                "n_types": 2,
+                "letters": [
+                    {"name": "x", "laws": [[{"z": atom, "p": 1.0}], [{"z": [1, 1], "p": 1.0}]]}
+                ],
+                "environment": {"kind": "iid", "probs": [1.0]},
+            }
+        )
+    )
+    code, out, err = run_cli([*argv, "--model", str(bad)])
+    assert (code, out) == (3, "")
+    assert "int64" in err
+
+
 def test_overflowing_cap_is_usage_error_before_any_draw(carpet_p1_file, monkeypatch):
     from mbpre.model import IidEnvironment
 

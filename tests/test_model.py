@@ -555,6 +555,41 @@ class TestCodec:
             parse_model(json.dumps(doc))
         assert "z" in err.value.path
 
+    @pytest.mark.parametrize(
+        "environment, z, p, path",
+        [
+            ({"kind": "iid", "probs": [10**400]}, [0, 0], 1.0, "environment.probs[0]"),
+            (
+                {"kind": "markov", "initial": [10**400], "transition": [[1.0]]},
+                [0, 0], 1.0, "environment.initial[0]",
+            ),
+            (
+                {"kind": "markov", "initial": [1.0], "transition": [[10**400]]},
+                [0, 0], 1.0, "environment.transition[0][0]",
+            ),
+            ({"kind": "iid", "probs": [1.0]}, [0, 0], 10**400, "letters[0].laws[0][0].p"),
+            ({"kind": "iid", "probs": [1.0]}, [0, 10**30], 1.0, "letters[0].laws[0][0].z[1]"),
+        ],
+        ids=["probs", "initial", "transition", "p", "z"],
+    )
+    def test_out_of_range_number_names_its_path(self, environment, z, p, path):
+        # a JSON integer past the float range, or a count past int64
+        doc = {
+            "n_types": 2,
+            "letters": [
+                {"name": "x", "laws": [[{"z": z, "p": p}], [{"z": [0, 0], "p": 1.0}]]}
+            ],
+            "environment": environment,
+        }
+        with pytest.raises(ModelFormatError, match="too large for a float|int64 range") as err:
+            parse_model(json.dumps(doc))
+        assert err.value.path == path
+
+    def test_integer_past_the_digit_limit_is_format_error(self):
+        # json.loads refuses it with a ValueError that is not a JSONDecodeError
+        with pytest.raises(ModelFormatError, match="invalid JSON: .*digits"):
+            parse_model("[1" + "0" * 5000 + "]")
+
 
 class TestInvariants:
     def test_duplicate_support_rejected(self):
@@ -564,6 +599,12 @@ class TestInvariants:
     def test_negative_count_rejected(self):
         with pytest.raises(InvariantError):
             OffspringLaw(np.array([[-1, 0]]), np.array([1.0]))
+
+    @pytest.mark.parametrize("atom", [[2**62, 2**62], [2**63 - 1, 1]])
+    def test_atom_total_past_int64_rejected(self, atom):
+        # each count fits int64 but their total does not; an int64 sum wraps
+        with pytest.raises(InvariantError, match="int64"):
+            OffspringLaw(np.array([atom]), np.array([1.0]))
 
     def test_two_types_minimum(self):
         l = OffspringLaw(np.array([[1]]), np.array([1.0]))

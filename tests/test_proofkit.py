@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -16,7 +17,6 @@ from mbpre import (
     psi,
     shrunk_matrices,
 )
-from mbpre.matcore import col_min, product_along_word
 
 LAMBDA_04 = 0.057  # log(0.4) + lambda_B for the carpet family
 
@@ -68,7 +68,7 @@ class TestGEval:
             composed = s
             for idx in word[::-1]:
                 composed = g_eval(mats[idx], composed)
-            direct = 1.0 - product_along_word(mats, word) @ (1.0 - s)
+            direct = 1.0 - reduce(np.matmul, (mats[i] for i in word)) @ (1.0 - s)
             assert np.allclose(composed, direct, atol=1e-12)
 
 
@@ -151,7 +151,7 @@ class TestBuildProofParams:
         model = build_carpet_model(0.4)
         params = build_proof_params(model, LAMBDA_04)
         mats = shrunk_matrices(model, params.rho)
-        assert params.mu <= min(col_min(a) for a in mats) + 1e-15
+        assert params.mu <= min(a.sum(axis=0).min() for a in mats) + 1e-15
         assert params.u <= min(1.0, min(a[a > 0].min() for a in mats)) + 1e-15
         assert 0 < params.delta < 1
 

@@ -13,7 +13,6 @@ estimate.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
 
 import numpy as np
 
@@ -68,12 +67,13 @@ def check_conditions(model):
             allowed = np.broadcast_to(start, (start.size, start.size))
         else:
             allowed = env.transition > 0
-        mats = model.expectation_matrices()
-        found = find_positive_product_word([m > 0 for m in mats], start, allowed)
+        # the Boolean pattern product is exact: a float product of the
+        # witness may underflow to zero where the true product is positive
+        patterns = [m > 0 for m in model.expectation_matrices()]
+        found = find_positive_product_word(patterns, start, allowed)
         if found is not None:
-            prod = reduce(np.matmul, (mats[i] for i in found))
             prob = env.cylinder_probability(found)
-            if prod.min() > 0 and prob > 0:
+            if prob > 0:
                 word = tuple(found)
                 word_prob = prob
 

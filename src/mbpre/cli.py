@@ -19,10 +19,11 @@ neither numpy, json nor ``mbpre.errors``. On a 2-core VM that launch takes
 (medians of 41 alternating launches), and the parser builds in 0.4–0.7 ms
 in-process against 1.3 ms (best of 7).
 
-A process enters through ``launch``, which turns the cyclic collector off,
-runs ``main``, flushes the output and ends the process without interpreter
-teardown; ``main`` leaves the collector as it found it. A result,
-``--help`` or ``--version`` that cannot be written exits 1.
+A process enters through ``launch``, which pins OpenBLAS to one thread,
+turns the cyclic collector off, runs ``main``, flushes the output and
+ends the process without interpreter teardown; ``main`` leaves the
+collector as it found it. A result, ``--help`` or ``--version`` that
+cannot be written exits 1.
 """
 
 from __future__ import annotations
@@ -465,6 +466,12 @@ def main(argv=None):
 def launch():
     """Run ``main`` as the process's entry point and end the process with its exit code.
 
+    ``OPENBLAS_NUM_THREADS`` is set to 1 before ``main`` loads numpy, so
+    OpenBLAS starts no worker thread: mbpre's matrices are a few types
+    wide, and on a 2-core VM whose cores were contended the idle worker
+    made a short launch about 1.5x slower. The library and ``import
+    mbpre`` leave BLAS as the caller set it.
+
     The cyclic collector is off from here to the end of the process: a
     launch is short, and its collections would walk mostly the objects its
     imports made (numpy, argparse, ``site``). Once ``main`` has returned,
@@ -474,6 +481,7 @@ def launch():
     stdout, a closed pipe, a full disk) is reported on stderr as one
     ``cannot write output`` line and exits 1.
     """
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
     gc.disable()
     if sys.stdout is None:  # fd 1 was closed at startup, and print would drop the result
         code = _output_error("stdout is closed")

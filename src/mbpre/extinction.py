@@ -16,7 +16,7 @@ from itertools import islice
 import numpy as np
 
 from .errors import BudgetError
-from .model import LETTER_BUDGET, Z95, check_word, child_seeds, mean_half_width
+from .model import LETTER_BUDGET, Z95, check_word, child_seeds, mean_half_width, word_dtype
 
 # First depth probed by the doubling convergence loop.
 _DEPTH0 = 64
@@ -143,7 +143,7 @@ def _converge(model, n_envs, seeds, tol, max_depth):
         d = _DEPTH0
         while active.size:
             d = min(d, max_depth)
-            words = np.empty((active.size, d), dtype=np.min_scalar_type(model.n_letters - 1))
+            words = np.empty((active.size, d), dtype=word_dtype(model.n_letters))
             for row, e in enumerate(active):
                 words[row] = env.sample_word(d, np.random.default_rng(chunk[e]))
             cur = _compose(table, words, np.zeros((active.size, model.n_types)))
@@ -227,12 +227,18 @@ def _chunk_outcomes(model, start_type, rows, horizon, cap, rng):
     that trial's letter, and sums the atoms' count vectors by one integer
     matmul of the hits against the letter's (N K, N) exponent rows. Trials
     that stopped are dropped from the live rows after every generation.
+
+    A trial's outcome reads Z_{n*} and Z_{n*//2}, and n*//2 <= horizon//2,
+    so the totals of generations 0 to horizon//2 are kept in columns of
+    their own and every later generation's total overwrites one last
+    column: a (rows, horizon//2 + 2) history, one store a generation.
     """
     exps, masses = model.pgf_table
     n_letters, n_types, k_max, _ = exps.shape
     exps = exps.reshape(n_letters, n_types * k_max, n_types)
     words = model.environment.sample_word(horizon, rng, rows=rows)
-    totals = np.zeros((rows, horizon + 1), dtype=np.int64)
+    last = horizon // 2 + 1
+    totals = np.zeros((rows, last + 1), dtype=np.int64)
     totals[:, 0] = 1
     gen = np.full(rows, horizon)
     live = np.arange(rows)
@@ -243,14 +249,14 @@ def _chunk_outcomes(model, start_type, rows, horizon, cap, rng):
         hits = rng.multinomial(z, masses.take(letters, axis=0))
         z = np.matmul(hits.reshape(-1, 1, n_types * k_max), exps.take(letters, axis=0))[:, 0]
         total = z.sum(axis=1)
-        totals[live, g] = total
+        totals[live, min(g, last)] = total
         stop = (total == 0) | (total > cap)
         gen[live[stop]] = g
         live, z = live[~stop], z.compress(~stop, axis=0)
         if not live.size:
             break
     r = np.arange(rows)
-    return gen, totals[r, gen], totals[r, gen // 2]
+    return gen, totals[r, np.minimum(gen, last)], totals[r, gen // 2]
 
 
 def _trial_outcomes(model, start_type, trials, horizon, cap, seed):

@@ -222,8 +222,17 @@ class EnvironmentLetter:
         return _readonly(np.stack([law.mean for law in self.laws]))
 
 
-def _word_buffer(n, rows):
-    """An empty int64 word of ``n`` letters, or a (rows, n) block with ``rows``.
+def word_dtype(n_letters):
+    """Dtype of every word over ``n_letters`` letters: the narrowest unsigned one that holds them.
+
+    ``uint8`` up to 256 letters, so a word takes one byte a letter and a
+    ``LETTER_BUDGET`` word 64 MB.
+    """
+    return np.min_scalar_type(n_letters - 1)
+
+
+def _word_buffer(n, rows, n_letters):
+    """An empty word of ``n`` letters over ``n_letters``, or a (rows, n) block with ``rows``.
 
     A word of more than ``LETTER_BUDGET`` letters in all raises
     :class:`BudgetError` before anything is allocated.
@@ -234,7 +243,7 @@ def _word_buffer(n, rows):
             f"a word of {' x '.join(map(str, shape))} letters exceeds the budget of "
             f"{LETTER_BUDGET} letters"
         )
-    return np.empty(shape, dtype=np.int64)
+    return np.empty(shape, dtype=word_dtype(n_letters))
 
 
 @dataclass(frozen=True)
@@ -261,7 +270,7 @@ class IidEnvironment:
         return self.probs
 
     def sample_word(self, n, rng, rows=None):
-        """Length-``n`` word of letter indices, drawn whole from ``rng``.
+        """Length-``n`` word of letter indices in ``word_dtype``, drawn whole from ``rng``.
 
         The word is a prefix of every longer word drawn from the same
         generator state. With ``rows`` the result is a (rows, n) block of
@@ -276,7 +285,7 @@ class IidEnvironment:
         compare-and-add pass per entry straight into the word, so sampling
         holds the word and 128 kB of uniforms.
         """
-        word = _word_buffer(n, rows)
+        word = _word_buffer(n, rows, self.n_letters)
         letters = word.reshape(-1)  # a view: the buffer is C-contiguous
         for start in range(0, letters.size, _WORD_SLICE):
             part = letters[start : start + _WORD_SLICE]
@@ -338,7 +347,7 @@ class MarkovEnvironment:
         return self.initial
 
     def sample_word(self, n, rng, rows=None):
-        """Length-``n`` word of letter indices, drawn whole from ``rng``.
+        """Length-``n`` word of letter indices in ``word_dtype``, drawn whole from ``rng``.
 
         The first letter comes from the initial vector. The word is a
         prefix of every longer word drawn from the same generator state.
@@ -355,7 +364,7 @@ class MarkovEnvironment:
         the stream order of one row-major draw. A word is the one-row case.
         An empty word draws nothing.
         """
-        word = _word_buffer(n, rows)
+        word = _word_buffer(n, rows, self.n_letters)
         if n == 0:
             return word
         first = rng.random(rows)
@@ -571,7 +580,9 @@ def parse_model(text):
         text = text.decode("utf-8")
     try:
         doc = json.loads(text)
-    except ValueError as exc:  # bad syntax, or an integer past Python's digit limit
+    except (ValueError, RecursionError) as exc:
+        # bad syntax, an integer past Python's digit limit, or nesting past
+        # the recursion limit
         raise ModelFormatError("", f"invalid JSON: {exc}") from exc
     _require_keys(doc, {"n_types", "letters", "environment"}, {"n_types", "letters", "environment"}, "")
     n_types = doc["n_types"]

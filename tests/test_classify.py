@@ -143,6 +143,24 @@ class TestCheckConditions:
         )
         assert unrestricted is not None  # the patterns alone would admit one
 
+    def test_witness_product_below_float_range_is_kept(self):
+        # one letter with expectation I + 1e-200 P, P the 3-cycle: its square
+        # is strictly positive, but the float square's P^2 entries are
+        # 1e-400, which underflows to 0
+        laws = []
+        for i in range(3):
+            stay = [0, 0, 0]
+            stay[i] = 1
+            both = list(stay)
+            both[(i + 1) % 3] = 1
+            laws.append(law([(stay, 1.0 - 1e-200), (both, 1e-200)]))
+        model = ModelSpec(3, (EnvironmentLetter("a", tuple(laws)),), IidEnvironment([1.0]))
+        m = model.letters[0].expectation
+        assert (m @ m).min() == 0.0
+        report = check_conditions(model)
+        assert report.positive_word == (0, 0)
+        assert report.positive_word_probability == 1.0
+
     def test_report_serializes(self):
         report = check_conditions(build_carpet_model(0.4))
         # asdict keeps the tuples, which the JSON text holds as lists

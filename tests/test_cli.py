@@ -471,6 +471,15 @@ def test_exit_code_model_invariant(tmp_path):
     assert "sum" in err
 
 
+def test_deeply_nested_model_is_model_error(tmp_path):
+    # json.loads raises RecursionError past the recursion limit
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 200_000)
+    code, out, err = run_cli(["check", "--model", str(deep)])
+    assert (code, out) == (3, "")
+    assert err.startswith("error: ") and "invalid JSON" in err
+
+
 def test_nan_mass_model_is_invariant_error(tmp_path):
     # Python's json reads NaN; the mass check must still reject it
     bad = tmp_path / "nan.json"
@@ -912,6 +921,40 @@ def test_module_launch_runs_without_the_collector_and_skips_teardown(carpet_p04_
 def _assert_one_output_error(proc_code, stderr, reason):
     assert proc_code == 1
     assert stderr.decode().splitlines() == [f"error: cannot write output: {reason}"]
+
+
+# Runs `launch` with a spy on `main` that reports, on stderr, the
+# OPENBLAS_NUM_THREADS that numpy will load with and whether numpy is loaded.
+_SPIED_MAIN_LAUNCH = """
+import os, sys
+from mbpre import cli
+real_main = cli.main
+def spy_main():
+    blas = os.environ.get("OPENBLAS_NUM_THREADS")
+    os.write(2, f"{blas} {'numpy' in sys.modules}\\n".encode())
+    return real_main()
+cli.main = spy_main
+sys.argv = ["mbpre", *sys.argv[1:]]
+cli.launch()
+"""
+
+
+def test_launch_pins_blas_to_one_thread_before_numpy_loads(carpet_p04_file):
+    # an inherited setting is replaced too; the library leaves BLAS alone
+    argv = ["extinction", "--model", carpet_p04_file, "--mode", "annealed", "--envs", "8"]
+    for inherited in (None, "4"):
+        env = child_env()
+        env.pop("OPENBLAS_NUM_THREADS", None)
+        if inherited is not None:
+            env["OPENBLAS_NUM_THREADS"] = inherited
+        proc = subprocess.run(
+            [sys.executable, "-c", _SPIED_MAIN_LAUNCH, *argv], capture_output=True, text=True, env=env
+        )
+        assert (proc.returncode, proc.stdout) == (0, run_cli(argv)[1])
+        assert proc.stderr == "1 False\n"
+    before = os.environ.get("OPENBLAS_NUM_THREADS")
+    run_cli(argv)
+    assert os.environ.get("OPENBLAS_NUM_THREADS") == before
 
 
 def test_launch_into_a_closed_pipe_is_one_error_line():

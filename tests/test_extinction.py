@@ -471,6 +471,33 @@ def _stationary(transition):
     return v / v.sum()
 
 
+def _full_history_outcomes(model, start_type, rows, horizon, cap, rng):
+    """:func:`_chunk_outcomes` with every generation's total kept, as a reference."""
+    exps, masses = model.pgf_table
+    n_letters, n_types, k_max, _ = exps.shape
+    exps = exps.reshape(n_letters, n_types * k_max, n_types)
+    words = model.environment.sample_word(horizon, rng, rows=rows)
+    totals = np.zeros((rows, horizon + 1), dtype=np.int64)
+    totals[:, 0] = 1
+    gen = np.full(rows, horizon)
+    live = np.arange(rows)
+    z = np.zeros((rows, n_types), dtype=np.int64)
+    z[:, start_type] = 1
+    for g in range(1, horizon + 1):
+        letters = words[live, g - 1]
+        hits = rng.multinomial(z, masses.take(letters, axis=0))
+        z = np.matmul(hits.reshape(-1, 1, n_types * k_max), exps.take(letters, axis=0))[:, 0]
+        total = z.sum(axis=1)
+        totals[live, g] = total
+        stop = (total == 0) | (total > cap)
+        gen[live[stop]] = g
+        live, z = live[~stop], z.compress(~stop, axis=0)
+        if not live.size:
+            break
+    r = np.arange(rows)
+    return gen, totals[r, gen], totals[r, gen // 2]
+
+
 _KILL_RARELY = np.array([[0.5, 0.02, 0.48], [0.5, 0.0, 0.5], [0.4, 0.02, 0.58]])
 
 
@@ -518,6 +545,43 @@ class TestTrialKernel:
         assert np.all(gen == 1) and np.all(half == 1)
         assert np.array_equal(total, np.where(first == 0, 2, 0))
         assert 0 < np.count_nonzero(total) < rows
+
+    @pytest.mark.parametrize("horizon", [1, 2, 7, 30, 31])
+    @pytest.mark.parametrize("kind", ["carpet", "grow-kill-stay"])
+    def test_half_history_equals_full_history(self, kind, horizon):
+        # a chunk keeps generations 0 to horizon // 2 and the last total;
+        # the whole (rows, horizon + 1) history gives the same bits. On the
+        # point masses some trials die, some cross the cap and some live
+        # to the horizon, at every horizon.
+        if kind == "carpet":
+            model = build_carpet_model(0.4)
+        else:
+            model = _grow_kill_stay_model(IidEnvironment([0.1, 0.02, 0.88]))
+        cap = max(1, horizon // 4)
+        got = _chunk_outcomes(model, 0, 300, horizon, cap, np.random.default_rng(9))
+        want = _full_history_outcomes(model, 0, 300, horizon, cap, np.random.default_rng(9))
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+        gen, total = want[:2]
+        alive = (total > 0) & (total <= cap)
+        assert np.all(gen[alive] == horizon)
+        if kind == "grow-kill-stay":
+            assert np.any(total == 0) and np.any(total > cap) and np.any(alive)
+
+    def test_chunk_memory_is_its_word_and_half_its_history(self, deterministic_line_model):
+        # every trial lives to the horizon; the one-byte word (1 MB) and
+        # the totals of generations 0 to 500 and the last (4.1 MB) are
+        # held, the other 500 generations' totals (4.1 MB) are not
+        rows, horizon = 1024, 1000
+        _chunk_outcomes(deterministic_line_model, 0, rows, 4, 10, np.random.default_rng(0))
+        tracemalloc.start()
+        try:
+            _chunk_outcomes(deterministic_line_model, 0, rows, horizon, 10, np.random.default_rng(0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        held = rows * horizon + rows * (horizon // 2 + 2) * 8
+        assert peak < held + (1 << 18), peak - held
 
     def test_chunk_boundary(self):
         model = build_carpet_model(0.5)

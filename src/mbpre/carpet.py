@@ -81,14 +81,13 @@ _MATRIX_TOL = 1e-12
 _MAX_DEPTH = 39
 
 # SquareSet checks _TABLE_DIGITS base-3 digits per pass: bit k of
-# _ONE_DIGITS[v] is set when digit k of v < 3^_TABLE_DIGITS is 1.
+# _ONE_DIGITS[v] is set when digit k of v < 3^_TABLE_DIGITS is 1. Step k of
+# the build lays the table of the lower k digits out for digit k = 0, 1, 2.
 _TABLE_DIGITS = 8
 _TABLE_SIZE = 3**_TABLE_DIGITS
-_ONE_DIGITS = np.packbits(
-    np.arange(_TABLE_SIZE)[:, None] // 3 ** np.arange(_TABLE_DIGITS) % 3 == 1,
-    axis=1,
-    bitorder="little",
-)[:, 0]
+_ONE_DIGITS = np.zeros(1, np.uint8)
+for _k in range(_TABLE_DIGITS):
+    _ONE_DIGITS = np.concatenate((_ONE_DIGITS, _ONE_DIGITS | (1 << _k), _ONE_DIGITS))
 
 
 def _binomial_law(k_upper, k_lower, p):

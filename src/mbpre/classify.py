@@ -58,42 +58,33 @@ def check_conditions(model):
     allowable_ok = not offenders
 
     env = model.environment
-    word = None
-    word_prob = None
+    support = env.letter_mass > 0
+    steps = env.step_pattern
+    word = word_prob = None
     if allowable_ok:
-        # only steps of positive probability, so a witness has a positive cylinder
-        start = env.letter_mass > 0
-        if env.kind == "iid":
-            allowed = np.broadcast_to(start, (start.size, start.size))
-        else:
-            allowed = env.transition > 0
-        # the Boolean pattern product is exact: a float product of the
-        # witness may underflow to zero where the true product is positive
+        # the Boolean search is exact and walks only positive-probability steps, so
+        # its witness stands; the float cylinder probability reads 0.0 if it underflows
         patterns = [m > 0 for m in model.expectation_matrices()]
-        found = find_positive_product_word(patterns, start, allowed)
+        found = find_positive_product_word(patterns, support, steps)
         if found is not None:
-            prob = env.cylinder_probability(found)
-            if prob > 0:
-                word = tuple(found)
-                word_prob = prob
+            word = tuple(found)
+            word_prob = env.cylinder_probability(found)
 
     alpha = uniform_allowability_alpha(model) if allowable_ok else None
 
     witness = None
-    for i, letter in enumerate(model.letters):
-        if env.letter_mass[i] <= 0:
-            continue
-        if all(law.low_offspring_mass() < 1.0 for law in letter.laws):
+    for letter, on in zip(model.letters, support):
+        if on and all(law.low_offspring_mass() < 1.0 for law in letter.laws):
             witness = letter.name
             break
 
-    # a chain is irreducible iff some power of I + T is positive
-    ergodic = env.kind == "iid" or find_positive_product_word(
-        [np.eye(len(env.transition), dtype=bool) | (env.transition > 0)], [True], [[True]]
-    ) is not None
+    # the letter process is ergodic iff its chain on the letters of positive
+    # mass is irreducible, iff some power of I + its step pattern is positive
+    inner = steps[support][:, support]
+    power = find_positive_product_word([np.eye(len(inner), dtype=bool) | inner], [True], [[True]])
 
     return ConditionReport(
-        ergodic_env_ok=ergodic,
+        ergodic_env_ok=power is not None,
         allowable_ok=allowable_ok,
         allowability_offenders=tuple(offenders),
         positive_word=word,

@@ -269,6 +269,11 @@ class IidEnvironment:
         """Per-letter stationary probability."""
         return self.probs
 
+    @property
+    def step_pattern(self):
+        """Read-only (L, L) booleans: [a, b] when a step from letter a to b has positive mass."""
+        return np.broadcast_to(self.probs > 0, (self.n_letters, self.n_letters))
+
     def sample_word(self, n, rng, rows=None):
         """Length-``n`` word of letter indices in ``word_dtype``, drawn whole from ``rng``.
 
@@ -345,6 +350,10 @@ class MarkovEnvironment:
     @property
     def letter_mass(self):
         return self.initial
+
+    @property
+    def step_pattern(self):
+        return _readonly(self.transition > 0)
 
     def sample_word(self, n, rng, rows=None):
         """Length-``n`` word of letter indices in ``word_dtype``, drawn whole from ``rng``.

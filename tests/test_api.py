@@ -213,6 +213,18 @@ def test_no_dispatch_on_model_type(module):
     assert found == []
 
 
+@pytest.mark.parametrize("module", [m for m in MODULES + ["__init__"] if m != "model"])
+def test_environment_kinds_are_named_only_in_model(module):
+    # every other module reads an environment through its properties
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text())
+    found = [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Constant) and node.value in ("iid", "markov")
+    ]
+    assert found == []
+
+
 def _module_tree(module):
     return ast.parse((PACKAGE / f"{module}.py").read_text())
 

@@ -267,6 +267,12 @@ class TestSquareSetCheck:
             sq = SquareSet(depth, np.array([(3**k, ones - 3**k), (ones - 3**k, 3**k)]))
             assert len(sq) == 2
 
+    def test_one_digit_table_marks_the_digits_that_are_1(self):
+        # bit k of entry v is set iff base-3 digit k of v is 1, for all 3^8 entries
+        v = np.arange(3**8)
+        digits = v[:, None] // 3 ** np.arange(8) % 3
+        assert np.array_equal(carpet._ONE_DIGITS, (digits == 1) @ (1 << np.arange(8)))
+
     @pytest.mark.parametrize("depth", [1, 8, 9, 17])
     def test_out_of_range_index_raises(self, depth):
         for bad in ((3**depth, 0), (0, 3**depth), (-1, 0), (0, -1)):

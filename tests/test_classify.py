@@ -31,11 +31,13 @@ def stationary(transition):
     """A stationary distribution: the least-norm solution of pi T = pi, sum(pi) = 1.
 
     For a reducible chain it mixes the closed classes' distributions with
-    positive weights, so it is non-negative up to rounding.
+    positive weights, so it is non-negative up to rounding; the rounding dust
+    on transient letters is set to 0, their exact mass.
     """
     size = len(transition)
     system = np.vstack([transition.T - np.eye(size), np.ones(size)])
-    pi = np.linalg.lstsq(system, np.eye(size + 1)[-1], rcond=None)[0].clip(0.0)
+    pi = np.linalg.lstsq(system, np.eye(size + 1)[-1], rcond=None)[0]
+    pi[pi < 1e-12] = 0.0
     return pi / pi.sum()
 
 
@@ -86,9 +88,11 @@ class TestCheckConditions:
     def test_markov_irreducibility(self):
         laws = (law([((1, 1), 1.0)]), law([((1, 1), 1.0)]))
         letters = (EnvironmentLetter("a", laws), EnvironmentLetter("b", laws))
-        reducible = ModelSpec(
-            2, letters, MarkovEnvironment(np.array([0.0, 1.0]), np.eye(2))
-        )
+        # the frozen chain started at (0, 1) is the constant process "b b b ...",
+        # which is ergodic; started at (1/2, 1/2) it mixes two constant processes
+        constant = ModelSpec(2, letters, MarkovEnvironment(np.array([0.0, 1.0]), np.eye(2)))
+        assert check_conditions(constant).ergodic_env_ok
+        reducible = ModelSpec(2, letters, MarkovEnvironment(np.array([0.5, 0.5]), np.eye(2)))
         assert not check_conditions(reducible).ergodic_env_ok
         mixing = ModelSpec(
             2,
@@ -107,15 +111,56 @@ class TestCheckConditions:
             weights[np.arange(size), rng.integers(0, size, size)] += 1.0
             transition = weights / weights.sum(axis=1, keepdims=True)
             laws = (law([((1, 1), 1.0)]), law([((1, 1), 1.0)]))
+            mass = stationary(transition)
             model = ModelSpec(
                 2,
                 tuple(EnvironmentLetter(f"e{i}", laws) for i in range(size)),
-                MarkovEnvironment(stationary(transition), transition),
+                MarkovEnvironment(mass, transition),
             )
-            want = markov_irreducible_by_dfs(transition)
+            # the letter process is ergodic iff the chain is irreducible on
+            # the letters of positive stationary mass
+            support = mass > 0
+            want = markov_irreducible_by_dfs(transition[support][:, support])
             assert check_conditions(model).ergodic_env_ok == want, transition
-            verdicts.append(want)
-        assert 50 < sum(verdicts) < 250  # reducible and irreducible chains both occur
+            verdicts.append((want, support.all()))
+        # non-ergodic chains, and ergodic ones with and without zero-mass letters, all occur
+        assert verdicts.count((True, True)) > 50 and verdicts.count((True, False)) > 50
+        assert sum(not want for want, _ in verdicts) > 10
+
+    def test_markov_with_a_transient_zero_mass_letter_is_ergodic(self):
+        # letter c is left at once and never re-entered, so it has no mass,
+        # and the process on a and b is i.i.d.
+        laws = (law([((1, 1), 1.0)]), law([((1, 1), 1.0)]))
+        letters = tuple(EnvironmentLetter(name, laws) for name in "abc")
+        transition = np.array([[0.5, 0.5, 0.0], [0.5, 0.5, 0.0], [0.3, 0.3, 0.4]])
+        env = MarkovEnvironment(np.array([0.5, 0.5, 0.0]), transition)
+        assert check_conditions(ModelSpec(2, letters, env)).ergodic_env_ok
+
+    def test_markov_with_iid_rows_reports_as_iid(self):
+        # a chain whose initial vector and every row are one vector is that
+        # i.i.d. process, zero-mass letters included
+        rng = np.random.default_rng(5)
+        kinds = set()
+        for _ in range(200):
+            n_types, n_letters = int(rng.integers(2, 4)), int(rng.integers(2, 5))
+            letters = tuple(
+                EnvironmentLetter(
+                    f"e{i}",
+                    tuple(law([(row, 1.0)]) for row in rng.integers(0, 2, (n_types, n_types))),
+                )
+                for i in range(n_letters)
+            )
+            weights = rng.random(n_letters)
+            weights[rng.permutation(n_letters)[: rng.integers(1, n_letters)]] = 0.0
+            probs = weights / weights.sum()
+            markov = MarkovEnvironment(probs, np.tile(probs, (n_letters, 1)))
+            iid = check_conditions(ModelSpec(n_types, letters, IidEnvironment(probs)))
+            chain = check_conditions(ModelSpec(n_types, letters, markov))
+            assert chain.positive_word == iid.positive_word
+            assert chain.ergodic_env_ok and iid.ergodic_env_ok
+            assert chain.strongly_regular == iid.strongly_regular
+            kinds.add((iid.positive_word is not None, iid.strongly_regular))
+        assert len(kinds) == 4  # with and without a witness, each with and without regularity
 
     def test_iid_with_zero_mass_letter_is_ergodic(self):
         laws = (law([((1, 1), 1.0)]), law([((1, 1), 1.0)]))
@@ -160,6 +205,19 @@ class TestCheckConditions:
         report = check_conditions(model)
         assert report.positive_word == (0, 0)
         assert report.positive_word_probability == 1.0
+
+    def test_witness_whose_cylinder_underflows_is_kept(self):
+        # letters I and I + P, P the 3-cycle, of mass 1 and 1e-200: the word
+        # "b b" has a strictly positive product and cylinder 1e-400, which
+        # underflows to 0
+        ident = EnvironmentLetter("a", tuple(law([(row, 1.0)]) for row in np.eye(3, dtype=int)))
+        cycle = np.eye(3, dtype=int) + np.roll(np.eye(3, dtype=int), 1, axis=1)
+        shift = EnvironmentLetter("b", tuple(law([(row, 1.0)]) for row in cycle))
+        model = ModelSpec(3, (ident, shift), IidEnvironment([1.0, 1e-200]))
+        report = check_conditions(model)
+        assert report.positive_word == (1, 1)
+        assert report.positive_word_probability == 0.0
+        assert classify(report, fake_estimate(0.5, 0.1)).kind == "survives_positively"
 
     def test_report_serializes(self):
         report = check_conditions(build_carpet_model(0.4))

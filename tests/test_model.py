@@ -1,5 +1,7 @@
+import copy
 import json
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -32,6 +34,11 @@ from oracles import (
     random_law,
     random_model,
 )
+
+try:
+    import jsonschema
+except ImportError:  # the optional ``test`` extra: only the schema check needs it
+    jsonschema = None
 
 
 def law(pairs):
@@ -388,6 +395,22 @@ class TestEnvironmentSampling:
     def test_markov_requires_stationary_initial(self):
         with pytest.raises(InvariantError):
             MarkovEnvironment(np.array([1.0, 0.0]), np.array([[0.5, 0.5], [0.5, 0.5]]))
+
+    @pytest.mark.parametrize(
+        "env, pattern",
+        [
+            (IidEnvironment([0.5, 0.0, 0.5]), ["101", "101", "101"]),
+            (
+                MarkovEnvironment([0.5, 0.0, 0.5], [[0.5, 0.0, 0.5], [0.0, 1.0, 0.0], [0.5, 0.0, 0.5]]),
+                ["101", "010", "101"],
+            ),
+        ],
+        ids=["iid", "markov"],
+    )
+    def test_step_pattern_marks_the_positive_steps(self, env, pattern):
+        steps = env.step_pattern
+        assert not steps.flags.writeable
+        assert steps.tolist() == [[c == "1" for c in row] for row in pattern]
 
     def test_cylinder_probability(self):
         env = IidEnvironment(np.array([0.2, 0.8]))
@@ -799,3 +822,77 @@ def test_pgf_monotone_property(data):
     t = s + (1 - s) * rng.random(2)
     assert l.pgf(s) <= l.pgf(t) + 1e-12
     assert l.pgf(np.ones(2)) == pytest.approx(1.0, abs=1e-12)
+
+
+MODEL_SCHEMA = json.loads(
+    (Path(__file__).resolve().parents[1] / "schemas" / "model.schema.json").read_text()
+)
+# the carpet model document and a Markov one over the carpet's point-mass letters
+_MUTANT_SOURCES = [
+    json.loads(write_model(build_carpet_model(0.4))),
+    json.loads(
+        write_model(
+            ModelSpec(
+                2, build_carpet_model(1.0).letters, MarkovEnvironment(np.full(3, 1 / 3), _MARKOV3)
+            )
+        )
+    ),
+]
+_KEYS = "n_types letters environment name laws z p kind probs initial transition extra".split()
+# replacements: a value of every JSON type, and numbers near and past the
+# int64 and float ranges
+_JSON_VALUES = st.one_of(
+    st.sampled_from([None, True, "", "iid", [], {}]),
+    st.sampled_from([-1, 3, 2**63, 10**400]),
+    st.floats(),
+)
+
+
+def _nodes(value, path=()):
+    """Every (path, node) under ``value``, ``value`` itself first."""
+    yield path, value
+    if isinstance(value, (dict, list)):
+        for key, child in value.items() if isinstance(value, dict) else enumerate(value):
+            yield from _nodes(child, path + (key,))
+
+
+def _mutate(doc, draw):
+    """``doc`` with one value replaced, one node copied over another, one key dropped
+    or added, or one list shortened."""
+    nodes = dict(_nodes(doc))
+    paths = list(nodes)[1:]  # the root stays a document
+    how = draw(st.sampled_from(["replace", "copy", "drop", "add"]))
+    if how == "add":
+        node = nodes[draw(st.sampled_from([p for p in nodes if isinstance(nodes[p], dict)]))]
+        node[draw(st.sampled_from(_KEYS))] = draw(_JSON_VALUES)
+        return
+    if how == "replace":
+        paths = [p for p in paths if not isinstance(nodes[p], (dict, list))]
+    path = draw(st.sampled_from(paths))
+    parent, key = nodes[path[:-1]], path[-1]
+    if how == "replace":
+        parent[key] = draw(_JSON_VALUES)
+    elif how == "copy":
+        parent[key] = copy.deepcopy(nodes[draw(st.sampled_from(paths))])
+    elif isinstance(parent, dict):
+        del parent[key]
+    else:
+        del parent[key:]  # the list keeps the entries before this one
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(st.data())
+def test_mutated_model_document_is_refused_or_round_trips(data):
+    doc = copy.deepcopy(data.draw(st.sampled_from(_MUTANT_SOURCES)))
+    for _ in range(data.draw(st.integers(1, 2))):
+        _mutate(doc, data.draw)
+    text = json.dumps(doc)
+    try:
+        model = parse_model(text)
+    except (ModelFormatError, InvariantError):
+        return
+    if jsonschema is not None:
+        # not jsonschema.validate, which checks the schema itself at every call
+        jsonschema.Draft202012Validator(MODEL_SCHEMA).validate(json.loads(text))
+    written = write_model(model)
+    assert write_model(parse_model(written)) == written

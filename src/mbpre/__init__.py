@@ -25,7 +25,6 @@ _EXPORTS = {
         "critical_p",
         "empirical_offspring_stats",
         "lambda_b",
-        "projection_intervals",
         "projection_measure",
         "sample_carpet",
         "sample_projection_measures",

@@ -286,32 +286,6 @@ def sample_carpet(p, depth, rng):
     return SquareSet(depth, squares)
 
 
-def _sorted_diagonals(square_set):
-    """The integer diagonals i - j of the squares, sorted in place."""
-    d = square_set.squares[:, 0] - square_set.squares[:, 1]
-    d.sort()
-    return d
-
-
-def projection_intervals(square_set):
-    """Disjoint sorted intervals covered by the diagonal projection.
-
-    A square (i, j) at depth n projects onto [(i-j-1)/3^n, (i-j+1)/3^n] on
-    the x - y axis. One sweep over the sorted integer diagonals merges the
-    segments, repeated diagonals included: a new one starts where two
-    neighbouring diagonals lie more than 2 apart. The ends are divided by
-    3^n once, at the end.
-    """
-    if len(square_set) == 0:
-        return np.empty((0, 2))
-    d = _sorted_diagonals(square_set)
-    starts = np.ones(len(d), dtype=bool)
-    starts[1:] = np.diff(d) > 2
-    idx = np.flatnonzero(starts)
-    ends = np.r_[idx[1:] - 1, len(d) - 1]
-    return np.column_stack([d[idx] - 1, d[ends] + 1]) / 3.0**square_set.depth
-
-
 def projection_measure(square_set):
     """Lebesgue measure of the diagonal projection of the square set.
 
@@ -322,7 +296,9 @@ def projection_measure(square_set):
     """
     if len(square_set) == 0:
         return 0.0
-    gaps = np.diff(_sorted_diagonals(square_set))
+    d = square_set.squares[:, 0] - square_set.squares[:, 1]
+    d.sort()
+    gaps = np.diff(d)
     np.minimum(gaps, 2, out=gaps)
     return int(2 + gaps.sum()) / 3**square_set.depth
 
@@ -389,17 +365,3 @@ def empirical_offspring_stats(p, column, parent_type, samples, rng):
     pmf = {(int(a), int(b)): c / samples for (a, b), c in zip(pairs, counts)}
     return OffspringStats(mean, pmf, samples)
 
-
-def square_set_to_text(square_set):
-    """Export as text: a 'depth n' header, then one 'n i j' line per square."""
-    lines = [f"depth {square_set.depth}"]
-    order = np.lexsort((square_set.squares[:, 1], square_set.squares[:, 0]))
-    for i, j in square_set.squares[order]:
-        lines.append(f"{square_set.depth} {i} {j}")
-    return "\n".join(lines) + "\n"
-
-
-def intervals_to_csv(square_set):
-    """Merged projection intervals as 'lo,hi' CSV lines."""
-    segs = projection_intervals(square_set)
-    return "".join(f"{float(lo)!r},{float(hi)!r}\n" for lo, hi in segs)

@@ -53,9 +53,11 @@ def _readonly(a):
 
 
 def _check_mass(probs, what):
-    """Require ``probs`` finite, non-negative and summing to 1 within ``MASS_TOL``."""
+    """Require ``probs`` finite, in [0, 1] and summing to 1 within ``MASS_TOL``."""
     if not np.all(np.isfinite(probs)) or np.any(probs < 0):
         raise InvariantError(f"{what}: masses must be finite and non-negative")
+    if np.any(probs > 1):
+        raise InvariantError(f"{what}: a mass exceeds 1")
     total = float(probs.sum())
     if abs(total - 1.0) > MASS_TOL:
         raise InvariantError(f"{what}: masses sum to {total!r}, not 1 within {MASS_TOL}")
@@ -349,7 +351,16 @@ class MarkovEnvironment:
 
     @property
     def letter_mass(self):
-        return self.initial
+        """Per-letter stationary probability: 0 on a letter the chain cannot return to.
+
+        A stationary law puts no mass on a letter that reaches some letter
+        which does not reach it back, so initial mass there is rounding dust.
+        """
+        reach = np.eye(self.n_letters, dtype=bool) | self.step_pattern
+        for _ in range(math.ceil(math.log2(self.n_letters))):
+            reach = reach @ reach
+        recurrent = (reach <= reach.T).all(axis=1)
+        return _readonly(np.where(recurrent, self.initial, 0.0))
 
     @property
     def step_pattern(self):

@@ -107,6 +107,13 @@ def test_every_public_name_resolves():
     assert missing == []
 
 
+def test_unknown_name_is_an_attribute_error():
+    import mbpre
+
+    # hasattr lets any other exception through
+    assert not hasattr(mbpre, "no_such_name")
+
+
 def test_classify_stays_the_function_after_its_module_loads():
     import mbpre
     import mbpre.classify  # binds the submodule as the package attribute

@@ -17,13 +17,12 @@ from mbpre import (
     critical_p,
     empirical_offspring_stats,
     lambda_b,
-    projection_intervals,
     projection_measure,
     sample_carpet,
     sample_projection_measures,
 )
 from mbpre import carpet
-from mbpre.carpet import MAX_SQUARES, COLUMN_MATRICES, intervals_to_csv, square_set_to_text
+from mbpre.carpet import MAX_SQUARES, COLUMN_MATRICES
 from mbpre.cli import main
 from oracles import (
     carpet_levels_broadcast,
@@ -300,14 +299,10 @@ class TestProjection:
     def test_full_depth_one_covers_everything(self):
         sq = SquareSet(1, np.array([(i, j) for i in range(3) for j in range(3) if (i, j) != (1, 1)]))
         assert projection_measure(sq) == pytest.approx(2.0, abs=1e-15)
-        segs = projection_intervals(sq)
-        assert segs.shape == (1, 2)
-        assert np.allclose(segs[0], [-1.0, 1.0])
 
     def test_empty_set(self):
         empty = SquareSet(3, np.empty((0, 2), dtype=np.int64))
         assert projection_measure(empty) == 0.0
-        assert projection_intervals(empty).shape == (0, 2)
 
     def test_single_square_formula(self):
         sq = SquareSet(2, np.array([[0, 0]]))
@@ -355,7 +350,6 @@ class TestProjection:
             d = sq.squares[:, 0] - sq.squares[:, 1]
             assert np.unique(d).size < d.size  # repeated diagonals
             ref = projection_intervals_unique(sq.squares, depth)
-            assert np.array_equal(projection_intervals(sq), ref)
             units = np.rint(ref * 3**depth).astype(np.int64)
             assert projection_measure(sq) == int((units[:, 1] - units[:, 0]).sum()) / 3**depth
 
@@ -368,10 +362,8 @@ class TestProjection:
     def test_stacked_repeats_merge_once(self):
         # three squares on diagonal 0, two on 2, one on 6: [-1, 3] and [5, 7]
         squares = np.array([(0, 0), (2, 2), (6, 6), (2, 0), (8, 6), (6, 0)])
-        sq = SquareSet(2, squares)
-        ref = projection_intervals_unique(squares, 2)
-        assert np.array_equal(projection_intervals(sq), ref)
-        assert np.array_equal(ref * 9, [[-1, 3], [5, 7]])
+        assert np.array_equal(projection_intervals_unique(squares, 2) * 9, [[-1, 3], [5, 7]])
+        assert projection_measure(SquareSet(2, squares)) == 6 / 9
 
 
 class TestOffspringStats:
@@ -427,18 +419,3 @@ class TestOffspringStats:
 def test_argument_errors(build, error, message):
     with pytest.raises(error, match=message):
         build()
-
-
-class TestExports:
-    def test_square_set_text(self):
-        sq = SquareSet(1, np.array([[2, 1], [0, 0]]))
-        text = square_set_to_text(sq)
-        assert text.splitlines()[0] == "depth 1"
-        assert text.splitlines()[1:] == ["1 0 0", "1 2 1"]
-
-    def test_intervals_csv(self):
-        sq = SquareSet(2, np.array([[0, 0]]))
-        lines = intervals_to_csv(sq).splitlines()
-        assert len(lines) == 1
-        lo, hi = (float(v) for v in lines[0].split(","))
-        assert (lo, hi) == (-1 / 9, 1 / 9)

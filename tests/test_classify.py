@@ -27,16 +27,22 @@ def fake_estimate(point, half_width):
     return LyapunovEstimate("sum", point, half_width, 1000, 8)
 
 
-def stationary(transition):
+def raw_stationary(transition):
     """A stationary distribution: the least-norm solution of pi T = pi, sum(pi) = 1.
 
     For a reducible chain it mixes the closed classes' distributions with
-    positive weights, so it is non-negative up to rounding; the rounding dust
-    on transient letters is set to 0, their exact mass.
+    positive weights, so it lies in [0, 1] up to rounding; it is clipped to
+    [0, 1], and transient letters keep their rounding dust.
     """
     size = len(transition)
     system = np.vstack([transition.T - np.eye(size), np.ones(size)])
     pi = np.linalg.lstsq(system, np.eye(size + 1)[-1], rcond=None)[0]
+    return np.clip(pi, 0.0, 1.0)
+
+
+def stationary(transition):
+    """``raw_stationary`` with the dust on transient letters set to 0, their exact mass."""
+    pi = raw_stationary(transition)
     pi[pi < 1e-12] = 0.0
     return pi / pi.sum()
 
@@ -111,15 +117,15 @@ class TestCheckConditions:
             weights[np.arange(size), rng.integers(0, size, size)] += 1.0
             transition = weights / weights.sum(axis=1, keepdims=True)
             laws = (law([((1, 1), 1.0)]), law([((1, 1), 1.0)]))
-            mass = stationary(transition)
+            # the model keeps the rounding dust on transient letters
             model = ModelSpec(
                 2,
                 tuple(EnvironmentLetter(f"e{i}", laws) for i in range(size)),
-                MarkovEnvironment(mass, transition),
+                MarkovEnvironment(raw_stationary(transition), transition),
             )
             # the letter process is ergodic iff the chain is irreducible on
             # the letters of positive stationary mass
-            support = mass > 0
+            support = stationary(transition) > 0
             want = markov_irreducible_by_dfs(transition[support][:, support])
             assert check_conditions(model).ergodic_env_ok == want, transition
             verdicts.append((want, support.all()))
@@ -135,6 +141,20 @@ class TestCheckConditions:
         transition = np.array([[0.5, 0.5, 0.0], [0.5, 0.5, 0.0], [0.3, 0.3, 0.4]])
         env = MarkovEnvironment(np.array([0.5, 0.5, 0.0]), transition)
         assert check_conditions(ModelSpec(2, letters, env)).ergodic_env_ok
+
+    def test_rounding_dust_on_a_transient_letter_has_no_mass(self):
+        # the chain of the test above with a 1e-16 share of the initial mass
+        # moved onto c, and a chain whose two closed classes both carry mass
+        laws = (law([((1, 1), 1.0)]), law([((1, 1), 1.0)]))
+        letters = tuple(EnvironmentLetter(name, laws) for name in "abc")
+        transition = np.array([[0.5, 0.5, 0.0], [0.5, 0.5, 0.0], [0.3, 0.3, 0.4]])
+        env = MarkovEnvironment(np.array([0.5, 0.5 - 1e-16, 1e-16]), transition)
+        assert env.letter_mass.tolist() == [0.5, 0.5 - 1e-16, 0.0]
+        assert check_conditions(ModelSpec(2, letters, env)).ergodic_env_ok
+        two_classes = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.3, 0.3, 0.4]])
+        env = MarkovEnvironment(np.array([0.5, 0.5 - 1e-16, 1e-16]), two_classes)
+        assert env.letter_mass.tolist() == [0.5, 0.5 - 1e-16, 0.0]
+        assert not check_conditions(ModelSpec(2, letters, env)).ergodic_env_ok
 
     def test_markov_with_iid_rows_reports_as_iid(self):
         # a chain whose initial vector and every row are one vector is that

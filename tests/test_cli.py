@@ -723,6 +723,27 @@ def test_carpet_project_and_bisect_load_no_exponent_module(argv):
     assert "mbpre.lyapunov" not in names
 
 
+def test_exit_code_mass_above_one(tmp_path):
+    doc = {
+        "n_types": 2,
+        "letters": [
+            {
+                "name": "x",
+                "laws": [[{"z": [0, 0], "p": 1.0000000000005}], [{"z": [0, 0], "p": 1.0}]],
+            }
+        ],
+        "environment": {"kind": "iid", "probs": [1.0]},
+    }
+    if jsonschema is not None:
+        with pytest.raises(jsonschema.ValidationError, match="maximum of 1"):
+            jsonschema.validate(doc, MODEL_SCHEMA)
+    bad = tmp_path / "heavy.json"
+    bad.write_text(json.dumps(doc))
+    code, out, err = run_cli(["check", "--model", str(bad), "--json"])
+    assert (code, out) == (3, "")
+    assert "a mass exceeds 1" in err
+
+
 def test_threads_defaults_to_one(carpet_p04_file):
     # the echoed default must not depend on the machine's CPU count
     env = run_json(["extinction", "--model", carpet_p04_file, "--mode", "fixed", "--word", "0,1"])

@@ -786,6 +786,21 @@ _MODEL_ERRORS = {
         ModelFormatError,
         "environment.probs: expected a list of numbers",
     ),
+    "codec-transition-not-list": (
+        lambda: parse_model(
+            _document(environment='{"kind": "markov", "initial": [1.0], "transition": 5}')
+        ),
+        ModelFormatError,
+        "environment.transition: expected a list of rows",
+    ),
+    "codec-law-mass-above-one": (
+        # within MASS_TOL of 1, but the schema's maximum for a mass is 1
+        lambda: parse_model(
+            _document(laws='[[{"z": [0, 0], "p": 1.0000000000005}], [{"z": [1, 0], "p": 1.0}]]')
+        ),
+        InvariantError,
+        "offspring probabilities: a mass exceeds 1",
+    ),
     "codec-transition-ragged": (
         lambda: parse_model(
             _document(

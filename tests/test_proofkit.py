@@ -125,6 +125,25 @@ class TestProofParams:
             )
 
 
+@pytest.mark.parametrize(
+    "changes, message",
+    [
+        ({"moment_bound": 0.0}, "alpha and moment_bound must be positive"),
+        ({"moment_bound": 0.1, "delta": 1.25}, r"delta must lie in \(0, 1\)"),
+        ({"mu": 0.0}, r"mu and u must lie in \(0, 1\]"),
+    ],
+    ids=["zero-moment-bound", "delta-above-one", "zero-mu"],
+)
+def test_proof_params_range_errors(changes, message):
+    # rho 0.5 and exponent 1 satisfy rho * e^exponent > 1, and delta its formula
+    fields = dict(
+        rho=0.5, alpha=1.0, n_types=2, moment_bound=2.0,
+        delta=0.0625, mu=0.5, u=0.5, exponent=1.0,
+    )
+    with pytest.raises(ValueError, match=message):
+        ProofParams(**{**fields, **changes})
+
+
 class TestBuildProofParams:
     def test_carpet_hypothetical_exponent(self):
         model = build_carpet_model(0.4)

@@ -15,13 +15,13 @@ exponent of the p = 1 matrices.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import BudgetError, InvariantError
 from .model import (
-    LETTER_BUDGET, EnvironmentLetter, IidEnvironment, ModelSpec, OffspringLaw, child_seeds
+    LETTER_BUDGET, EnvironmentLetter, IidEnvironment, ModelSpec, OffspringLaw, Record,
+    child_seeds,
 )
 
 UPPER, LOWER = 0, 1
@@ -206,8 +206,7 @@ def _digit_blocks(v, depth):
     yield v
 
 
-@dataclass(frozen=True)
-class SquareSet:
+class SquareSet(Record):
     """Retained squares (i, j) of a depth-n carpet approximation.
 
     Construction rejects an index outside [0, 3^n) and a square whose two
@@ -323,8 +322,7 @@ def sample_projection_measures(p, depth, samples, seed):
     )
 
 
-@dataclass(frozen=True)
-class OffspringStats:
+class OffspringStats(Record):
     """Empirical offspring statistics from the raw geometric construction."""
 
     mean: np.ndarray

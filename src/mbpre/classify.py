@@ -12,16 +12,13 @@ estimate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .matcore import allowability_offenders, find_positive_product_word
-from .model import second_moment_bound, uniform_allowability_alpha
+from .model import Record, second_moment_bound, uniform_allowability_alpha
 
 
-@dataclass(frozen=True)
-class ConditionReport:
+class ConditionReport(Record):
     """Outcome of the hypothesis checks on a model."""
 
     ergodic_env_ok: bool
@@ -29,14 +26,14 @@ class ConditionReport:
     allowability_offenders: tuple
     positive_word: tuple | None
     positive_word_probability: float | None
+    positive_word_log_probability: float | None
     second_moment_bound: float
     uniform_alpha: float | None
     strongly_regular: bool
     strong_regularity_witness: str | None
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(Record):
     """Survival classification with the estimate and the rule that applied."""
 
     kind: str
@@ -60,15 +57,17 @@ def check_conditions(model):
     env = model.environment
     support = env.letter_mass > 0
     steps = env.step_pattern
-    word = word_prob = None
+    word = word_prob = word_log_prob = None
     if allowable_ok:
         # the Boolean search is exact and walks only positive-probability steps, so
-        # its witness stands; the float cylinder probability reads 0.0 if it underflows
+        # its witness stands; the float cylinder probability reads 0.0 if it
+        # underflows, its log does not
         patterns = [m > 0 for m in model.expectation_matrices()]
         found = find_positive_product_word(patterns, support, steps)
         if found is not None:
             word = tuple(found)
             word_prob = env.cylinder_probability(found)
+            word_log_prob = env.cylinder_log_probability(found)
 
     alpha = uniform_allowability_alpha(model) if allowable_ok else None
 
@@ -89,6 +88,7 @@ def check_conditions(model):
         allowability_offenders=tuple(offenders),
         positive_word=word,
         positive_word_probability=word_prob,
+        positive_word_log_probability=word_log_prob,
         second_moment_bound=second_moment_bound(model),
         uniform_alpha=alpha,
         strongly_regular=witness is not None,

@@ -10,13 +10,14 @@ an independent estimator of the same quantities.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import islice
 
 import numpy as np
 
 from .errors import BudgetError
-from .model import LETTER_BUDGET, Z95, check_word, child_seeds, mean_half_width, word_dtype
+from .model import (
+    LETTER_BUDGET, Z95, Record, check_word, child_seeds, mean_half_width, word_dtype
+)
 
 # First depth probed by the doubling convergence loop.
 _DEPTH0 = 64
@@ -32,8 +33,7 @@ MAX_TRIALS = 2**22
 _BLOCK_BYTES = 1 << 17
 
 
-@dataclass(frozen=True)
-class ExtinctionVector:
+class ExtinctionVector(Record):
     """Per-starting-type extinction probabilities at a composition depth."""
 
     q: np.ndarray
@@ -298,8 +298,7 @@ def _trial_outcomes(model, start_type, trials, horizon, cap, seed):
     return tuple(np.concatenate(field) for field in zip(*parts))
 
 
-@dataclass(frozen=True)
-class SurvivalEstimate:
+class SurvivalEstimate(Record):
     """Survival share and conditioned growth rate from one pass of trials.
 
     ``survival`` is the share of trials alive at the horizon and

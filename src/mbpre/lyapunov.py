@@ -31,13 +31,12 @@ once for all of them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import KINDS, DegenerateProductError
 from .matcore import allowability_offenders
-from .model import check_word, child_seeds, mean_half_width
+from .model import Record, check_word, child_seeds, mean_half_width
 
 # The axes each kind sums an (..., N, N) product over before taking the
 # least sum: all entries, the columns, the rows. The float reduction and
@@ -52,8 +51,7 @@ _CHUNK = 4096
 _FLOATS = 1 << 22
 
 
-@dataclass(frozen=True)
-class LyapunovEstimate:
+class LyapunovEstimate(Record):
     """Point estimate of an exponent in nats per step, with a 95% CI half-width."""
 
     kind: str

@@ -9,6 +9,15 @@ letter collects the mean offspring counts by (parent type, child type).
 
 All objects are immutable after construction and safe to share between
 workers; sampling takes an explicit ``numpy.random.Generator``.
+
+Every result and model object is a :class:`Record`: its annotated class
+attributes are its dataclass fields, set once by the shared ``__init__``
+(and by ``__post_init__``, which may normalize them through
+``object.__setattr__``). Assigning or deleting an attribute afterwards
+raises ``dataclasses.FrozenInstanceError``, as on a frozen dataclass; a
+``cached_property`` fills the instance dict directly and stays allowed. The
+base generates no method per class, so no record compiles code when its
+module loads.
 """
 
 from __future__ import annotations
@@ -16,8 +25,10 @@ from __future__ import annotations
 import json
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import MISSING, FrozenInstanceError, dataclass, fields
 from functools import cached_property
+from inspect import Parameter, Signature
+from reprlib import recursive_repr
 
 import numpy as np
 
@@ -45,6 +56,70 @@ _WORD_SLICE = 1 << 14
 # pgf arguments may drift past [0, 1] by accumulated rounding when pgf
 # outputs are fed back in; anything worse is a caller bug.
 _S_RANGE_TOL = 1e-9
+
+
+class Record:
+    """Base of the immutable records: dataclass fields without generated methods.
+
+    A subclass's annotations become its dataclass fields (``fields``,
+    ``asdict``, ``replace`` and ``is_dataclass`` see them), while the
+    methods a frozen dataclass would compile per class come from here with
+    the same semantics: construction by position or keyword with field
+    defaults, then ``__post_init__``; assignment and deletion raise
+    ``FrozenInstanceError``; ``repr``, ``==`` and ``hash`` go field by
+    field, and ``==`` holds only between records of one class. A field
+    takes at most a plain default: no ``dataclasses.field`` options.
+    """
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        dataclass(cls, init=False, repr=False, eq=False)
+        cls._names = tuple(f.name for f in fields(cls))
+
+    def __init__(self, *args, **kwargs):
+        names = self._names
+        # every field by position, the library's own calls, skips the binding
+        if kwargs or len(args) != len(names):
+            args = self._bind(args, kwargs)
+        self.__dict__.update(zip(names, args))
+        self.__post_init__()
+
+    @classmethod
+    def _bind(cls, args, kwargs):
+        """Field values in order, bound from ``args`` and ``kwargs`` as a call binds them."""
+        bound = Signature(
+            [
+                Parameter(f.name, Parameter.POSITIONAL_OR_KEYWORD,
+                          default=Parameter.empty if f.default is MISSING else f.default)
+                for f in fields(cls)
+            ]
+        ).bind(*args, **kwargs)
+        bound.apply_defaults()
+        return bound.args
+
+    def __post_init__(self):
+        pass
+
+    def _frozen(self, name, *value):
+        raise FrozenInstanceError(f"cannot {'assign to' if value else 'delete'} field {name!r}")
+
+    __setattr__ = __delattr__ = _frozen
+
+    def _values(self):
+        return tuple(getattr(self, n) for n in self._names)
+
+    @recursive_repr()
+    def __repr__(self):
+        inner = ", ".join(f"{n}={getattr(self, n)!r}" for n in self._names)
+        return f"{type(self).__qualname__}({inner})"
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
 
 
 def _readonly(a):
@@ -107,8 +182,7 @@ def _check_svalue(s, n_types):
     return np.clip(s, 0.0, 1.0)
 
 
-@dataclass(frozen=True)
-class OffspringLaw:
+class OffspringLaw(Record):
     """Finite-support distribution over offspring count vectors.
 
     ``counts`` is a (K, N) array of non-negative integers and ``probs`` the
@@ -195,8 +269,7 @@ class OffspringLaw:
         return self.counts[np.searchsorted(self._cdf, rng.random(size), side="right")]
 
 
-@dataclass(frozen=True)
-class EnvironmentLetter:
+class EnvironmentLetter(Record):
     """A named environment letter: one offspring law per parent type."""
 
     name: str
@@ -248,8 +321,7 @@ def _word_buffer(n, rows, n_letters):
     return np.empty(shape, dtype=word_dtype(n_letters))
 
 
-@dataclass(frozen=True)
-class IidEnvironment:
+class IidEnvironment(Record):
     """Letters drawn independently with fixed probabilities."""
 
     probs: np.ndarray
@@ -311,9 +383,13 @@ class IidEnvironment:
         """Probability that the environment starts with the given finite word."""
         return float(np.prod(self.probs[check_word(word, self.n_letters)]))
 
+    def cylinder_log_probability(self, word):
+        """Natural log of ``cylinder_probability``, a sum of logs that cannot underflow."""
+        with np.errstate(divide="ignore"):
+            return float(np.log(self.probs[check_word(word, self.n_letters)]).sum())
 
-@dataclass(frozen=True)
-class MarkovEnvironment:
+
+class MarkovEnvironment(Record):
     """Letters drawn from a stationary finite Markov chain.
 
     The initial vector must be stationary for the transition matrix (it is
@@ -408,9 +484,15 @@ class MarkovEnvironment:
             p *= float(self.transition[a, b])
         return p
 
+    def cylinder_log_probability(self, word):
+        """Natural log of ``cylinder_probability``, a sum of logs that cannot underflow."""
+        word = check_word(word, self.n_letters)
+        with np.errstate(divide="ignore"):
+            steps = np.log(self.transition[word[:-1], word[1:]])
+            return float(np.log(self.initial[word[0]]) + steps.sum())
 
-@dataclass(frozen=True)
-class ModelSpec:
+
+class ModelSpec(Record):
     """A complete model: type count, letters, and environment distribution."""
 
     n_types: int

@@ -13,12 +13,11 @@ corrupted parameter set) can be audited mechanically.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property, reduce
 
 import numpy as np
 
-from .model import second_moment_bound, uniform_allowability_alpha
+from .model import Record, second_moment_bound, uniform_allowability_alpha
 
 # Margins keeping the strict inequalities of the construction strict after
 # rounding: alpha is shrunk, the second-moment bound inflated.
@@ -40,8 +39,7 @@ _MAX_WORD = 8
 _MAX_EXPONENT = 4 * math.log(np.finfo(float).max) / _MAX_WORD
 
 
-@dataclass(frozen=True)
-class ProofParams:
+class ProofParams(Record):
     """Parameters of the affine-majorant construction.
 
     ``delta`` must equal (1 - rho) * alpha / (2 * n_types * moment_bound);
@@ -130,16 +128,18 @@ def phi(v, t, n_types):
 # Oracle suite
 
 
-@dataclass(frozen=True)
-class OracleCheck:
+class OracleCheck(Record):
+    """One inequality's outcome: its name, pass flag, samples drawn and first counterexample."""
+
     check: str
     passed: bool
     samples: int
     counterexample: dict | None
 
 
-@dataclass(frozen=True)
-class OracleReport:
+class OracleReport(Record):
+    """The suite's checks in order, looked up by name through ``by_name``."""
+
     checks: tuple
 
     @cached_property

@@ -1,10 +1,18 @@
-"""API hygiene, read from the source trees with ``ast``; nothing here runs a demo."""
+"""API hygiene, read from the source trees with ``ast``; nothing here runs a demo.
+
+One test imports the package in a child interpreter to count the methods
+``dataclasses`` compiles.
+"""
 
 import ast
 import importlib
+import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
+from conftest import child_env
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "mbpre"
@@ -300,3 +308,50 @@ def test_matcore_holds_only_the_positivity_hypotheses():
         if isinstance(node, ast.FunctionDef) and not _private(node.name)
     }
     assert public == {"allowability_offenders", "find_positive_product_word"}
+
+
+def _dataclass_appliers(module):
+    """The top-level class (or None) around each decorator or call that applies ``dataclass``."""
+    found = []
+    for top in _module_tree(module).body:
+        for node in ast.walk(top):
+            decorators = getattr(node, "decorator_list", [])
+            calls = [node.func] if isinstance(node, ast.Call) else []
+            for target in decorators + calls:
+                name = getattr(target, "attr", getattr(target, "id", None))
+                if name == "dataclass":
+                    found.append(top.name if isinstance(top, ast.ClassDef) else None)
+    return found
+
+
+def test_only_the_record_base_applies_dataclass():
+    # every record derives from model.Record, which builds no method per class
+    appliers = {m: _dataclass_appliers(m) for m in MODULES + ["__init__"]}
+    assert {m: found for m, found in appliers.items() if found} == {"model": ["Record"]}
+
+
+def test_importing_the_package_compiles_no_dataclass_method():
+    # the child counts the methods dataclasses compiles: none for mbpre's
+    # records, and some for one frozen dataclass made after them
+    code = (
+        "import dataclasses, importlib, json\n"
+        "made = []\n"
+        "owner = getattr(dataclasses, '_FuncBuilder', dataclasses)\n"
+        "name = 'add_fn' if owner is not dataclasses else '_create_fn'\n"
+        "real = getattr(owner, name)\n"
+        "def counted(*args, **kwargs):\n"
+        "    made.append(1)\n"
+        "    return real(*args, **kwargs)\n"
+        "setattr(owner, name, counted)\n"
+        f"for module in {MODULES!r}:\n"
+        "    importlib.import_module('mbpre.' + module)\n"
+        "ours = len(made)\n"
+        "dataclasses.make_dataclass('Probe', ['x'], frozen=True)\n"
+        "print(json.dumps([ours, len(made) - ours]))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=child_env()
+    )
+    assert proc.returncode == 0, proc.stderr
+    ours, probe = json.loads(proc.stdout)
+    assert (ours, probe > 0) == (0, True)

@@ -1,4 +1,5 @@
 import json
+import math
 from dataclasses import asdict
 
 import numpy as np
@@ -199,6 +200,7 @@ class TestCheckConditions:
         model = ModelSpec(2, (a, b), env)
         report = check_conditions(model)
         assert report.positive_word is None
+        assert report.positive_word_log_probability is None
         from mbpre import find_positive_product_word
 
         unrestricted = find_positive_product_word(
@@ -237,6 +239,9 @@ class TestCheckConditions:
         report = check_conditions(model)
         assert report.positive_word == (1, 1)
         assert report.positive_word_probability == 0.0
+        # the sum of logs does not underflow: 2 ln(1e-200)
+        assert report.positive_word_log_probability == pytest.approx(2 * math.log(1e-200))
+        assert report.positive_word_log_probability == pytest.approx(-921.034, abs=1e-3)
         assert classify(report, fake_estimate(0.5, 0.1)).kind == "survives_positively"
 
     def test_report_serializes(self):

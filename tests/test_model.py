@@ -1,5 +1,6 @@
 import copy
 import json
+import math
 import tracemalloc
 from pathlib import Path
 
@@ -423,6 +424,9 @@ class TestEnvironmentSampling:
             env,
         )
         assert model.environment.cylinder_probability([0, 1, 1]) == pytest.approx(0.2 * 0.8 * 0.8)
+        assert env.cylinder_log_probability([0, 1, 1]) == pytest.approx(math.log(0.2 * 0.8 * 0.8))
+        # a letter of zero mass: log 0, without a warning
+        assert IidEnvironment([0.2, 0.8, 0.0]).cylinder_log_probability([0, 2]) == -math.inf
 
     def test_markov_cylinder_probability(self):
         # doubly stochastic, so the uniform initial vector is stationary
@@ -431,6 +435,10 @@ class TestEnvironmentSampling:
         assert env.cylinder_probability([2]) == pytest.approx(1 / 3)
         # initial[0] * T[0, 2] * T[2, 1] * T[1, 1]
         assert env.cylinder_probability([0, 2, 1, 1]) == pytest.approx(0.3 * 0.3 * 0.2 / 3)
+        assert env.cylinder_log_probability([2]) == pytest.approx(math.log(1 / 3))
+        assert env.cylinder_log_probability([0, 2, 1, 1]) == pytest.approx(
+            math.log(0.3 * 0.3 * 0.2 / 3)
+        )
 
     @pytest.mark.parametrize(
         "env",
@@ -449,6 +457,8 @@ class TestEnvironmentSampling:
         # no negative letter wraps to the last one, no float truncates
         with pytest.raises(ValueError, match="word"):
             env.cylinder_probability(word)
+        with pytest.raises(ValueError, match="word"):
+            env.cylinder_log_probability(word)
 
     # the walk holds one slice of uniforms and its path, and the alphabet's
     # CDF rows: 0.40 MB above the word's 0.1 MB, and 0.17 MB above the
@@ -911,3 +921,26 @@ def test_mutated_model_document_is_refused_or_round_trips(data):
         jsonschema.Draft202012Validator(MODEL_SCHEMA).validate(json.loads(text))
     written = write_model(model)
     assert write_model(parse_model(written)) == written
+
+
+@pytest.mark.parametrize(
+    "environment, message",
+    [
+        ('{"kind": "iid", "probs": [1.0000000000005]}', r"environment\.probs: a mass exceeds 1"),
+        (
+            '{"kind": "markov", "initial": [1.0], "transition": [[1.0000000000005]]}',
+            "environment.transition row 0: a mass exceeds 1",
+        ),
+    ],
+    ids=["iid-probs", "markov-transition"],
+)
+def test_environment_mass_above_one_is_refused_by_schema_and_parser(environment, message):
+    # within MASS_TOL of 1, so only the cap at 1 refuses it, in both
+    text = _document(environment=environment)
+    if jsonschema is not None:
+        # the environment is a oneOf, so the cap shows among the branches' errors
+        errors = list(jsonschema.Draft202012Validator(MODEL_SCHEMA).iter_errors(json.loads(text)))
+        reasons = [e.message for error in errors for e in (error, *error.context)]
+        assert any("greater than the maximum of 1" in r for r in reasons), reasons
+    with pytest.raises(InvariantError, match=message):
+        parse_model(text)

@@ -7,7 +7,8 @@ otherwise; a result dataclass by its own fields) and diagnostics to
 stderr. Identical command lines produce byte-identical JSON. Exit codes:
 0 success, 2 usage error (any other ``ValueError``, a count option below 1
 included), 3 model or invariant error, 4 resource-budget error (an
-exponent word over ``LETTER_BUDGET`` letters included), 1 any other failure.
+exponent word over ``LETTER_BUDGET`` letters and a model's pgf table over
+``LETTER_BUDGET`` bytes included), 1 any other failure.
 
 Each handler imports the modules it runs, and numpy only where it uses it,
 so a launch loads only what its subcommand needs. The parser names every
@@ -20,9 +21,11 @@ neither numpy, json nor ``mbpre.errors``. On a 2-core VM that launch takes
 in-process against 1.3 ms (best of 7).
 
 A process enters through ``launch``, which pins OpenBLAS to one thread,
-turns the cyclic collector off, runs ``main``, flushes the output and
-ends the process without interpreter teardown; ``main`` leaves the
-collector as it found it. A result, ``--help`` or ``--version`` that
+keeps OpenSSL's ``libcrypto`` out of the process (3.4 MB of peak RSS that
+``numpy.random`` maps through ``secrets`` and ``hmac``), turns the cyclic
+collector off, runs ``main``, flushes the output and ends the process
+without interpreter teardown; ``main`` leaves the collector, BLAS and
+``_hashlib`` as it found them. A result, ``--help`` or ``--version`` that
 cannot be written exits 1.
 """
 
@@ -469,8 +472,18 @@ def launch():
     ``OPENBLAS_NUM_THREADS`` is set to 1 before ``main`` loads numpy, so
     OpenBLAS starts no worker thread: mbpre's matrices are a few types
     wide, and on a 2-core VM whose cores were contended the idle worker
-    made a short launch about 1.5x slower. The library and ``import
-    mbpre`` leave BLAS as the caller set it.
+    made a short launch about 1.5x slower.
+
+    CPython's OpenSSL binding ``_hashlib`` is blocked before numpy loads:
+    ``numpy.random`` imports ``secrets``, which imports ``hmac``, which
+    imports ``_hashlib`` and maps ``libcrypto``, 3.4 MB of a launch's peak
+    RSS, though mbpre hashes nothing. ``hmac`` and ``hashlib`` then use
+    the fallbacks of a CPython built without OpenSSL (``_operator``'s
+    ``_compare_digest`` and the built-in ``_sha256``/``_sha512``/
+    ``_blake2``), and ``secrets.randbits`` still reads ``os.urandom``. A
+    ``_hashlib`` loaded before ``launch`` (by a ``sitecustomize``, say) is
+    left in place. The library and ``import mbpre`` leave BLAS and
+    ``_hashlib`` as the caller set them.
 
     The cyclic collector is off from here to the end of the process: a
     launch is short, and its collections would walk mostly the objects its
@@ -482,6 +495,9 @@ def launch():
     ``cannot write output`` line and exits 1.
     """
     os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    # a None entry makes ``import _hashlib`` raise ImportError, so hmac and
+    # hashlib take their built-in fallbacks and libcrypto is never mapped
+    sys.modules.setdefault("_hashlib", None)
     gc.disable()
     if sys.stdout is None:  # fd 1 was closed at startup, and print would drop the result
         code = _output_error("stdout is closed")

@@ -29,7 +29,8 @@ MAX_TRIALS = 2**22
 # Bytes of gathered float exponents one composition block holds; a block
 # has at least one letter, however many rows it spans. Larger blocks take
 # fewer gathers, but 256 kB ones raised the peak RSS of an 8-environment
-# annealed launch by 0.25 MB.
+# annealed launch by 0.25 MB. Also the bytes of int64 exponent rows one
+# slice of a trial generation gathers, at least one row.
 _BLOCK_BYTES = 1 << 17
 
 
@@ -222,11 +223,16 @@ def _wilson(successes, n):
 def _chunk_outcomes(model, start_type, rows, horizon, cap, rng):
     """Simulate ``rows`` trials in lockstep; see :func:`_trial_outcomes`.
 
-    Each generation draws the atom counts of every live (trial, parent
-    type) pair in one multinomial call over the ``pgf_table`` masses of
-    that trial's letter, and sums the atoms' count vectors by one integer
-    matmul of the hits against the letter's (N K, N) exponent rows. Trials
-    that stopped are dropped from the live rows after every generation.
+    Each generation walks the live rows in slices of ``_BLOCK_BYTES`` of
+    (N K, N) int64 exponent rows, and at least one row. A slice draws the
+    atom counts of its (trial, parent type) pairs in one multinomial call
+    over the ``pgf_table`` masses of each trial's letter, and sums the
+    atoms' count vectors into the next generation by one integer matmul of
+    the hits against the letter's exponent rows. Consecutive multinomial
+    calls over row slices draw what one call over all rows draws, so the
+    outcomes do not depend on the slice size, and a generation's gathers
+    stay bounded in bytes however large the laws. Trials that stopped are
+    dropped from the live rows after every generation.
 
     A trial's outcome reads Z_{n*} and Z_{n*//2}, and n*//2 <= horizon//2,
     so the totals of generations 0 to horizon//2 are kept in columns of
@@ -236,6 +242,7 @@ def _chunk_outcomes(model, start_type, rows, horizon, cap, rng):
     exps, masses = model.pgf_table
     n_letters, n_types, k_max, _ = exps.shape
     exps = exps.reshape(n_letters, n_types * k_max, n_types)
+    step = max(1, _BLOCK_BYTES // exps[0].nbytes)
     words = model.environment.sample_word(horizon, rng, rows=rows)
     last = horizon // 2 + 1
     totals = np.zeros((rows, last + 1), dtype=np.int64)
@@ -246,8 +253,15 @@ def _chunk_outcomes(model, start_type, rows, horizon, cap, rng):
     z[:, start_type] = 1
     for g in range(1, horizon + 1):
         letters = words[live, g - 1]
-        hits = rng.multinomial(z, masses.take(letters, axis=0))
-        z = np.matmul(hits.reshape(-1, 1, n_types * k_max), exps.take(letters, axis=0))[:, 0]
+        nz = np.empty_like(z)
+        for i in range(0, live.size, step):
+            lt = letters[i : i + step]
+            hits = rng.multinomial(z[i : i + step], masses.take(lt, axis=0))
+            np.matmul(
+                hits.reshape(-1, 1, n_types * k_max), exps.take(lt, axis=0),
+                out=nz[i : i + step, None],
+            )
+        z = nz
         total = z.sum(axis=1)
         totals[live, min(g, last)] = total
         stop = (total == 0) | (total > cap)

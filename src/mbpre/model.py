@@ -43,7 +43,8 @@ STATIONARY_TOL = 1e-9
 # Most letters one sampled word (or block of words) may hold; also bounds
 # the letters of one chunk of environments in the depth-doubling loop of
 # ``extinction``, the (trial, generation) entries of one chunk of trials and
-# the draws of ``carpet.empirical_offspring_stats``.
+# the draws of ``carpet.empirical_offspring_stats``; in bytes, the size of
+# such a word, it bounds ``ModelSpec.pgf_table``.
 LETTER_BUDGET = 1 << 26
 # 95% normal quantile of every confidence interval (batch means, growth
 # rates, Wilson); the normal approximation is a documented heuristic.
@@ -237,12 +238,18 @@ class OffspringLaw(Record):
         # the last atom, also when the masses sum a rounding short of 1
         return _readonly(np.cumsum(self.probs)[:-1])
 
+    @cached_property
+    def _fcounts(self):
+        # power would cast the int64 counts to float at every call; numpy
+        # raises float to int64 through the same float loop, so the bits agree
+        return _readonly(self.counts.astype(float))
+
     def pgf(self, s):
         """Evaluate the pgf at ``s`` (with 0^0 = 1); batched over leading axes."""
         s = _check_svalue(s, self.n_types)
         # (..., 1, N) ** (K, N) -> (..., K, N); product over types, left to
         # right as np.prod does, then the mass-weighted sum
-        t = s[..., None, :] ** self.counts
+        t = s[..., None, :] ** self._fcounts
         v = t[..., 0]
         for i in range(1, self.n_types):
             v = v * t[..., i]
@@ -252,7 +259,7 @@ class OffspringLaw(Record):
 
     def factorial_second_moments(self):
         """Matrix of E[z_i z_j] - delta_ij E[z_i], the pgf Hessian at 1."""
-        z = self.counts.astype(float)
+        z = self._fcounts
         m = np.einsum("k,ki,kj->ij", self.probs, z, z)
         return m - np.diag(self.mean)
 
@@ -534,9 +541,17 @@ class ModelSpec(Record):
         Returns ``(C, P)``: exponents ``C`` of shape (L, N, K, N) and masses
         ``P`` of shape (L, N, K), where K is the largest support size. Padding
         atoms have exponent 0 and mass 0, so they add exactly 0 to a pgf value.
+        A table of more than ``LETTER_BUDGET`` bytes, the size of the largest
+        word, raises :class:`BudgetError` before anything is allocated.
         """
         laws = [law for letter in self.letters for law in letter.laws]
         k_max = max(law.probs.size for law in laws)
+        size = len(laws) * k_max * (self.n_types + 1) * 8
+        if size > LETTER_BUDGET:
+            raise BudgetError(
+                f"pgf table of {self.n_letters} letters x {self.n_types} types x "
+                f"{k_max} atoms takes {size} bytes, past the budget of {LETTER_BUDGET} bytes"
+            )
         exps = np.zeros((len(laws), k_max, self.n_types), dtype=np.int64)
         masses = np.zeros((len(laws), k_max))
         for i, law in enumerate(laws):

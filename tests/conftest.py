@@ -1,3 +1,4 @@
+import json
 import os
 from pathlib import Path
 
@@ -12,6 +13,7 @@ from mbpre import (
     build_carpet_model,
     write_model,
 )
+from mbpre.model import model_to_dict
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -92,3 +94,26 @@ def die_out_model():
 @pytest.fixture(scope="session")
 def deterministic_line_model():
     return make_point_mass_model([(1, 0), (0, 1)])
+
+
+def make_wide_table_model():
+    """One 20000-atom law and 199 one-atom letters, uniform i.i.d.
+
+    Its model file, on one line, is 0.63 MB, but every law padded to 20000
+    atoms makes a 192 MB pgf table. Every expectation matrix is positive.
+    """
+    one = OffspringLaw.from_pairs([((1, 1), 1.0)])
+    wide = OffspringLaw(
+        np.column_stack([np.arange(20000), np.ones(20000, dtype=np.int64)]),
+        np.full(20000, 1 / 20000),
+    )
+    letters = [EnvironmentLetter("wide", (wide, one))]
+    letters += [EnvironmentLetter(f"one{j}", (one, one)) for j in range(199)]
+    return ModelSpec(2, tuple(letters), IidEnvironment(np.full(200, 1 / 200)))
+
+
+@pytest.fixture(scope="session")
+def wide_table_file(model_dir):
+    path = model_dir / "wide_table.json"
+    path.write_text(json.dumps(model_to_dict(make_wide_table_model())))
+    return str(path)

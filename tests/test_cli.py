@@ -163,6 +163,21 @@ def test_trial_results_independent_of_threads(carpet_p04_file, argv):
     assert json.dumps(one["result"]) == json.dumps(two["result"])
 
 
+def test_pgf_table_over_budget_is_budget_error(wide_table_file):
+    # a 0.63 MB file whose padded pgf table would take 192 MB: the commands
+    # that compose or simulate exit 4, those that use only the means run
+    for argv in (
+        ["simulate", "--trials", "1000", "--horizon", "20"],
+        ["extinction", "--mode", "fixed", "--word", "0,1"],
+    ):
+        code, out, err = run_cli([argv[0], "--model", wide_table_file, *argv[1:]])
+        assert (code, out) == (4, ""), err
+        assert "pgf table" in err
+    assert run_json(["check", "--model", wide_table_file])["result"]["positive_word"] == [0]
+    env = run_json(["lyapunov", "--model", wide_table_file, "--steps", "1000", "--batches", "4"])
+    assert env["result"]["point"] > 0
+
+
 def test_simulate_horizon_over_budget_is_budget_error(carpet_p04_file, monkeypatch):
     from mbpre import extinction
 
@@ -352,15 +367,26 @@ def test_bad_option_is_usage_error(carpet_p04_file, argv, message):
     assert message in err
 
 
-def test_random_seed_is_echoed_and_reruns_the_same_bytes(carpet_p04_file):
+def _main_bytes(argv):
+    code, out, err = run_cli(argv)
+    return code, out.encode(), err
+
+
+def _launch_bytes(argv):
+    proc = _launch(argv)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+@pytest.mark.parametrize("run", [_main_bytes, _launch_bytes], ids=["main", "launch"])
+def test_random_seed_is_echoed_and_reruns_the_same_bytes(carpet_p04_file, run):
+    # through launch, _hashlib is blocked and secrets still reads os.urandom
     argv = ["extinction", "--model", carpet_p04_file, "--mode", "annealed", "--envs", "3",
             "--max-depth", "64", "--json"]
-    code, first, err = run_cli(argv + ["--seed", "random"])
+    code, first, err = run(argv + ["--seed", "random"])
     assert code == 0, err
     seed = json.loads(first)["seed"]
     assert isinstance(seed, int) and 0 <= seed < 2**63
-    code, again, _ = run_cli(argv + ["--seed", str(seed)])
-    assert code == 0 and again.encode() == first.encode()
+    assert run(argv + ["--seed", str(seed)])[:2] == (0, first)
 
 
 def test_threads_below_one_is_usage_error(carpet_p1_file):
@@ -944,16 +970,26 @@ def _assert_one_output_error(proc_code, stderr, reason):
     assert stderr.decode().splitlines() == [f"error: cannot write output: {reason}"]
 
 
-# Runs `launch` with a spy on `main` that reports, on stderr, the
-# OPENBLAS_NUM_THREADS that numpy will load with and whether numpy is loaded.
+# Runs `launch` with a spy on `main` that reports on stderr, before `main`
+# runs, the OPENBLAS_NUM_THREADS that numpy will load with and whether numpy
+# is loaded, and once it returns, whether `_hashlib` is blocked and whether
+# libcrypto is mapped (None where /proc/self/maps cannot be read).
 _SPIED_MAIN_LAUNCH = """
 import os, sys
 from mbpre import cli
 real_main = cli.main
+def maps_libcrypto():
+    try:
+        with open("/proc/self/maps") as fh:
+            return any("libcrypto" in line for line in fh)
+    except OSError:
+        return None
 def spy_main():
     blas = os.environ.get("OPENBLAS_NUM_THREADS")
     os.write(2, f"{blas} {'numpy' in sys.modules}\\n".encode())
-    return real_main()
+    code = real_main()
+    os.write(2, f"{sys.modules.get('_hashlib') is None} {maps_libcrypto()}\\n".encode())
+    return code
 cli.main = spy_main
 sys.argv = ["mbpre", *sys.argv[1:]]
 cli.launch()
@@ -972,10 +1008,62 @@ def test_launch_pins_blas_to_one_thread_before_numpy_loads(carpet_p04_file):
             [sys.executable, "-c", _SPIED_MAIN_LAUNCH, *argv], capture_output=True, text=True, env=env
         )
         assert (proc.returncode, proc.stdout) == (0, run_cli(argv)[1])
-        assert proc.stderr == "1 False\n"
+        before_main, _ = proc.stderr.splitlines()
+        assert before_main == "1 False"
     before = os.environ.get("OPENBLAS_NUM_THREADS")
     run_cli(argv)
     assert os.environ.get("OPENBLAS_NUM_THREADS") == before
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["extinction", "--model", "P04", "--mode", "annealed", "--envs", "8"],
+        ["simulate", "--model", "P04", "--trials", "300", "--horizon", "30", "--growth"],
+        ["classify", "--model", "P04", "--steps", "2000", "--batches", "4"],
+        ["carpet", "project", "--p", "0.6", "--depth", "3", "--samples", "10"],
+        ["proofkit", "--model", "P04", "--lambda", "0.057", "--samples", "100"],
+    ],
+    ids=["annealed", "simulate", "classify", "project", "proofkit"],
+)
+def test_launch_keeps_openssl_out_of_the_process(carpet_p04_file, argv):
+    # numpy.random imports secrets, hmac and through it OpenSSL's _hashlib;
+    # launch blocks _hashlib, so libcrypto is never mapped, and the bytes
+    # are main's
+    argv = [carpet_p04_file if a == "P04" else a for a in argv]
+    proc = subprocess.run(
+        [sys.executable, "-c", _SPIED_MAIN_LAUNCH, *argv],
+        capture_output=True, text=True, env=child_env(),
+    )
+    assert (proc.returncode, proc.stdout) == (0, run_cli(argv)[1])
+    _, after_main = proc.stderr.splitlines()
+    blocked, mapped = after_main.split()
+    assert blocked == "True"
+    if sys.platform.startswith("linux"):
+        assert mapped == "False"
+
+
+def test_launch_keeps_a_hashlib_loaded_before_it(carpet_p04_file):
+    # as with a sitecustomize that loads it: launch does not unload it
+    pytest.importorskip("_hashlib")
+    argv = ["extinction", "--model", carpet_p04_file, "--mode", "annealed", "--envs", "8"]
+    proc = subprocess.run(
+        [sys.executable, "-c", "import _hashlib\n" + _SPIED_MAIN_LAUNCH, *argv],
+        capture_output=True, text=True, env=child_env(),
+    )
+    assert (proc.returncode, proc.stdout) == (0, run_cli(argv)[1])
+    _, after_main = proc.stderr.splitlines()
+    assert after_main.split()[0] == "False"
+
+
+def test_library_leaves_hashlib_importable(carpet_p04_file):
+    # only launch blocks _hashlib: main, as the library does, leaves it alone
+    code, _, err = run_cli(
+        ["extinction", "--model", carpet_p04_file, "--mode", "annealed", "--envs", "3",
+         "--max-depth", "64", "--seed", "random"]
+    )
+    assert code == 0, err
+    assert sys.modules.get("_hashlib", "absent") is not None
 
 
 def test_launch_into_a_closed_pipe_is_one_error_line():

@@ -498,6 +498,21 @@ def _full_history_outcomes(model, start_type, rows, horizon, cap, rng):
     return gen, totals[r, gen], totals[r, gen // 2]
 
 
+def _wide_law_model(atoms):
+    """One letter whose type-0 law has ``atoms`` atoms, almost all mass on (1, 0).
+
+    Type 1 bears one type-1 child, so every trial lives; the rare atoms
+    (a, b) with a + b > 0 only grow it.
+    """
+    grid = [(a, b) for a in range(1, 100) for b in range(100)][:atoms]
+    rare = 1e-6
+    wide = OffspringLaw.from_pairs(
+        [(grid[0], 1.0 - rare * (atoms - 1))] + [(z, rare) for z in grid[1:]]
+    )
+    letter = EnvironmentLetter("wide", (wide, OffspringLaw.from_pairs([((0, 1), 1.0)])))
+    return ModelSpec(2, (letter,), IidEnvironment([1.0]))
+
+
 _KILL_RARELY = np.array([[0.5, 0.02, 0.48], [0.5, 0.0, 0.5], [0.4, 0.02, 0.58]])
 
 
@@ -582,6 +597,42 @@ class TestTrialKernel:
             tracemalloc.stop()
         held = rows * horizon + rows * (horizon // 2 + 2) * 8
         assert peak < held + (1 << 18), peak - held
+
+    @pytest.mark.parametrize("kind", ["carpet", "padded-markov", "wide-law"])
+    def test_row_slices_keep_the_outcomes(self, kind, monkeypatch):
+        # consecutive multinomial calls over row slices draw what one call
+        # over every row draws: one-row slices, the default slices and the
+        # unsliced reference agree bit for bit
+        if kind == "carpet":
+            model = build_carpet_model(0.4)
+        elif kind == "padded-markov":
+            model = _with_markov_environment(
+                random_model(np.random.default_rng(5), max_count=3), np.random.default_rng(6)
+            )
+        else:
+            model = _wide_law_model(200)
+        args = (model, 0, 300, 12, 1000)
+        want = _full_history_outcomes(*args, np.random.default_rng(4))
+        got = _chunk_outcomes(*args, np.random.default_rng(4))
+        monkeypatch.setattr(extinction, "_BLOCK_BYTES", 1)
+        one_row = _chunk_outcomes(*args, np.random.default_rng(4))
+        for a, b, c in zip(want, got, one_row):
+            assert np.array_equal(a, b) and np.array_equal(a, c)
+
+    def test_gathers_stay_bounded_with_a_wide_law(self):
+        # 1024 trials of a 2000-atom law: one unsliced generation gathers
+        # 1024 x 4000 hits, masses and (4000, 2) exponent rows, 131 MB; in
+        # 128 kB slices a chunk holds its word, history and table
+        model = _wide_law_model(2000)
+        _trial_outcomes(model, 0, 8, 2, 10**6, 0)
+        tracemalloc.start()
+        try:
+            gen = _trial_outcomes(model, 0, 1024, 6, 10**6, 0)[0]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.all(gen == 6)
+        assert peak < 1 << 21, peak
 
     def test_chunk_boundary(self):
         model = build_carpet_model(0.5)

@@ -1,4 +1,5 @@
 import copy
+import itertools
 import json
 import math
 import tracemalloc
@@ -26,6 +27,7 @@ from mbpre import (
     write_model,
 )
 from mbpre.model import child_seeds, word_dtype
+from conftest import make_wide_table_model
 from oracles import (
     convolve_dicts,
     iid_word_choice,
@@ -99,6 +101,24 @@ class TestPgfEval:
             assert a.pgf(s) * b.pgf(s) == pytest.approx(
                 pgf_of_dict(conv, s), abs=1e-12
             )
+
+    @pytest.mark.parametrize("k, n", [(9, 2), (6, 2), (27, 3), (50, 4)])
+    def test_float_counts_keep_the_bits_of_the_integer_power(self, k, n):
+        # pgf raises the points to a float copy of the counts made once per
+        # law; numpy raises float to int64 by the same loop, zeros included
+        rng = np.random.default_rng(k * n)
+        grid = np.array(list(itertools.product(range(6), repeat=n)))
+        counts = grid[rng.choice(len(grid), k, replace=False)]
+        probs = rng.random(k)
+        l = OffspringLaw(counts, probs / probs.sum())
+        s = rng.random((4096, n))
+        s[rng.random(s.shape) < 0.2] = 0.0
+        t = s[..., None, :] ** counts
+        assert np.array_equal(s[..., None, :] ** l._fcounts, t)
+        v = t[..., 0]
+        for i in range(1, n):
+            v = v * t[..., i]
+        assert np.array_equal(l.pgf(s), np.clip(v @ l.probs, 0.0, 1.0))
 
 
 class TestExpectationMatrix:
@@ -647,6 +667,31 @@ class TestCodec:
         # json.loads refuses it with a ValueError that is not a JSONDecodeError
         with pytest.raises(ModelFormatError, match="invalid JSON: .*digits"):
             parse_model("[1" + "0" * 5000 + "]")
+
+
+class TestPgfTableBudget:
+    def test_padded_table_past_the_budget_is_refused_unallocated(self):
+        # 200 letters x 2 types x 20000 atoms x 3 slots x 8 bytes = 192 MB
+        model = make_wide_table_model()
+        tracemalloc.start()
+        try:
+            with pytest.raises(BudgetError, match="192000000 bytes"):
+                model.pgf_table
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20, peak
+
+    def test_table_at_the_budget_is_built(self, monkeypatch):
+        # the carpet: 3 letters x 2 types x 9 atoms x 3 slots x 8 bytes
+        import mbpre.model
+
+        monkeypatch.setattr(mbpre.model, "LETTER_BUDGET", 1296)
+        exps, masses = build_carpet_model(0.4).pgf_table
+        assert exps.nbytes + masses.nbytes == 1296
+        monkeypatch.setattr(mbpre.model, "LETTER_BUDGET", 1295)
+        with pytest.raises(BudgetError):
+            build_carpet_model(0.4).pgf_table
 
 
 class TestInvariants:

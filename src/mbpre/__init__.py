@@ -46,7 +46,9 @@ _EXPORTS = {
         "extinction_fixed_env",
         "survival_estimate",
     ),
-    "lyapunov": ("LyapunovEstimate", "estimate_exponent", "exponent_along_word"),
+    "lyapunov": (
+        "LyapunovEstimate", "estimate_exponent", "exponent_along_word", "exponent_two_types",
+    ),
     "matcore": ("find_positive_product_word",),
     "model": (
         "EnvironmentLetter",

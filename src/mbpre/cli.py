@@ -138,10 +138,9 @@ def _simulate_options(p):
 
 def _critical_options(p):
     _add_steps(p)
-    p.add_argument("--bisect", action="store_true", help="cross-check by survival bisection")
-    p.add_argument("--trials", type=int, default=400, help="trials per bisection step")
-    p.add_argument("--horizon", type=int, default=200)
-    p.add_argument("--cap", type=int, default=10**6)
+    p.add_argument(
+        "--bisect", action="store_true", help="bisect on the sign of log p + Ulam's lambda_B"
+    )
     p.add_argument("--iterations", type=_parse_positive, default=12)
 
 
@@ -245,13 +244,7 @@ def _cmd_carpet_critical(args):
     from . import carpet
 
     if args.bisect:
-        lo, hi = carpet.bisect_critical(
-            iterations=args.iterations,
-            trials=args.trials,
-            horizon=args.horizon,
-            cap=args.cap,
-            seed=args.seed,
-        )
+        lo, hi = carpet.bisect_critical(iterations=args.iterations)
         return {"p_low": lo, "p_high": hi, "method": "bisect"}
     est = carpet.lambda_b(args.steps, args.batches, args.seed)
     lo, hi = carpet.critical_p(est)

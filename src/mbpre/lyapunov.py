@@ -26,6 +26,12 @@ at a time, and the first step at which a reduction of the prefix is zero
 raises :class:`DegenerateProductError`. All batches of
 :func:`estimate_exponent` share one word length, so it builds the table
 once for all of them.
+
+For an allowable 2 x 2 family under an i.i.d. environment,
+:func:`exponent_two_types` computes the exponent deterministically, by
+Ulam's discretization of the transfer operator on the projective line
+(Furstenberg & Kesten 1960; Froyland 1999). It is an approximation whose
+error shrinks with the cell count, not a bound.
 """
 
 from __future__ import annotations
@@ -34,7 +40,7 @@ import math
 
 import numpy as np
 
-from .errors import KINDS, DegenerateProductError
+from .errors import KINDS, BudgetError, DegenerateProductError
 from .matcore import allowability_offenders
 from .model import Record, check_word, child_seeds, mean_half_width
 
@@ -49,6 +55,22 @@ _AXES = dict(zip(KINDS, ((-2, -1), -2, -1)))
 # so the table and a chunk hold at most 32 MB each.
 _CHUNK = 4096
 _FLOATS = 1 << 22
+
+# Ulam's method: the power iteration stops once an iterate moves less than
+# _ULAM_TOL in L1, and raises BudgetError after _ULAM_ITERATIONS iterations;
+# cells times letters is at most _ULAM_BUDGET, so a call holds tens of MB
+# at most. The cell averages use the 8-point Gauss-Legendre rule on
+# [-1, 1], whose nodes and weights are symmetric: the positive half of
+# numpy.polynomial.legendre.leggauss(8), which the CLI does not import.
+_ULAM_TOL = 1e-15
+_ULAM_ITERATIONS = 10_000
+_ULAM_BUDGET = 1 << 20
+_HALF_NODES = (0.18343464249564978, 0.525532409916329, 0.7966664774136267, 0.9602898564975362)
+_HALF_WEIGHTS = (
+    0.36268378337836166, 0.3137066458778869, 0.22238103445337443, 0.10122853629037706,
+)
+_GAUSS_NODES = np.array([-x for x in reversed(_HALF_NODES)] + list(_HALF_NODES))
+_GAUSS_WEIGHTS = np.array(list(reversed(_HALF_WEIGHTS)) + list(_HALF_WEIGHTS))
 
 
 class LyapunovEstimate(Record):
@@ -232,3 +254,85 @@ def estimate_exponent(matrices, environment, *, kind="sum", steps_per_batch, bat
     )
     point = float(values.mean())
     return LyapunovEstimate(kind, point, mean_half_width(values), steps_per_batch, batches)
+
+
+def exponent_two_types(matrices, environment, cells):
+    """Top exponent of i.i.d. products of an allowable 2 x 2 family, by Ulam's method.
+
+    A row vector u = (x, 1 - x) goes to uM / (uM 1) under letter M, a
+    monotone Moebius map of x in [0, 1]. [0, 1] is split into ``cells``
+    equal cells; each letter of positive mass sends a cell onto an
+    interval, and the cell's mass, times the letter's, goes to the cells
+    that interval overlaps in proportion to the overlap (all of it to the
+    cell holding an image that is a single point). Power iteration from
+    the uniform vector gives the stationary vector nu, stopping once the
+    L1 change is below ``_ULAM_TOL``. Furstenberg's formula then gives
+    lambda = sum over cells of nu(cell) sum_k pi_k <log(x r_0 + (1 - x) r_1)>,
+    with r_i the row sums of letter k and each cell average by 8-point
+    Gauss-Legendre.
+
+    Raises ``ValueError`` for matrices that are not 2 x 2, an environment
+    whose transition rows are not all its letter masses (one that is not
+    i.i.d.), a letter of positive mass that is not allowable or fewer than
+    one cell, and :class:`BudgetError` for more than
+    ``_ULAM_BUDGET`` cells times letters or an iteration that has not
+    converged after ``_ULAM_ITERATIONS`` steps.
+    """
+    mats = _family(matrices)
+    if mats.shape[1:] != (2, 2):
+        raise ValueError("Ulam's method here takes 2 x 2 matrices")
+    if len(mats) != environment.n_letters:
+        raise ValueError(
+            f"{len(mats)} matrices for an environment over {environment.n_letters} letters"
+        )
+    if (environment.transition != environment.letter_mass).any():
+        raise ValueError("Ulam's method here takes i.i.d. letters")
+    if cells < 1:
+        raise ValueError("cells must be >= 1")
+    live = environment.letter_mass > 0
+    mats, mass = mats[live], environment.letter_mass[live]
+    if any(allowability_offenders(m) for m in mats):
+        raise ValueError("Ulam's method needs an allowable family")
+    if cells * len(mats) > _ULAM_BUDGET:
+        raise BudgetError(
+            f"{cells} cells x {len(mats)} letters exceed the budget of {_ULAM_BUDGET}"
+        )
+    rows = mats.sum(axis=2)
+    edges = np.arange(cells + 1) / cells
+    # the cells each letter's images overlap, as (source, target, weight)
+    # triples: images of consecutive cells are adjacent, so a letter has at
+    # most 2 * cells of them
+    triples = []
+    for m, r, pi in zip(mats, rows, mass):
+        image = edges * m[0, 0] + (1.0 - edges) * m[1, 0]
+        image /= edges * r[0] + (1.0 - edges) * r[1]
+        lo, hi = np.minimum(image[:-1], image[1:]), np.maximum(image[:-1], image[1:])
+        first = np.minimum((lo * cells).astype(np.intp), cells - 1)
+        count = np.minimum((hi * cells).astype(np.intp), cells - 1) - first + 1
+        source = np.repeat(np.arange(cells), count)
+        target = np.arange(source.size) - np.repeat(np.cumsum(count) - count - first, count)
+        lo, hi = lo[source], hi[source]
+        overlap = np.minimum(hi, edges[target + 1]) - np.maximum(lo, edges[target])
+        width = hi - lo
+        share = np.divide(overlap, width, out=np.ones_like(width), where=width > 0)
+        triples.append((source, target, pi * share))
+    source, target, weight = (np.concatenate(t) for t in zip(*triples))
+    nu = np.full(cells, 1.0 / cells)
+    for _ in range(_ULAM_ITERATIONS):
+        step = np.bincount(target, weights=nu[source] * weight, minlength=cells)
+        step /= step.sum()
+        change = float(np.abs(step - nu).sum())
+        nu = step
+        if change < _ULAM_TOL:
+            break
+    else:
+        raise BudgetError(
+            f"Ulam's power iteration moved {change:.3g} in L1 after {_ULAM_ITERATIONS} steps"
+        )
+    # log(uM 1) at each cell's Gauss nodes, one node at a time: (L, cells)
+    slope, base = (rows[:, 0] - rows[:, 1])[:, None], rows[:, 1:]
+    average = np.zeros(cells)
+    for t, w in zip(_GAUSS_NODES, _GAUSS_WEIGHTS):
+        x = (np.arange(cells) + 0.5 * (t + 1.0)) / cells
+        average += 0.5 * w * (mass @ np.log(x * slope + base))
+    return float(nu @ average)

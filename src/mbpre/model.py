@@ -355,6 +355,11 @@ class IidEnvironment(Record):
         """Read-only (L, L) booleans: [a, b] when a step from letter a to b has positive mass."""
         return np.broadcast_to(self.probs > 0, (self.n_letters, self.n_letters))
 
+    @property
+    def transition(self):
+        """Read-only (L, L) step probabilities: every row is ``probs``."""
+        return np.broadcast_to(self.probs, (self.n_letters, self.n_letters))
+
     def sample_word(self, n, rng, rows=None):
         """Length-``n`` word of letter indices in ``word_dtype``, drawn whole from ``rng``.
 

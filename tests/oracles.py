@@ -170,6 +170,43 @@ def mean_exponent_brackets(matrices, depth):
     return tot[0] / tot[2] / depth, tot[1] / tot[2] / depth
 
 
+def ulam_exponent_dense(matrices, probs, cells):
+    """Ulam's value of the top exponent of an i.i.d. 2 x 2 family, cell by cell.
+
+    Fills the cells x cells transfer matrix one (letter, cell, cell) at a
+    time from the end points of each cell's image, takes the stationary
+    vector as the eigenvector of eigenvalue 1, and averages the log row sum
+    over each cell with numpy's 8-point Gauss-Legendre rule.
+    """
+    transfer = np.zeros((cells, cells))
+    for m, pi in zip(matrices, probs):
+        def image(x):
+            u = np.array([x, 1.0 - x]) @ m
+            return u[0] / u.sum()
+
+        for i in range(cells):
+            a, b = sorted((image(i / cells), image((i + 1) / cells)))
+            if a == b:
+                transfer[i, min(int(a * cells), cells - 1)] += pi
+                continue
+            for j in range(cells):
+                overlap = min(b, (j + 1) / cells) - max(a, j / cells)
+                if overlap > 0:
+                    transfer[i, j] += pi * overlap / (b - a)
+    values, vectors = np.linalg.eig(transfer.T)
+    nu = np.real(vectors[:, np.argmin(np.abs(values - 1.0))])
+    nu /= nu.sum()
+    nodes, weights = np.polynomial.legendre.leggauss(8)
+    total = 0.0
+    for i in range(cells):
+        for t, w in zip(nodes, weights):
+            x = (i + (t + 1.0) / 2.0) / cells
+            logs = sum(pi * math.log(np.array([x, 1.0 - x]) @ m.sum(axis=1))
+                       for m, pi in zip(matrices, probs))
+            total += nu[i] * w / 2.0 * logs
+    return total
+
+
 def markov_word_per_letter(env, n, rng):
     """A Markov environment word drawn one ``searchsorted`` call per letter.
 

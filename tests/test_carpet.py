@@ -124,24 +124,36 @@ def _cli_result(argv):
 
 
 class TestBisectCritical:
-    @pytest.mark.parametrize(
-        "flags, kwargs",
-        [
-            ([], dict(iterations=12, trials=400, horizon=200, cap=10**6, seed=0)),
-            (
-                ["--iterations", "4", "--trials", "100"],
-                dict(iterations=4, trials=100, horizon=200, cap=10**6, seed=0),
-            ),
-        ],
-    )
-    def test_equals_the_cli_bisection(self, flags, kwargs):
-        result = _cli_result(["carpet", "critical", "--bisect", *flags])
-        assert bisect_critical(**kwargs) == (result["p_low"], result["p_high"])
+    # lambda_B = 0.973205225 by Ulam's method at 64000 cells
+    P_C = math.exp(-0.973205225)
 
-    def test_bracket_never_collapses_to_a_point(self):
-        # past about 53 halvings the midpoint rounds to an end of the bracket
-        lo, hi = bisect_critical(iterations=60, trials=1, horizon=1, cap=10**6, seed=0)
-        assert 0.05 <= lo < hi <= 0.95
+    @pytest.mark.parametrize("flags, iterations", [([], 12), (["--iterations", "4"], 4)])
+    def test_equals_the_cli_bisection(self, flags, iterations):
+        result = _cli_result(["carpet", "critical", "--bisect", *flags])
+        assert bisect_critical(iterations=iterations) == (result["p_low"], result["p_high"])
+
+    def test_default_bracket_holds_the_critical_probability(self):
+        # and meets the product-table bracket [0.37500, 0.38281] at k = 13
+        lo, hi = bisect_critical(iterations=12)
+        assert lo < self.P_C < hi
+        assert hi - lo == pytest.approx(0.9 / 2**12)
+        assert lo <= 0.38281 and hi >= 0.37500
+
+    def test_samples_nothing(self, monkeypatch):
+        def no_model(*args, **kwargs):
+            raise AssertionError("the bisection built a carpet model")
+
+        monkeypatch.setattr(carpet, "build_carpet_model", no_model)
+        monkeypatch.setattr(np.random, "default_rng", no_model)
+        assert bisect_critical(iterations=12)[0] < self.P_C
+
+    def test_stops_undecided_within_the_ulam_gap(self):
+        # near p_c the sign of log(mid) + lambda_B is not decided: the search
+        # stops once it is within the K-vs-2K gap (about 7e-8 in lambda),
+        # well before the midpoint rounds to an end
+        lo, hi = bisect_critical(iterations=60)
+        assert 0.05 <= lo < self.P_C < hi <= 0.95
+        assert 1e-9 < hi - lo < 1e-6
 
 
 class TestSampleCarpet:

@@ -147,8 +147,7 @@ def test_simulate_growth_runs_each_trial_once(carpet_p04_file, monkeypatch):
     [
         ["simulate", "--model", "P04", "--trials", "300", "--horizon", "30",
          "--cap", "100000", "--seed", "4", "--growth"],
-        ["carpet", "critical", "--bisect", "--iterations", "4", "--trials", "100",
-         "--horizon", "60", "--seed", "4"],
+        ["carpet", "critical", "--bisect", "--iterations", "4", "--seed", "4"],
         ["lyapunov", "--model", "P04", "--kind", "colmin", "--steps", "5000",
          "--batches", "4", "--seed", "4"],
         ["classify", "--model", "P04", "--steps", "5000", "--batches", "4", "--seed", "4"],
@@ -188,13 +187,12 @@ def test_simulate_horizon_over_budget_is_budget_error(carpet_p04_file, monkeypat
          "--threads", "1"]
     )
     assert code == 0, err
-    for argv in (
-        ["simulate", "--model", carpet_p04_file, "--trials", "10", "--horizon", "100"],
-        ["carpet", "critical", "--bisect", "--trials", "10", "--horizon", "100"],
-    ):
-        code, _, err = run_cli(argv + ["--threads", "1"])
-        assert code == 4
-        assert "budget" in err
+    code, _, err = run_cli(
+        ["simulate", "--model", carpet_p04_file, "--trials", "10", "--horizon", "100",
+         "--threads", "1"]
+    )
+    assert code == 4
+    assert "budget" in err
 
 
 def test_simulate_trials_over_budget_is_budget_error(carpet_p04_file, monkeypatch):
@@ -206,16 +204,13 @@ def test_simulate_trials_over_budget_is_budget_error(carpet_p04_file, monkeypatc
 
     monkeypatch.setattr(extinction, "MAX_TRIALS", 10)
     # the budget itself is allowed, one more trial is not
-    for argv in (
-        ["simulate", "--model", carpet_p04_file, "--horizon", "5", "--trials"],
-        ["carpet", "critical", "--bisect", "--iterations", "1", "--horizon", "5", "--trials"],
-    ):
-        assert run_cli(argv + ["10"])[0] == 0
-        with monkeypatch.context() as m:
-            m.setattr(IidEnvironment, "sample_word", no_draw)
-            code, out, err = run_cli(argv + ["11"])
-        assert (code, out) == (4, "")
-        assert "budget" in err
+    argv = ["simulate", "--model", carpet_p04_file, "--horizon", "5", "--trials"]
+    assert run_cli(argv + ["10"])[0] == 0
+    with monkeypatch.context() as m:
+        m.setattr(IidEnvironment, "sample_word", no_draw)
+        code, out, err = run_cli(argv + ["11"])
+    assert (code, out) == (4, "")
+    assert "budget" in err
 
 
 def test_simulate_growth_short_horizon_is_usage_error(carpet_p04_file):
@@ -301,11 +296,16 @@ def test_carpet_subcommands():
 
 def test_carpet_critical_bisect_mode():
     env = run_json(
-        ["carpet", "critical", "--bisect", "--iterations", "6",
-         "--trials", "100", "--horizon", "60", "--seed", "8", "--threads", "1"]
+        ["carpet", "critical", "--bisect", "--iterations", "6", "--seed", "8", "--threads", "1"]
     )
     assert env["result"]["method"] == "bisect"
     assert 0.05 <= env["result"]["p_low"] < env["result"]["p_high"] <= 0.95
+    # the survival bisection's options are gone from carpet critical
+    assert list(env["params"]) == ["steps", "batches", "bisect", "iterations", "threads"]
+    for flag in ("--trials", "--horizon", "--cap"):
+        code, out, err = run_cli(["carpet", "critical", "--bisect", flag, "10"])
+        assert (code, out) == (2, "")
+        assert "unrecognized arguments" in err
 
 
 def test_proofkit(carpet_p04_file):
@@ -735,18 +735,47 @@ def test_extinction_and_simulate_load_no_matrix_module(carpet_p04_file, argv):
     assert not names & {"mbpre.matcore", "mbpre.lyapunov"}
 
 
+# Runs `launch` with an `os._exit` that reports on stderr, before it ends
+# the process, which of numpy.random, numpy.polynomial and mbpre.* it has
+# loaded.
+_SPIED_EXIT_LAUNCH = """
+import os, sys
+from mbpre import cli
+real_exit = os._exit
+def spy_exit(code):
+    names = [m for m in sys.modules
+             if m in ("numpy.random", "numpy.polynomial") or m.startswith("mbpre")]
+    os.write(2, " ".join(sorted(names)).encode())
+    real_exit(code)
+os._exit = spy_exit
+sys.argv = ["mbpre", *sys.argv[1:]]
+cli.launch()
+"""
+
+
 @pytest.mark.parametrize(
-    "argv",
+    "argv, loaded, not_loaded",
     [
-        ["carpet", "project", "--p", "0.6", "--depth", "2", "--samples", "2"],
-        ["carpet", "critical", "--bisect", "--iterations", "2", "--trials", "10",
-         "--horizon", "10"],
+        (["carpet", "project", "--p", "0.6", "--depth", "2", "--samples", "2"],
+         {"mbpre.carpet", "numpy.random"}, {"mbpre.lyapunov", "mbpre.extinction"}),
+        (["carpet", "critical", "--bisect"],
+         {"mbpre.carpet", "mbpre.lyapunov"},
+         {"mbpre.extinction", "numpy.random", "numpy.polynomial"}),
     ],
+    ids=["project", "bisect"],
 )
-def test_carpet_project_and_bisect_load_no_exponent_module(argv):
-    names = _imported_modules(argv)
-    assert "mbpre.carpet" in names
-    assert "mbpre.lyapunov" not in names
+def test_carpet_project_and_bisect_load_only_their_modules(argv, loaded, not_loaded):
+    # the bisection decides on Ulam's lambda_B, so it samples nothing and
+    # numpy.random (2.7 MB of peak RSS) never loads; its Gauss-Legendre rule
+    # is a constant, so neither does numpy.polynomial (3.3 ms a launch)
+    proc = subprocess.run(
+        [sys.executable, "-c", _SPIED_EXIT_LAUNCH, *argv],
+        capture_output=True, text=True, env=child_env(),
+    )
+    assert (proc.returncode, proc.stdout) == (0, run_cli(argv)[1])
+    names = set(proc.stderr.split())
+    assert loaded <= names
+    assert not names & not_loaded
 
 
 def test_exit_code_mass_above_one(tmp_path):
@@ -1163,8 +1192,7 @@ def markov3_file(tmp_path_factory):
         (["carpet", "project", "--p", "0.6", "--depth", "4", "--samples"], "5", "200"),
         (["proofkit", "--model", "CARPET", "--lambda", "0.1", "--samples"], "100", "6000"),
         (["classify", "--model", "MARKOV", "--batches", "4", "--steps"], "100", "20000"),
-        (["carpet", "critical", "--bisect", "--trials", "100", "--horizon", "50",
-          "--iterations"], "2", "12"),
+        (["carpet", "critical", "--bisect", "--iterations"], "2", "12"),
     ],
     ids=lambda v: v[0] if isinstance(v, list) else None,
 )

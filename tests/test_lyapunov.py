@@ -8,13 +8,20 @@ from mbpre import (
     DegenerateProductError,
     IidEnvironment,
     MarkovEnvironment,
+    BudgetError,
     estimate_exponent,
     exponent_along_word,
+    exponent_two_types,
 )
 from mbpre import lyapunov
 from mbpre.carpet import COLUMN_MATRICES
-from mbpre.lyapunov import _CHUNK, KINDS, _symbol_length
-from oracles import exponent_sequential, mean_exponent_brackets, random_allowable_matrix
+from mbpre.lyapunov import _CHUNK, KINDS, _GAUSS_NODES, _GAUSS_WEIGHTS, _symbol_length
+from oracles import (
+    exponent_sequential,
+    mean_exponent_brackets,
+    random_allowable_matrix,
+    ulam_exponent_dense,
+)
 
 UNIFORM3 = IidEnvironment(np.array([1.0, 1.0, 1.0]) / 3)
 STICKY3 = MarkovEnvironment(
@@ -492,3 +499,109 @@ class TestEstimateExponent:
 def test_argument_errors(build, message):
     with pytest.raises(ValueError, match=message):
         build()
+
+
+# the carpet's lambda_B: Ulam's method at 64000 cells reads 0.9732052251
+LAMBDA_B = 0.973205225
+
+
+class TestExponentTwoTypes:
+    def test_gauss_legendre_constants(self):
+        nodes, weights = np.polynomial.legendre.leggauss(8)
+        assert np.abs(_GAUSS_NODES - nodes).max() <= 1e-15
+        assert np.abs(_GAUSS_WEIGHTS - weights).max() <= 1e-15
+
+    def test_carpet_lambda_b(self):
+        coarse = exponent_two_types(COLUMN_MATRICES, UNIFORM3, 1000)
+        fine = exponent_two_types(COLUMN_MATRICES, UNIFORM3, 2000)
+        assert abs(coarse - fine) <= 1e-6
+        for value in (coarse, fine):
+            assert abs(value - LAMBDA_B) <= 1e-6
+            # Jensen: lambda_B <= log rho(E M) = log(8/3)
+            assert value < math.log(8 / 3)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_random_families_meet_references(self, seed):
+        # two random allowable letters, uniform: the product-table bracket
+        # enumerates 2^10 words. The Monte Carlo interval is widened to twice
+        # its reported half-width: its start bias of about 0.7 / steps and
+        # its normal quantile at 8 batches leave it short of 95% coverage.
+        rng = np.random.default_rng(seed)
+        mats = [random_allowable_matrix(rng) for _ in range(2)]
+        env = IidEnvironment(np.array([0.5, 0.5]))
+        # the same method, with a dense matrix filled cell by cell, at
+        # uneven letter masses
+        probs = rng.dirichlet([1.0, 1.0])
+        assert exponent_two_types(mats, IidEnvironment(probs), 40) == pytest.approx(
+            ulam_exponent_dense(mats, probs, 40), abs=1e-10
+        )
+        value = exponent_two_types(mats, env, 1000)
+        lo, hi = mean_exponent_brackets(mats, 10)
+        assert lo <= value <= hi
+        est = estimate_exponent(mats, env, steps_per_batch=2000, batches=8, seed=seed)
+        assert abs(value - est.point) <= 2 * est.half_width
+
+    def test_zero_mass_letter_is_left_out(self):
+        # a letter of zero mass need not be allowable and changes nothing
+        env = IidEnvironment(np.array([1.0, 1.0, 1.0, 0.0]) / 3)
+        mats = [*COLUMN_MATRICES, np.zeros((2, 2))]
+        assert exponent_two_types(mats, env, 500) == exponent_two_types(
+            COLUMN_MATRICES, UNIFORM3, 500
+        )
+
+    def test_markov_environment_with_iid_rows(self):
+        # a chain whose every row is its stationary law draws i.i.d. letters
+        probs = np.array([0.5, 0.3, 0.2])
+        chain = MarkovEnvironment(probs, np.tile(probs, (3, 1)))
+        assert exponent_two_types(COLUMN_MATRICES, chain, 500) == exponent_two_types(
+            COLUMN_MATRICES, IidEnvironment(probs), 500
+        )
+
+    def test_point_image_goes_to_its_cell(self):
+        # a rank-one letter sends every x to one point, 0.3 here, where its
+        # row sum 4 - x is its spectral radius 3.7: all mass goes to the cell
+        # holding 0.3, so the value is log 3.7 up to the log row sum's
+        # variation over one cell, 1 / (3.7 cells)
+        rank_one = np.array([[0.9, 2.1], [1.2, 2.8]])
+        for cells in (10, 100, 1000):
+            value = exponent_two_types([rank_one], IidEnvironment(np.array([1.0])), cells)
+            assert abs(value - math.log(3.7)) <= 0.3 / cells
+
+    def test_memory_is_a_few_hundred_bytes_a_cell(self):
+        tracemalloc.start()
+        try:
+            exponent_two_types(COLUMN_MATRICES, UNIFORM3, 2000)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2000 * 512
+
+    @pytest.mark.parametrize(
+        "mats, env, message",
+        [
+            ([np.ones((3, 3))], IidEnvironment(np.array([1.0])), "2 x 2"),
+            (COLUMN_MATRICES, STICKY3, "i.i.d."),
+            ([np.array([[1.0, 1.0], [0.0, 0.0]])], IidEnvironment(np.array([1.0])), "allowable"),
+            (COLUMN_MATRICES, IidEnvironment(np.array([0.5, 0.5])), "letters"),
+        ],
+        ids=["three-types", "markov", "not-allowable", "wrong-alphabet"],
+    )
+    def test_other_families_are_refused(self, mats, env, message):
+        with pytest.raises(ValueError, match=message):
+            exponent_two_types(mats, env, 100)
+
+    def test_cells_are_bounded(self, monkeypatch):
+        with pytest.raises(ValueError, match="cells"):
+            exponent_two_types(COLUMN_MATRICES, UNIFORM3, 0)
+        monkeypatch.setattr(lyapunov, "_ULAM_BUDGET", 3 * 100)
+        exponent_two_types(COLUMN_MATRICES, UNIFORM3, 100)
+        with pytest.raises(BudgetError, match="budget"):
+            exponent_two_types(COLUMN_MATRICES, UNIFORM3, 101)
+
+    def test_no_unique_stationary_law_is_a_budget_error(self, monkeypatch):
+        # one antidiagonal letter swaps the two halves of [0, 1]: the iterates
+        # alternate, so the iteration stops at its cap
+        monkeypatch.setattr(lyapunov, "_ULAM_ITERATIONS", 50)
+        swap = [np.array([[0.0, 2.0], [1.0, 0.0]])]
+        with pytest.raises(BudgetError, match="after 50 steps"):
+            exponent_two_types(swap, IidEnvironment(np.array([1.0])), 64)

@@ -20,7 +20,6 @@ _EXPORTS = {
     "carpet": (
         "OffspringStats",
         "SquareSet",
-        "bisect_critical",
         "build_carpet_model",
         "critical_p",
         "empirical_offspring_stats",
@@ -30,6 +29,7 @@ _EXPORTS = {
         "sample_projection_measures",
     ),
     "classify": ("ConditionReport", "Verdict", "check_conditions", "classify"),
+    "critical": ("bisect_critical",),
     "errors": (
         "BudgetError",
         "DegenerateProductError",

@@ -10,9 +10,10 @@ Lebesgue-typical point. Retaining squares independently with probability p
 scales every expectation matrix by p, which makes the critical retention
 probability the root of log p + lambda_B = 0, with lambda_B the growth
 exponent of the p = 1 matrices. :func:`critical_p` maps the Monte Carlo
-interval of :func:`lambda_b` onto that root; :func:`bisect_critical`
-brackets it deterministically, by bisection on the sign of
-log p + lambda_B with lambda_B from Ulam's method, and samples nothing.
+interval of :func:`lambda_b` onto that root;
+:func:`mbpre.critical.bisect_critical` brackets it deterministically, by
+bisection on the sign of log p + lambda_B with Ulam's lambda_B of these
+matrices stored as constants, and loads neither numpy nor this module.
 """
 
 from __future__ import annotations
@@ -79,11 +80,6 @@ MAX_SQUARES = 10**7
 MAX_PROJECTION_SAMPLES = 2**20
 
 _MATRIX_TOL = 1e-12
-
-# Ulam cells of the coarser lambda_B behind bisect_critical; the finer one
-# takes twice as many. The two differ by 7e-8 (0.9732052436 and
-# 0.9732051732), and the value at 64000 cells is 0.9732052251.
-_ULAM_CELLS = 1000
 
 # Deepest carpet whose square indices fit in int64: 3^39 < 2^63 < 3^40.
 _MAX_DEPTH = 39
@@ -169,38 +165,6 @@ def critical_p(estimate):
         math.exp(-(estimate.point + estimate.half_width)),
         math.exp(-(estimate.point - estimate.half_width)),
     )
-
-
-def bisect_critical(*, iterations):
-    """Critical retention probability bracket by bisection on [0.05, 0.95].
-
-    The carpet survives with positive probability when log p + lambda_B > 0
-    and dies out almost surely when it is negative. lambda_B is computed
-    once by Ulam's method at ``_ULAM_CELLS`` cells and once at twice as
-    many (:func:`lyapunov.exponent_two_types`). Each of at most
-    ``iterations`` steps moves the upper end of the bracket to its midpoint
-    when log(mid) + lambda_B, with the finer value, is positive, and the
-    lower end when it is negative. The search stops undecided once
-    |log(mid) + lambda_B| is no larger than the gap between the two values,
-    or once the midpoint rounds to an end (after about 53 steps), so the
-    bracket never collapses to a point. Nothing is sampled.
-    Returns ``(p_low, p_high)``, with ``p_low < p_high``.
-    """
-    from .lyapunov import exponent_two_types  # loaded only when a bisection runs
-
-    coarse = exponent_two_types(COLUMN_MATRICES, _UNIFORM3, _ULAM_CELLS)
-    fine = exponent_two_types(COLUMN_MATRICES, _UNIFORM3, 2 * _ULAM_CELLS)
-    lo, hi = 0.05, 0.95
-    for _ in range(iterations):
-        mid = 0.5 * (lo + hi)
-        growth = math.log(mid) + fine
-        if not lo < mid < hi or abs(growth) <= abs(fine - coarse):
-            break
-        if growth > 0:
-            hi = mid
-        else:
-            lo = mid
-    return lo, hi
 
 
 def _digit_blocks(v, depth):

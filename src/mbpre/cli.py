@@ -11,7 +11,9 @@ exponent word over ``LETTER_BUDGET`` letters and a model's pgf table over
 ``LETTER_BUDGET`` bytes included), 1 any other failure.
 
 Each handler imports the modules it runs, and numpy only where it uses it,
-so a launch loads only what its subcommand needs. The parser names every
+so a launch loads only what its subcommand needs: ``carpet critical
+--bisect`` runs ``mbpre.critical``, which imports only math, and writes a
+dict, so it loads neither numpy nor ``dataclasses``. The parser names every
 subcommand but builds only the invoked one's options, and json and
 ``mbpre.errors`` load where a result is written, an error is mapped to its
 exit code or the ``--kind`` choices are offered, so ``--version`` loads
@@ -241,11 +243,13 @@ def _cmd_carpet_lambda_b(args):
 
 
 def _cmd_carpet_critical(args):
+    if args.bisect:
+        from .critical import bisect_critical
+
+        lo, hi = bisect_critical(iterations=args.iterations)
+        return {"p_low": lo, "p_high": hi, "method": "bisect"}
     from . import carpet
 
-    if args.bisect:
-        lo, hi = carpet.bisect_critical(iterations=args.iterations)
-        return {"p_low": lo, "p_high": hi, "method": "bisect"}
     est = carpet.lambda_b(args.steps, args.batches, args.seed)
     lo, hi = carpet.critical_p(est)
     return {"p_low": lo, "p_high": hi, "method": "ci", "lambda_b": est}
@@ -393,10 +397,15 @@ _NOT_ECHOED = frozenset({"seed", "json", "command", "carpet_command", "handler"}
 
 
 def _fields(obj):
-    """``obj`` with each dataclass in it, or in its dict values and tuples, as its fields."""
-    from dataclasses import asdict, is_dataclass  # its result's module loaded it
+    """``obj`` with each dataclass in it, or in its dict values and tuples, as its fields.
 
-    if is_dataclass(obj):
+    A dataclass is told by its class's ``__dataclass_fields__``, the test
+    ``dataclasses.is_dataclass`` makes, so a result with none (the dict of
+    ``carpet critical --bisect``) never loads ``dataclasses`` and ``inspect``.
+    """
+    if hasattr(type(obj), "__dataclass_fields__"):
+        from dataclasses import asdict  # the module that made obj loaded it
+
         return asdict(obj)
     if isinstance(obj, dict):
         return {k: _fields(v) for k, v in obj.items()}

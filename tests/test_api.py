@@ -355,3 +355,69 @@ def test_importing_the_package_compiles_no_dataclass_method():
     assert proc.returncode == 0, proc.stderr
     ours, probe = json.loads(proc.stdout)
     assert (ours, probe > 0) == (0, True)
+
+
+def _imported_names(tree):
+    """Each module an ``import`` or ``from ... import`` in ``tree`` reads, dots included."""
+    return [
+        name
+        for node in ast.walk(tree)
+        for name in (
+            [a.name for a in node.names] if isinstance(node, ast.Import)
+            else ["." * node.level + (node.module or "")] if isinstance(node, ast.ImportFrom)
+            else []
+        )
+    ]
+
+
+def test_critical_imports_only_math():
+    # `carpet critical --bisect` loads this module alone, so an import of
+    # numpy, of the model or of the Ulam solver here brings numpy back into
+    # that launch
+    assert set(_imported_names(_module_tree("critical"))) == {"math"}
+
+
+def _dataclasses_imports_off_branch(tree):
+    """Lines that import ``dataclasses`` outside ``_fields``'s dataclass branch.
+
+    The branch is the ``if`` of ``_fields`` whose test reads
+    ``__dataclass_fields__``; without one, every import is off it.
+    """
+    fields = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "_fields"]
+    branch = {
+        id(n)
+        for f in fields
+        for stmt in f.body
+        if isinstance(stmt, ast.If) and "__dataclass_fields__" in ast.unparse(stmt.test)
+        for body in stmt.body
+        for n in ast.walk(body)
+    }
+    return [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        and "dataclasses" in _imported_names(node)
+        and id(node) not in branch
+    ]
+
+
+def test_cli_imports_dataclasses_only_for_a_dataclass_result():
+    # a result that is no dataclass, such as the bisection's dict, is
+    # written without loading dataclasses and the inspect it imports
+    tree = _module_tree("cli")
+    assert "dataclasses" in _imported_names(tree)
+    assert _dataclasses_imports_off_branch(tree) == []
+
+
+def test_off_branch_dataclasses_import_is_detected():
+    # the check itself must see an import before the branch and one at the top
+    probe = ast.parse(
+        "import dataclasses\n"
+        "def _fields(obj):\n"
+        "    from dataclasses import asdict, is_dataclass\n"
+        "    if hasattr(type(obj), '__dataclass_fields__'):\n"
+        "        from dataclasses import asdict\n"
+        "        return asdict(obj)\n"
+        "    return obj\n"
+    )
+    assert _dataclasses_imports_off_branch(probe) == [1, 3]

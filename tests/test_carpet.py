@@ -12,7 +12,6 @@ from mbpre import (
     InvariantError,
     LyapunovEstimate,
     SquareSet,
-    bisect_critical,
     build_carpet_model,
     critical_p,
     empirical_offspring_stats,
@@ -24,6 +23,7 @@ from mbpre import (
 from mbpre import carpet
 from mbpre.carpet import MAX_SQUARES, COLUMN_MATRICES
 from mbpre.cli import main
+from mbpre.critical import bisect_critical
 from oracles import (
     carpet_levels_broadcast,
     law_as_dict,

@@ -736,15 +736,15 @@ def test_extinction_and_simulate_load_no_matrix_module(carpet_p04_file, argv):
 
 
 # Runs `launch` with an `os._exit` that reports on stderr, before it ends
-# the process, which of numpy.random, numpy.polynomial and mbpre.* it has
-# loaded.
+# the process, which of numpy, numpy.random, numpy.polynomial, dataclasses
+# and mbpre.* it has loaded.
 _SPIED_EXIT_LAUNCH = """
 import os, sys
 from mbpre import cli
 real_exit = os._exit
 def spy_exit(code):
-    names = [m for m in sys.modules
-             if m in ("numpy.random", "numpy.polynomial") or m.startswith("mbpre")]
+    spied = ("numpy", "numpy.random", "numpy.polynomial", "dataclasses")
+    names = [m for m in sys.modules if m in spied or m.startswith("mbpre")]
     os.write(2, " ".join(sorted(names)).encode())
     real_exit(code)
 os._exit = spy_exit
@@ -759,15 +759,16 @@ cli.launch()
         (["carpet", "project", "--p", "0.6", "--depth", "2", "--samples", "2"],
          {"mbpre.carpet", "numpy.random"}, {"mbpre.lyapunov", "mbpre.extinction"}),
         (["carpet", "critical", "--bisect"],
-         {"mbpre.carpet", "mbpre.lyapunov"},
-         {"mbpre.extinction", "numpy.random", "numpy.polynomial"}),
+         {"mbpre.critical"},
+         {"numpy", "numpy.random", "numpy.polynomial", "dataclasses", "mbpre.model",
+          "mbpre.carpet", "mbpre.lyapunov", "mbpre.extinction"}),
     ],
     ids=["project", "bisect"],
 )
 def test_carpet_project_and_bisect_load_only_their_modules(argv, loaded, not_loaded):
-    # the bisection decides on Ulam's lambda_B, so it samples nothing and
-    # numpy.random (2.7 MB of peak RSS) never loads; its Gauss-Legendre rule
-    # is a constant, so neither does numpy.polynomial (3.3 ms a launch)
+    # the bisection decides on Ulam's lambda_B, stored as two constants, so
+    # it loads neither numpy nor the model, and its dict result is written
+    # without dataclasses (and the inspect it imports)
     proc = subprocess.run(
         [sys.executable, "-c", _SPIED_EXIT_LAUNCH, *argv],
         capture_output=True, text=True, env=child_env(),
